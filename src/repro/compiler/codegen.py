@@ -4,8 +4,10 @@ The run-time artifact of compiled communication is, per switch, the
 contents of a circular shift register with one word per time slot; word
 ``k`` sets the crossbar for configuration ``C_k``.  This module
 
-* **generates** those words from a :class:`ConfigurationSet` by walking
-  every connection's path through its switches
+* **generates** those words from a :class:`ConfigurationSet`: every
+  consecutive link pair of a connection's path crosses one switch, and
+  the topology's port tables (:func:`repro.topology.switch.port_tables`)
+  turn all pairs of all slots into one scatter into the image
   (:func:`generate_registers`), and
 * **decodes** them back into per-slot connection sets by tracing light
   paths from every injection fiber (:func:`decode_registers`),
@@ -18,12 +20,22 @@ nothing else.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.configuration import ConfigurationSet
 from repro.topology.base import Topology
 from repro.topology.links import LinkKind
-from repro.topology.switch import CrossbarSwitch, SwitchState, build_switches
+from repro.topology.switch import (
+    CrossbarSwitch,
+    SwitchConfigError,
+    SwitchState,
+    build_switches,
+    port_tables,
+)
 
 
 @dataclass
@@ -38,39 +50,67 @@ class RegisterSchedule:
     topology: Topology
     degree: int
     words: dict[int, list[tuple[int, ...]]]
-    switches: dict[int, CrossbarSwitch]
+
+    @cached_property
+    def switches(self) -> dict[int, CrossbarSwitch]:
+        """Each node's crossbar, to decode its words (built on first use)."""
+        return build_switches(self.topology)
 
 
 def generate_registers(
     topology: Topology, schedule: ConfigurationSet
 ) -> RegisterSchedule:
-    """Emit per-switch circular register contents for ``schedule``."""
-    switches = build_switches(topology)
+    """Emit per-switch circular register contents for ``schedule``.
+
+    Raises :class:`SwitchConfigError` if two connections of one slot
+    drive the same switch input or the same switch output, or if a path
+    enters a switch on a link that is not one of its inputs.
+    """
+    tables = port_tables(topology)
     degree = max(schedule.degree, 1)
-    states: dict[tuple[int, int], SwitchState] = {}
-
-    def state(node: int, slot: int) -> SwitchState:
-        key = (node, slot)
-        if key not in states:
-            states[key] = SwitchState(node)
-        return states[key]
-
-    for slot, cfg in enumerate(schedule):
-        for conn in cfg:
-            # Walk consecutive link pairs; each pair crosses one switch.
-            for in_link, out_link in zip(conn.links, conn.links[1:]):
-                node = topology.link_info(out_link).src
-                state(node, slot).connect(in_link, out_link)
-
-    words: dict[int, list[tuple[int, ...]]] = {}
-    for node, switch in switches.items():
-        words[node] = [
-            switch.encode(states.get((node, slot), SwitchState(node)))
-            for slot in range(degree)
-        ]
-    return RegisterSchedule(
-        topology=topology, degree=degree, words=words, switches=switches
+    paths = [conn.links for cfg in schedule for conn in cfg]
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    links = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.intp, count=int(lengths.sum())
     )
+    slots = np.repeat(
+        np.repeat(np.arange(len(schedule)), [len(cfg) for cfg in schedule]), lengths
+    )
+    # Consecutive links (a, b) of one path cross the switch ``b`` leaves.
+    same_path = np.ones(max(len(links) - 1, 0), dtype=bool)
+    same_path[np.cumsum(lengths)[:-1] - 1] = False
+    a, b, slot = links[:-1][same_path], links[1:][same_path], slots[1:][same_path]
+    switch = tables.out_switch[b]
+    bad = np.flatnonzero((switch < 0) | (tables.in_switch[a] != switch))
+    if bad.size:
+        i = bad[0]
+        raise SwitchConfigError(f"links {a[i]} -> {b[i]} do not meet at a switch")
+    where = tables.image_index(degree, switch, slot, tables.in_port[a])
+    _check_unique(where, "input", a, switch, slot)
+    _check_unique(
+        (switch * degree + slot) * int(tables.n_out.max()) + tables.out_port[b],
+        "output", b, switch, slot,
+    )
+    image = np.full(degree * int(tables.n_in.sum()), -1, dtype=np.intp)
+    image[where] = tables.out_port[b]
+    words = {
+        node: list(map(tuple, node_words))
+        for node, node_words in enumerate(tables.words(image, degree))
+    }
+    return RegisterSchedule(topology=topology, degree=degree, words=words)
+
+
+def _check_unique(keys: np.ndarray, what: str, links: np.ndarray,
+                  switch: np.ndarray, slot: np.ndarray) -> None:
+    """Raise if two link pairs claim one switch port in one slot."""
+    if not keys.size:
+        return
+    clash = np.flatnonzero(np.bincount(keys)[keys] > 1)
+    if clash.size:
+        i = clash[-1]
+        raise SwitchConfigError(
+            f"switch {switch[i]}: {what} link {links[i]} used twice in slot {slot[i]}"
+        )
 
 
 def decode_registers(regs: RegisterSchedule) -> list[set[tuple[int, int]]]:

@@ -21,10 +21,13 @@ bundle both plus metadata into one document.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.compiler.codegen import (
     RegisterSchedule,
@@ -35,6 +38,7 @@ from repro.core.configuration import Configuration, ConfigurationSet
 from repro.core.paths import Connection, route_requests
 from repro.core.requests import Request, RequestSet
 from repro.topology.base import Topology
+from repro.topology.switch import port_tables
 
 FORMAT_VERSION = 1
 
@@ -160,18 +164,25 @@ def schedule_from_dict(topology: Topology, data: dict[str, Any]) -> tuple[Config
 
 def registers_to_dict(regs: RegisterSchedule) -> dict[str, Any]:
     """Serialise per-switch register words (digest-stable, see
-    :func:`schedule_to_dict`)."""
+    :func:`schedule_to_dict`).
+
+    Every producer of a :class:`RegisterSchedule` (codegen and
+    :func:`registers_from_dict`) holds plain-int words, so they are
+    copied as they are; anything else fails :func:`canonical_json`.
+    """
     return {
         "version": FORMAT_VERSION,
         "topology": regs.topology.signature,
         "degree": int(regs.degree),
-        "words": {str(node): [[int(p) for p in w] for w in words]
+        "words": {str(node): list(map(list, words))
                   for node, words in sorted(regs.words.items())},
     }
 
 
 def registers_from_dict(topology: Topology, data: dict[str, Any]) -> RegisterSchedule:
-    """Rebuild a register image for ``topology`` (signature-checked)."""
+    """Rebuild a register image for ``topology`` (signature-checked;
+    malformed words raise :class:`ArtifactError`, see
+    :func:`register_array`)."""
     if data.get("version") != FORMAT_VERSION:
         raise ArtifactError(f"unsupported registers version {data.get('version')!r}")
     if data["topology"] != topology.signature:
@@ -179,18 +190,51 @@ def registers_from_dict(topology: Topology, data: dict[str, Any]) -> RegisterSch
             f"register image built for {data['topology']!r}, "
             f"loader topology is {topology.signature!r}"
         )
-    from repro.topology.switch import build_switches
-
-    switches = build_switches(topology)
+    register_array(topology, data)
     words = {
-        int(node): [tuple(w) for w in node_words]
+        int(node): list(map(tuple, node_words))
         for node, node_words in data["words"].items()
     }
-    if set(words) != set(switches):
+    return RegisterSchedule(topology=topology, degree=data["degree"], words=words)
+
+
+def register_array(topology: Topology, data: dict[str, Any]) -> np.ndarray:
+    """The words of a register-image document as one checked flat array.
+
+    The layout is :class:`repro.topology.switch.PortTables`'.  Raises
+    :class:`ArtifactError` unless the words cover exactly the switches
+    of ``topology``, each with ``degree`` words of one integer per input
+    port, every entry -1 (dark) or an output port of that switch, and no
+    output port driven twice within one word.
+    """
+    tables = port_tables(topology)
+    degree, words = data.get("degree"), data.get("words")
+    if type(degree) is not int or degree < 1 or not isinstance(words, dict):
+        raise ArtifactError("register image needs a positive degree and words")
+    nodes = [str(v) for v in range(len(tables.in_links))]
+    if len(words) != len(nodes) or not all(v in words for v in nodes):
         raise ArtifactError("register image does not cover every switch")
-    return RegisterSchedule(
-        topology=topology, degree=data["degree"], words=words, switches=switches
-    )
+    rows = [words[v] for v in nodes]
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {degree}:
+        raise ArtifactError(f"register image: a switch does not hold {degree} words")
+    flat_words = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat_words)) != {list}:
+        raise ArtifactError("register image: a word is not a list")
+    lengths = np.fromiter(map(len, flat_words), dtype=np.intp, count=len(flat_words))
+    if not np.array_equal(lengths, np.repeat(tables.n_in, degree)):
+        raise ArtifactError("register image: a word does not match its switch's ports")
+    values = list(itertools.chain.from_iterable(flat_words))
+    if not set(map(type, values)) <= {int}:
+        raise ArtifactError("register image: a port is not an integer")
+    image = np.array(values, dtype=np.intp)
+    if ((image < -1) | (image >= np.repeat(tables.n_out, tables.n_in * degree))).any():
+        raise ArtifactError("register image: a port is out of range")
+    word = np.repeat(np.arange(len(flat_words)), lengths)
+    lit = image >= 0
+    used = np.bincount(word[lit] * int(tables.n_out.max()) + image[lit])
+    if used.size and used.max() > 1:
+        raise ArtifactError("register image: an output port is used twice in a word")
+    return image
 
 
 # ----------------------------------------------------------------------

@@ -46,14 +46,15 @@ back through ``sigma^-1`` and must be byte-identical across processes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.compiler.serialize import register_array
 from repro.core.requests import Request, RequestSet
-from repro.topology.kary_ncube import KAryNCube, TieBreak
+from repro.topology.kary_ncube import translation_group  # noqa: F401 (re-export)
+from repro.topology.switch import port_tables
 
 #: Packing limits of the int64 fast path: (src*N+dst) < 2**24 needs
 #: N <= 4096 nodes; sizes below 2**20 and tags below 2**16 then fit in
@@ -63,26 +64,6 @@ _MAX_PACK_SIZE = 1 << 20
 _MAX_PACK_TAG = 1 << 16
 
 RequestTuple = tuple[int, int, int, int]  # (src, dst, size, tag)
-
-
-def translation_group(topology: Any) -> list[tuple[int, ...]]:
-    """Admissible translation vectors of ``topology``.
-
-    Returns coordinate offsets (one per dimension) for
-    :class:`KAryNCube` substrates, restricted to routing symmetries as
-    described in the module docstring; any other topology yields just
-    the identity.  The list order is deterministic (row-major product),
-    which fixes the canonical tie-break.
-    """
-    if not isinstance(topology, KAryNCube):
-        return [()]
-    ranges = []
-    for k in topology.dims:
-        if topology.tie_break is TieBreak.BALANCED and k % 2 == 0:
-            ranges.append(range(0, k, 2))
-        else:
-            ranges.append(range(k))
-    return [tuple(t) for t in itertools.product(*ranges)]
 
 
 def node_permutation(topology: Any, translation: tuple[int, ...]) -> list[int]:
@@ -185,13 +166,10 @@ def _packable(n_nodes: int, tuples: list[RequestTuple]) -> bool:
 
 
 def _unpack(packed: np.ndarray, n_nodes: int) -> list[RequestTuple]:
-    pairs = packed >> 36
+    src, dst = np.divmod(packed >> 36, n_nodes)
     sizes = (packed >> 16) & (_MAX_PACK_SIZE - 1)
     tags = packed & (_MAX_PACK_TAG - 1)
-    return [
-        (int(p) // n_nodes, int(p) % n_nodes, int(size), int(tag))
-        for p, size, tag in zip(pairs, sizes, tags)
-    ]
+    return list(zip(src.tolist(), dst.tolist(), sizes.tolist(), tags.tolist()))
 
 
 def canonicalize(topology: Any, requests: Sequence) -> CanonicalPattern:
@@ -205,7 +183,7 @@ def canonicalize(topology: Any, requests: Sequence) -> CanonicalPattern:
     """
     tuples = _as_tuples(requests)
     n = topology.num_nodes
-    group = translation_group(topology)
+    group = port_tables(topology).group
 
     if _packable(n, tuples):
         return _canonicalize_packed(topology, tuples, group)
@@ -213,7 +191,7 @@ def canonicalize(topology: Any, requests: Sequence) -> CanonicalPattern:
 
 
 def _canonicalize_packed(
-    topology: Any, tuples: list[RequestTuple], group: list[tuple[int, ...]]
+    topology: Any, tuples: list[RequestTuple], group: Sequence[tuple[int, ...]]
 ) -> CanonicalPattern:
     """int64 fast path: one vectorised sort per admissible translation."""
     n = topology.num_nodes
@@ -223,14 +201,14 @@ def _canonicalize_packed(
         ((t[2] << 16) | t[3] for t in tuples), dtype=np.int64, count=len(tuples)
     )
     # sigmas: (|group|, N) matrix of node images.
-    sigmas = np.asarray([node_permutation(topology, t) for t in group], dtype=np.int64)
+    sigmas = port_tables(topology).sigmas
     images = np.sort((sigmas[:, src] * n + sigmas[:, dst]) << 36 | rest, axis=1)
     best = 0
     for i in range(1, images.shape[0]):
         diff = np.nonzero(images[i] != images[best])[0]
         if diff.size and images[i, diff[0]] < images[best, diff[0]]:
             best = i
-    sigma = [int(v) for v in sigmas[best]]
+    sigma = sigmas[best].tolist()
     return CanonicalPattern(
         requests=_unpack(images[best], n),
         key_bytes=b"packed\0" + images[best].astype("<i8").tobytes(),
@@ -241,14 +219,13 @@ def _canonicalize_packed(
 
 
 def _canonicalize_tuples(
-    topology: Any, tuples: list[RequestTuple], group: list[tuple[int, ...]]
+    topology: Any, tuples: list[RequestTuple], group: Sequence[tuple[int, ...]]
 ) -> CanonicalPattern:
     """Fallback for huge node counts / sizes: plain tuple sorting."""
     best_key: list[RequestTuple] | None = None
     best_t: tuple[int, ...] = group[0]
     best_sigma: list[int] = []
-    for t in group:
-        sigma = node_permutation(topology, t)
+    for t, sigma in zip(group, port_tables(topology).sigmas.tolist()):
         key = sorted((sigma[s], sigma[d], size, tag) for s, d, size, tag in tuples)
         if best_key is None or key < best_key:
             best_key, best_t, best_sigma = key, t, sigma
@@ -288,29 +265,33 @@ def permute_schedule_dict(doc: dict, sigma: Sequence[int]) -> dict:
 def permute_registers_dict(topology: Any, doc: dict, sigma: Sequence[int]) -> dict:
     """A register-image document translated through ``sigma``.
 
-    Each switch word is decoded to its link-level crossbar mapping,
-    every link is carried through the translation, and the mapping is
-    re-encoded at the image switch.  (Port indices are *not* simply
-    renamed: a switch's input ports are ordered by incoming link id,
-    which depends on the neighbours' absolute node ids.)
+    A translation carries switch ``v`` onto ``sigma[v]`` and every fiber
+    onto the fiber of the same dimension and direction (or the PE fiber)
+    there, so output ports keep their index and the words their values;
+    only each switch's input positions move, because input ports are
+    ordered by incoming link id, which depends on the neighbours'
+    absolute node ids.  The image is one scatter through that input-port
+    map.  Malformed words raise
+    :class:`~repro.compiler.serialize.ArtifactError`.
     """
-    from repro.topology.switch import SwitchState, build_switches
-
-    switches = build_switches(topology)
-    words: dict[str, list[list[int]]] = {}
-    for node_str, node_words in doc["words"].items():
-        node = int(node_str)
-        image = sigma[node]
-        decoder, encoder = switches[node], switches[image]
-        out = []
-        for w in node_words:
-            state = decoder.decode(tuple(w))
-            mapped = SwitchState(image)
-            for in_link, out_link in state.mapping.items():
-                mapped.connect(
-                    translate_link(topology, in_link, sigma),
-                    translate_link(topology, out_link, sigma),
-                )
-            out.append(list(encoder.encode(mapped)))
-        words[str(image)] = out
-    return {**doc, "words": words}
+    tables = port_tables(topology)
+    image = register_array(topology, doc)
+    degree = doc["degree"]
+    sigma = np.asarray(sigma, dtype=np.intp)
+    moved = np.array([
+        translate_link(topology, link, sigma)
+        for ports in tables.in_links for link in ports
+    ])
+    if (tables.in_switch[moved] != np.repeat(sigma, tables.n_in)).any():
+        raise ValueError("sigma is not a translation of the topology")
+    ports = tables.in_port[moved]
+    switch, slot, port = tables.image_elements(degree)
+    out = np.empty_like(image)
+    out[tables.image_index(
+        degree, sigma[switch], slot, ports[tables.port_base[switch] + port]
+    )] = image
+    words = tables.words(out, degree)
+    return {
+        **doc,
+        "words": {str(sigma[int(v)]): words[sigma[int(v)]] for v in doc["words"]},
+    }

@@ -33,9 +33,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.compiler.codegen import generate_registers
 from repro.compiler.serialize import (
     ArtifactError,
     FORMAT_VERSION,
+    registers_to_dict,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -83,10 +85,12 @@ def verify_artifact(topology: Topology, doc: dict[str, Any]) -> None:
     Defense-in-depth past the payload-hash check: the schedule is
     re-routed on ``topology`` and every configuration re-validated
     conflict-free (:func:`schedule_from_dict` raises on the first
-    switch/link conflict, degree lie, or version mismatch).  A
-    hash-clean artifact whose *content* would program a conflicting
-    switch state -- a poisoned store, a digest collision, a serializer
-    bug -- is rejected here and never leaves the cache.
+    switch/link conflict, degree lie, or version mismatch), and a
+    register image, when present, must equal the one codegen emits for
+    that schedule.  A hash-clean artifact whose *content* would program
+    a conflicting switch state or circuits other than its schedule's --
+    a poisoned store, a digest collision, a serializer bug -- is
+    rejected here and never leaves the cache.
     """
     signature = doc.get("topology")
     if signature is not None and signature != topology.signature:
@@ -94,7 +98,11 @@ def verify_artifact(topology: Topology, doc: dict[str, Any]) -> None:
             f"artifact built for {signature!r}, "
             f"serving topology is {topology.signature!r}"
         )
-    schedule_from_dict(topology, doc["schedule"])
+    schedule, _ = schedule_from_dict(topology, doc["schedule"])
+    if "registers" in doc and doc["registers"] != registers_to_dict(
+        generate_registers(topology, schedule)
+    ):
+        raise ArtifactError("register image does not realise the schedule")
 
 
 def artifact_verifier(topology: Topology):
@@ -156,9 +164,6 @@ def build_canonical_artifact(
         "schedule": schedule_to_dict(schedule),
     }
     if include_registers:
-        from repro.compiler.codegen import generate_registers
-        from repro.compiler.serialize import registers_to_dict
-
         doc["registers"] = registers_to_dict(
             generate_registers(topology, schedule)
         )

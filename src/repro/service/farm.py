@@ -1349,6 +1349,9 @@ class ShardRouter:
         self._demote_lock = asyncio.Lock()
         self._probe_task: asyncio.Task | None = None
         self._lease_task: asyncio.Task | None = None
+        #: set by stop(); both loops exit at their next check even if
+        #: the cancel that stop() sends them is lost.
+        self._stopping = False
         #: name -> consecutive probe-failure count (the suspect state).
         self._suspect: dict[str, int] = {}
         #: name -> last known endpoint of nodes no longer in the map --
@@ -1400,12 +1403,19 @@ class ShardRouter:
         return self
 
     async def stop(self) -> None:
+        self._stopping = True
         for attr in ("_probe_task", "_lease_task"):
             task = getattr(self, attr)
-            if task is not None:
+            if task is None:
+                continue
+            # A cancel racing a completed read inside asyncio.wait_for
+            # can be swallowed (CPython gh-86296), so cancel again until
+            # the loop has ended; the stop flag ends it at its next turn.
+            while not task.done():
                 task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-                setattr(self, attr, None)
+                await asyncio.wait({task}, timeout=0.1)
+            await asyncio.gather(task, return_exceptions=True)
+            setattr(self, attr, None)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1631,7 +1641,7 @@ class ShardRouter:
     async def _probe_loop(self) -> None:
         assert self.probe_interval is not None
         try:
-            while True:
+            while not self._stopping:
                 await asyncio.sleep(self.probe_interval)
                 try:
                     await self.probe_round()
@@ -1716,7 +1726,7 @@ class ShardRouter:
     async def _lease_loop(self) -> None:
         assert self.lease_interval is not None
         try:
-            while True:
+            while not self._stopping:
                 await asyncio.sleep(self.lease_interval)
                 try:
                     await self.lease_round()
@@ -1788,17 +1798,23 @@ class ShardRouter:
         self._lease_acquired = None
 
     async def _promote(self, epoch: int) -> None:
-        """Won a majority as standby: take over under a fresh epoch."""
-        self.role = "leader"
+        """Won a majority as standby: take over under a fresh epoch.
+
+        Leadership is published only after the push round, so whoever
+        sees this router lead also sees every reachable node on its map.
+        """
         self.epoch = int(epoch)
         self._observed_epoch = max(self._observed_epoch, self.epoch)
-        self.promotions += 1
-        self._lease_acquired = time.monotonic()
         if self.epoch > self.shard_map.epoch:
             # Publish membership under the new incarnation: every map
             # the deposed leader pushes from here on compares lower.
             self.shard_map = self.shard_map.with_epoch(self.epoch)
         await self._broadcast_map()
+        if self._observed_epoch > self.epoch:
+            return  # a higher incarnation surfaced during the push round
+        self.role = "leader"
+        self.promotions += 1
+        self._lease_acquired = time.monotonic()
 
     async def _broadcast_map(self) -> None:
         """Best-effort reshard push to every node and peer router."""

@@ -44,6 +44,7 @@ neighbours coincide, giving two parallel fibers, which is how a physical
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Sequence
 
 from repro.topology.base import Topology
@@ -178,3 +179,26 @@ class KAryNCube(Topology):
     def signature(self) -> str:
         dims = "x".join(str(k) for k in self.dims)
         return f"kary-ncube:{dims}:tie={self.tie_break.value}"
+
+
+def translation_group(topology: Topology) -> list[tuple[int, ...]]:
+    """Admissible translation vectors of ``topology``.
+
+    Returns coordinate offsets (one per dimension) for
+    :class:`KAryNCube` substrates, restricted to *routing* symmetries:
+    under ``TieBreak.BALANCED`` a half-ring tie consults the source
+    coordinate's parity, so only translations that are even in every
+    even-radix dimension map routes onto routes (see
+    :mod:`repro.service.canonical`).  Any other topology yields just the
+    identity.  The list order is deterministic (row-major product, the
+    identity first), which fixes the canonical tie-break.
+    """
+    if not isinstance(topology, KAryNCube):
+        return [()]
+    ranges = []
+    for k in topology.dims:
+        if topology.tie_break is TieBreak.BALANCED and k % 2 == 0:
+            ranges.append(range(0, k, 2))
+        else:
+            ranges.append(range(k))
+    return [tuple(t) for t in itertools.product(*ranges)]

@@ -4,12 +4,24 @@ import pytest
 
 from repro.compiler.codegen import decode_registers, generate_registers
 from repro.compiler.program import CommPhase, compile_program
+from repro.compiler.serialize import artifact_digest, registers_to_dict
 from repro.core.combined import combined_schedule
+from repro.core.configuration import Configuration, ConfigurationSet
 from repro.core.paths import route_requests
+from repro.core.registry import get_scheduler
 from repro.core.requests import RequestSet
-from repro.patterns.classic import nearest_neighbour_2d, ring_pattern
+from repro.patterns.classic import (
+    all_to_all_pattern,
+    nearest_neighbour_2d,
+    ring_pattern,
+)
 from repro.patterns.random_patterns import random_pattern
 from repro.simulator.params import SimParams
+from repro.topology.kary_ncube import KAryNCube
+from repro.topology.mesh import Mesh2D
+from repro.topology.ring import Ring
+from repro.topology.switch import SwitchConfigError
+from repro.topology.torus import Torus2D
 
 
 def roundtrip(topology, requests):
@@ -49,6 +61,53 @@ class TestRoundTrip:
         regs = generate_registers(torus8, schedule)
         assert all(len(w) == schedule.degree for w in regs.words.values())
         assert len(regs.words) == 64
+
+
+class TestGoldenRegisterImages:
+    """Register images pinned byte for byte (all-to-all on each substrate).
+
+    A change here changes every served register image and every cached
+    artifact that carries one.
+    """
+
+    @pytest.mark.parametrize("topology, scheduler, digest", [
+        (Torus2D(8), "combined",
+         "2c8e5472459dc2007115853f613b713174ad3fc44548b3ffe5626360f72f516f"),
+        # Switches with different port counts.
+        (Mesh2D(4), "greedy",
+         "62fb04d30e9acd4db3a184e2eb948c24137b324d6c02f418cbf37991e36fc414"),
+        # A radix-2 dimension has parallel fibers.
+        (KAryNCube((3, 3, 2)), "coloring",
+         "52c259c7226d9182350e538910e7a1b06e4ce1b16bbf4fb173995f3cd255f7df"),
+        (Ring(8), "greedy",
+         "85552d8fc0b89090393aef5f50eb66ff64f7b189d82c9bba73ca20e5f046516e"),
+    ], ids=["torus8-combined", "mesh4-greedy", "kary332-coloring", "ring8-greedy"])
+    def test_all_to_all_image_digest(self, topology, scheduler, digest):
+        connections = route_requests(topology, all_to_all_pattern(topology.num_nodes))
+        schedule = get_scheduler(scheduler)(connections, topology)
+        regs = generate_registers(topology, schedule)
+        assert artifact_digest(registers_to_dict(regs)) == digest
+
+
+class TestConflicts:
+    """A schedule that is not conflict-free cannot be written to registers."""
+
+    @staticmethod
+    def one_slot(topology, pairs):
+        connections = route_requests(topology, RequestSet.from_pairs(pairs))
+        return ConfigurationSet([Configuration._trusted(list(connections))])
+
+    def test_repeated_input_rejected(self, torus4):
+        # 0 -> 1 (+x) and 0 -> 4 (+y) share switch 0's PE input only.
+        schedule = self.one_slot(torus4, [(0, 1), (0, 4)])
+        with pytest.raises(SwitchConfigError, match="input"):
+            generate_registers(torus4, schedule)
+
+    def test_repeated_output_rejected(self, torus4):
+        # 0 -> 1 (+x) and 2 -> 1 (-x) share switch 1's PE output only.
+        schedule = self.one_slot(torus4, [(0, 1), (2, 1)])
+        with pytest.raises(SwitchConfigError, match="output"):
+            generate_registers(torus4, schedule)
 
 
 class TestCompiledProgram:

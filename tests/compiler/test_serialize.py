@@ -89,6 +89,24 @@ class TestRegisterRoundTrip:
             registers_from_dict(other, registers_to_dict(regs))
 
 
+#: Corruptions of switch 0's first word on a 5-port torus switch.
+MALFORMED_WORDS = {
+    "truncated": lambda word: word[:-1],
+    "port_out_of_range": lambda word: [5, *word[1:]],
+    "output_used_twice": lambda word: [1, 1, *word[2:]],
+}
+
+
+class TestMalformedRegisterWords:
+    @pytest.mark.parametrize("corruption", sorted(MALFORMED_WORDS))
+    def test_rejected_on_load(self, torus8, compiled, corruption):
+        _, _, schedule = compiled
+        doc = registers_to_dict(generate_registers(torus8, schedule))
+        doc["words"]["0"][0] = MALFORMED_WORDS[corruption](doc["words"]["0"][0])
+        with pytest.raises(ArtifactError, match="register image"):
+            registers_from_dict(torus8, doc)
+
+
 class TestArtifactFiles:
     def test_save_load_audit(self, tmp_path, torus8, compiled):
         _, _, schedule = compiled

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.codegen import decode_registers, generate_registers
 from repro.compiler.serialize import (
+    ArtifactError,
     registers_from_dict,
     registers_to_dict,
     schedule_from_dict,
@@ -223,3 +224,17 @@ class TestArtifactPermutation:
         assert decode_registers(registers_from_dict(topo, regs_doc)) == (
             decode_registers(fresh)
         )
+
+    @pytest.mark.parametrize("corruption", ["truncated", "port_out_of_range",
+                                            "output_used_twice"])
+    def test_malformed_words_rejected(self, compiled, corruption):
+        topo, _, schedule = compiled
+        doc = registers_to_dict(generate_registers(topo, schedule))
+        word = doc["words"]["0"][0]
+        doc["words"]["0"][0] = {
+            "truncated": word[:-1],
+            "port_out_of_range": [5, *word[1:]],
+            "output_used_twice": [1, 1, *word[2:]],
+        }[corruption]
+        with pytest.raises(ArtifactError, match="register image"):
+            permute_registers_dict(topo, doc, node_permutation(topo, (2, 0)))

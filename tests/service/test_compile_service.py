@@ -6,7 +6,13 @@ from repro.compiler.serialize import schedule_from_dict
 from repro.core import perf
 from repro.service.cache import ArtifactCache
 from repro.service.canonical import canonicalize, node_permutation, translation_group
-from repro.service.compile import CompileService, compile_digest, compile_pattern
+from repro.service.compile import (
+    CompileService,
+    artifact_verifier,
+    build_canonical_artifact,
+    compile_digest,
+    compile_pattern,
+)
 from repro.patterns.classic import ring_pattern, transpose_pattern
 from repro.service.specs import (
     TopologySpecError,
@@ -125,6 +131,37 @@ class TestCompilePattern:
         reqs = [(0, 5, 1, 0), (10, 3, 2, 0)]
         compile_pattern(mesh, reqs, cache=cache)
         assert compile_pattern(mesh, list(reversed(reqs)), cache=cache).cache == "hit"
+
+
+def swapped_register_doc(topology, requests):
+    """A register-carrying artifact whose switches 0 and 1 trade words:
+    every word is well formed, but the image no longer realises the
+    schedule."""
+    canonical = canonicalize(topology, requests)
+    doc = build_canonical_artifact(topology, canonical.requests)
+    words = doc["registers"]["words"]
+    assert words["0"] != words["1"]
+    words["0"], words["1"] = words["1"], words["0"]
+    return compile_digest(topology, canonical, "combined", None), doc
+
+
+class TestVerifyArtifact:
+    def test_swapped_register_image_quarantined_on_disk_promotion(
+        self, torus, tmp_path
+    ):
+        digest, doc = swapped_register_doc(torus, ring_pattern(16))
+        ArtifactCache(tmp_path).put(digest, doc)
+        fresh = ArtifactCache(tmp_path)
+        assert fresh.get(digest, verifier=artifact_verifier(torus)) is None
+        assert fresh.stats.verify_failures == 1
+        assert fresh.stats.quarantined == 1
+
+    def test_matching_register_image_promoted(self, torus, tmp_path):
+        canonical = canonicalize(torus, ring_pattern(16))
+        doc = build_canonical_artifact(torus, canonical.requests)
+        ArtifactCache(tmp_path).put("ab" * 32, doc)
+        fresh = ArtifactCache(tmp_path)
+        assert fresh.get("ab" * 32, verifier=artifact_verifier(torus)) == doc
 
 
 class TestCompileService:

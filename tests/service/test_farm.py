@@ -5,8 +5,12 @@ import asyncio
 
 import pytest
 
+from repro.compiler.serialize import artifact_digest
+from repro.patterns.classic import ring_pattern
 from repro.service.cache import ArtifactCache
+from repro.service.canonical import canonicalize
 from repro.service.client import AsyncCompileClient
+from repro.service.compile import build_canonical_artifact, compile_digest
 from repro.service.errors import (
     EpochConflict,
     ProtocolError,
@@ -21,6 +25,7 @@ from repro.service.farm import (
     route_digest,
     sum_stats,
 )
+from repro.service.specs import topology_from_spec
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
@@ -369,6 +374,28 @@ class TestFarmAmend:
 # ----------------------------------------------------------------------
 # byte-transparency of the router hop
 # ----------------------------------------------------------------------
+
+class TestStoreVerification:
+    def test_store_refuses_a_register_image_of_another_schedule(self):
+        topology = topology_from_spec(TORUS4)
+        canonical = canonicalize(topology, ring_pattern(16))
+        doc = build_canonical_artifact(topology, canonical.requests)
+        words = doc["registers"]["words"]
+        words["0"], words["1"] = words["1"], words["0"]  # well formed, wrong
+        digest = compile_digest(topology, canonical, "combined", None)
+
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                with pytest.raises(ProtocolError, match="semantic"):
+                    await c.request({
+                        "op": "store", "digest": digest, "artifact": doc,
+                        "payload_sha256": artifact_digest(doc),
+                        "topology_spec": TORUS4,
+                    })
+            assert node.cache.peek(digest) is None
+        run(with_farm(go, nodes=1))
+
 
 class TestRouterTransparency:
     def test_idem_and_payload_hash_survive_the_hop(self):

@@ -19,7 +19,7 @@ from repro.service.errors import (
     error_fields,
     reply_error,
 )
-from repro.service.farm import Farm, ShardMap
+from repro.service.farm import Farm, ShardMap, ShardRouter
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
@@ -311,6 +311,39 @@ class TestPromotion:
 
         run(with_ha_farm(scenario, nodes=3))
 
+    def test_leadership_published_after_the_push_round(self):
+        """Whoever sees the promoted router lead must also see every
+        node on its new map: the role flips only after the push."""
+        async def scenario():
+            router = ShardRouter(two_node_map(), role="standby")
+            seen = []
+
+            async def broadcast():
+                seen.append((router.role, router.shard_map.epoch))
+
+            router._broadcast_map = broadcast
+            await router._promote(2)
+            assert seen == [("standby", 2)]
+            assert router.is_leader and router.promotions == 1
+            assert router.lease_age_seconds is not None
+
+        run(scenario())
+
+    def test_promotion_abandoned_if_deposed_during_the_push_round(self):
+        """A higher incarnation adopted mid-push (say from a node's
+        wrong-shard reply) must not be overruled by the promotion."""
+        async def scenario():
+            router = ShardRouter(two_node_map(), role="standby")
+
+            async def broadcast():
+                router._adopt_map(two_node_map(version=9, epoch=3))
+
+            router._broadcast_map = broadcast
+            await router._promote(2)
+            assert not router.is_leader and router.promotions == 0
+
+        run(scenario())
+
     def test_stats_report_role_lease_and_token(self):
         async def scenario(farm):
             await asyncio.sleep(0.25)  # a few lease rounds
@@ -333,6 +366,35 @@ class TestPromotion:
             assert farm_block["draining"] is False
 
         run(with_ha_farm(scenario, nodes=2))
+
+
+class TestStop:
+    def test_stop_ends_a_loop_that_swallowed_its_cancel(self):
+        """A cancel racing a completed read inside ``asyncio.wait_for``
+        can be lost; stop() must still end the lease loop."""
+        async def scenario():
+            router = ShardRouter(two_node_map(), lease_interval=0.01)
+            entered = asyncio.Event()
+            swallowed = []
+
+            async def lease_round():
+                entered.set()
+                try:
+                    await asyncio.sleep(0.05)
+                except asyncio.CancelledError:
+                    if swallowed:
+                        raise
+                    swallowed.append(True)  # the lost cancel
+                return {}
+
+            router.lease_round = lease_round
+            await router.start()
+            await entered.wait()
+            await asyncio.wait_for(router.stop(), timeout=5.0)
+            assert swallowed
+            assert router._lease_task is None
+
+        run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.topology.switch import (
     SwitchConfigError,
     SwitchState,
     build_switches,
+    port_tables,
 )
 
 
@@ -77,3 +78,67 @@ class TestEncodeDecode:
         st.connect(999999, torus8.eject_link(0))
         with pytest.raises(SwitchConfigError):
             switches[0].encode(st)
+
+
+class TestPortTables:
+    def test_one_entry_per_signature(self, torus8):
+        from repro.topology.torus import Torus2D
+
+        assert port_tables(Torus2D(8)) is port_tables(torus8)
+
+    def test_lookups_agree_with_port_lists(self, torus8):
+        tables = port_tables(torus8)
+        for v, (ins, outs) in enumerate(zip(tables.in_links, tables.out_links)):
+            assert [tables.in_switch[l] for l in ins] == [v] * len(ins)
+            assert [tables.in_port[l] for l in ins] == list(range(len(ins)))
+            assert [tables.out_switch[l] for l in outs] == [v] * len(outs)
+            assert [tables.out_port[l] for l in outs] == list(range(len(outs)))
+
+    def test_tables_are_read_only(self, torus8):
+        tables = port_tables(torus8)
+        with pytest.raises(ValueError):
+            tables.in_port[0] = 3
+        with pytest.raises(ValueError):
+            tables.sigmas[0, 0] = 1
+
+    def test_sigmas_match_node_translation(self):
+        from repro.service.canonical import node_permutation
+        from repro.topology.kary_ncube import KAryNCube
+
+        topo = KAryNCube((3, 4, 2))
+        tables = port_tables(topo)
+        assert [list(row) for row in tables.sigmas] == [
+            node_permutation(topo, t) for t in tables.group
+        ]
+
+    def test_cache_is_bounded_under_concurrent_use(self):
+        import sys
+        import threading
+
+        from repro.topology.ring import Ring
+        from repro.topology.switch import _TABLES, PORT_TABLES_CACHE_SIZE
+
+        rings = [Ring(n) for n in range(3, 3 + 2 * PORT_TABLES_CACHE_SIZE)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(200):
+                    ring = rings[(offset + i) % len(rings)]
+                    assert len(port_tables(ring).in_links) == ring.num_nodes
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_TABLES) <= PORT_TABLES_CACHE_SIZE
