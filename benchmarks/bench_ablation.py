@@ -58,82 +58,6 @@ def test_scheduler_zoo(benchmark, torus8, aapc_warm):
         assert r["combined"] <= best + max(3, 0.15 * best)
 
 
-def test_kernel_speedup_all_to_all(benchmark, aapc_warm):
-    """PR acceptance case: the bitmask kernel plus the route cache give
-    >=5x end-to-end (route -> conflict structure -> schedule) on the
-    densest workload, all-to-all on the 8x8 torus (4032 connections),
-    against the seed behaviour (set kernel, no route memoisation) --
-    with identical schedules and counters proving the cache is hit.
-    """
-    from repro.core import perf
-    from repro.core.combined import combined_schedule
-    from repro.patterns.classic import all_to_all_pattern
-
-    topo = Torus2D(8)
-    requests = all_to_all_pattern(64)
-
-    def pipeline(kernel, warm_routes):
-        if not warm_routes:
-            topo.invalidate_route_cache()  # the seed re-derived every route
-        connections = route_requests(topo, requests)
-        return coloring_schedule(connections, kernel=kernel)
-
-    def combined_pipeline(kernel, warm_routes):
-        if not warm_routes:
-            topo.invalidate_route_cache()
-        connections = route_requests(topo, requests)
-        return combined_schedule(connections, topo, kernel=kernel)
-
-    def timed(fn):
-        t0 = perf.perf_timer()
-        fn()
-        return perf.perf_timer() - t0
-
-    def duel(old_fn, new_fn, rounds=4):
-        # Interleave the two sides so a background-noise window on this
-        # single-core box degrades both, not just one; best-of filters
-        # the rest.
-        olds, news = [], []
-        for _ in range(rounds):
-            olds.append(timed(old_fn))
-            news.append(timed(new_fn))
-        return min(olds), min(news)
-
-    def measure():
-        reference = pipeline("bitmask", True)  # warm caches + allocator
-        pipeline("set", False)
-        old, new = duel(lambda: pipeline("set", False),
-                        lambda: pipeline("bitmask", True))
-        perf.reset()
-        pipeline("bitmask", True)
-        counters = perf.snapshot()
-        old_c, new_c = duel(lambda: combined_pipeline("set", False),
-                            lambda: combined_pipeline("bitmask", True), rounds=3)
-        equal = [
-            [c.pair for c in cfg] for cfg in pipeline("set", True)
-        ] == [[c.pair for c in cfg] for cfg in reference]
-        return old, new, old_c, new_c, counters, equal
-
-    old, new, old_c, new_c, counters, equal = once(benchmark, measure)
-    coloring_x = old / new
-    combined_x = old_c / new_c
-    print()
-    print(format_table(
-        ["pipeline", "set+no-cache", "bitmask+cache", "speedup"],
-        [
-            ("route+coloring", f"{old * 1e3:.1f} ms", f"{new * 1e3:.1f} ms",
-             f"{coloring_x:.1f}x"),
-            ("route+combined", f"{old_c * 1e3:.1f} ms", f"{new_c * 1e3:.1f} ms",
-             f"{combined_x:.1f}x"),
-        ],
-        title="Kernel + route-cache speedup, all-to-all 8x8 (interleaved best-of)",
-    ))
-    assert equal, "bitmask schedule diverged from the set reference"
-    assert counters["route_cache_hits"] > 0, "route cache never hit"
-    assert coloring_x >= 5.0
-    assert combined_x >= 3.5
-
-
 def test_coloring_priority_rules(benchmark, torus8):
     """Head-to-head of the two priority readings at three densities."""
     def run():

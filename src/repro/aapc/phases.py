@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.configuration import Configuration, ConfigurationSet
-from repro.core.linkmask import SlotOccupancy, iter_bits, required_links, resolve_kernel
+from repro.core.linkmask import SlotOccupancy, iter_bits, required_links
 from repro.core.packing import first_fit, repack
 from repro.core.paths import Connection, route_requests
 from repro.aapc.bounds import (
@@ -140,36 +140,13 @@ def _longest_first_order(connections: Sequence[Connection]) -> list[int]:
 # ----------------------------------------------------------------------
 
 def _best_fit(
-    connections: Sequence[Connection],
-    order: Sequence[int],
-    *,
-    kernel: str | None = None,
+    connections: Sequence[Connection], order: Sequence[int]
 ) -> ConfigurationSet:
     """Pack into the *fullest* (most links lit) configuration that fits.
 
-    Ties keep the earliest configuration, matching the set-kernel
-    reference exactly; both kernels produce identical packings.
+    Ties keep the earliest configuration.  One slot-mask OR yields
+    every fitting slot.
     """
-    if resolve_kernel(kernel) == "bitmask":
-        return _best_fit_bitmask(connections, order)
-    configs: list[Configuration] = []
-    for pos in order:
-        c = connections[pos]
-        best: Configuration | None = None
-        for cfg in configs:
-            if cfg.fits(c) and (best is None or cfg.total_links_used > best.total_links_used):
-                best = cfg
-        if best is None:
-            best = Configuration()
-            configs.append(best)
-        best.add(c)
-    return ConfigurationSet(configs, scheduler="aapc-best-fit")
-
-
-def _best_fit_bitmask(
-    connections: Sequence[Connection], order: Sequence[int]
-) -> ConfigurationSet:
-    """Bitmask best-fit: one slot-mask OR yields every fitting slot."""
     occ = SlotOccupancy(required_links(connections))
     members: list[list[Connection]] = []
     lit: list[int] = []  # distinct links used per configuration
@@ -239,7 +216,7 @@ _CACHE: dict[str, AAPCDecomposition] = {}
 
 
 def build_aapc_decomposition(
-    topology: Topology, *, effort: str = "normal", kernel: str | None = None
+    topology: Topology, *, effort: str = "normal"
 ) -> AAPCDecomposition:
     """Build a phased AAPC decomposition from scratch (no cache).
 
@@ -275,9 +252,9 @@ def build_aapc_decomposition(
 
     for name, order in orders:
         for packer in (first_fit, _best_fit):
-            candidate = packer(connections, order, kernel=kernel)
+            candidate = packer(connections, order)
             if effort != "fast":
-                candidate = repack(candidate, kernel=kernel)
+                candidate = repack(candidate)
             if best is None or candidate.degree < best.degree:
                 best = ConfigurationSet(list(candidate), scheduler=f"aapc[{name}]")
     assert best is not None

@@ -631,7 +631,6 @@ def churn_campaign(
     size: int = 4,
     scheduler: str = "greedy",
     policy=None,
-    kernel: str | None = None,
     seed: int = 0,
 ) -> dict[str, object]:
     """Amortized cost of delta scheduling under sustained churn.
@@ -672,9 +671,7 @@ def churn_campaign(
         requests = _campaign_requests(topo, pattern, size)
         connections = route_requests(topo, requests)
         schedule = get_scheduler(scheduler)(connections, topo)
-        engine = DeltaScheduler(
-            schedule, num_links=topo.num_links, policy=policy, kernel=kernel
-        )
+        engine = DeltaScheduler(schedule, num_links=topo.num_links, policy=policy)
         rng = random.Random(seed * 1_000_003 + width)
         live = [c.index for c in connections]
         next_index = len(connections)

@@ -72,31 +72,6 @@ def _normal_quantile(p: float) -> float:
     )
 
 
-def perf_rows(snapshot: dict[str, float] | None = None) -> list[tuple[str, str]]:
-    """Perf-counter snapshot as (counter, value) display rows.
-
-    ``snapshot`` defaults to the live global counters
-    (:func:`repro.core.perf.snapshot`).  Counts print as integers,
-    seconds and rates with enough digits to compare runs.
-    """
-    if snapshot is None:
-        from repro.core import perf
-
-        snapshot = perf.snapshot()
-    rows: list[tuple[str, str]] = []
-    for key, value in snapshot.items():
-        if key.endswith("_seconds"):
-            text = f"{value:.4f} s"
-        elif key.endswith("_rate"):
-            text = f"{value:.1%}"
-        elif key.endswith("_per_second"):
-            text = f"{value:,.0f}/s"
-        else:
-            text = f"{int(value):,}"
-        rows.append((key, text))
-    return rows
-
-
 def relative_error(measured: float, reference: float) -> float:
     """|measured - reference| / |reference| (inf-safe)."""
     if reference == 0:

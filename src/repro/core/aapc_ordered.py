@@ -94,8 +94,6 @@ def ordered_aapc_schedule(
     connections: Sequence[Connection],
     topology: Topology | None = None,
     phase_of: Mapping[tuple[int, int], int] | None = None,
-    *,
-    kernel: str | None = None,
 ) -> ConfigurationSet:
     """Schedule ``connections`` with the ordered-AAPC algorithm.
 
@@ -108,9 +106,6 @@ def ordered_aapc_schedule(
         AAPC phase decomposition.
     phase_of:
         Pre-built pair -> phase map; overrides ``topology``.
-    kernel:
-        Placement-test implementation for the greedy pass
-        (``"bitmask"``/``"set"``; ``None`` = process default).
     """
     if phase_of is None:
         if topology is None:
@@ -121,7 +116,6 @@ def ordered_aapc_schedule(
     order, runs = aapc_rank_order(connections, phase_of, with_runs=True)
     num_links = topology.num_links if topology is not None else None
     result = first_fit(
-        connections, order, scheduler="aapc", kernel=kernel,
-        num_links=num_links, runs=runs,
+        connections, order, scheduler="aapc", num_links=num_links, runs=runs,
     )
     return result

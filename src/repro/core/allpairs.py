@@ -186,7 +186,6 @@ def all_to_all_schedule(
     topology: KAryNCube,
     *,
     scheduler: str = "combined",
-    kernel: str | None = None,
     materialize_ceiling: int | None = MATERIALIZE_CEILING,
 ) -> ConfigurationSet | FastAllToAllSchedule:
     """Compile all-to-all with the requested scheduler, scale permitting.
@@ -223,9 +222,9 @@ def all_to_all_schedule(
     table = RouteTable.all_pairs(topology)
     connections = table.connections(all_pairs_requests(topology))
     if scheduler == "greedy":
-        return greedy_schedule(connections, kernel=kernel)
+        return greedy_schedule(connections)
     if scheduler == "coloring":
-        return coloring_schedule(connections, kernel=kernel)
+        return coloring_schedule(connections)
     if scheduler == "aapc":
-        return ordered_aapc_schedule(connections, topology, kernel=kernel)
-    return combined_schedule(connections, topology, kernel=kernel)
+        return ordered_aapc_schedule(connections, topology)
+    return combined_schedule(connections, topology)

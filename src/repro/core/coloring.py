@@ -34,11 +34,11 @@ default to ``priority="most-constrained"`` and keep the literal rule
 available as ``priority="paper-ratio"`` for comparison; the ablation
 bench quantifies the difference, and EXPERIMENTS.md discusses it.
 
-Implementation notes: adjacency is built from per-link buckets (see
-:mod:`repro.core.conflicts`) and stored as deduplicated numpy index
-arrays, so degree updates vectorise; the densest evaluation instance
-(all-to-all on the 8x8 torus: 4032 connections, ~1.4M conflict edges)
-colors in under a second.
+Implementation notes: the conflict graph is a packed bit matrix
+(:class:`repro.core.linkmask.ConflictMatrix`) and each round's walk is
+vectorized (see :func:`coloring_schedule`); the densest evaluation
+instance (all-to-all on the 8x8 torus: 4032 connections, ~1.4M conflict
+edges) colors in well under a second.
 """
 
 from __future__ import annotations
@@ -47,47 +47,21 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core import perf
 from repro.core.configuration import Configuration, ConfigurationSet
-from repro.core.conflicts import links_to_connections
-from repro.core.linkmask import ConflictMatrix, resolve_kernel
+from repro.core.linkmask import ConflictMatrix
 from repro.core.paths import Connection
 
 #: Valid ``priority`` arguments of :func:`coloring_schedule`.
 PRIORITY_RULES = ("most-constrained", "paper-ratio")
 
-
-def _adjacency_arrays(connections: Sequence[Connection]) -> list[np.ndarray]:
-    """Conflict adjacency as sorted, deduplicated int32 arrays.
-
-    The ``kernel="set"`` reference build; the bitmask kernel gets the
-    same structure from :class:`repro.core.linkmask.ConflictMatrix`.
-    """
-    t0 = perf.perf_timer()
-    n = len(connections)
-    raw: list[list[int]] = [[] for _ in range(n)]
-    for members in links_to_connections(connections).values():
-        if len(members) > 1:
-            for i in members:
-                raw[i].extend(members)
-    adj: list[np.ndarray] = []
-    for i, lst in enumerate(raw):
-        if lst:
-            a = np.unique(np.asarray(lst, dtype=np.int32))
-            a = a[a != i]
-        else:
-            a = np.empty(0, dtype=np.int32)
-        adj.append(a)
-    perf.COUNTERS.adjacency_builds += 1
-    perf.COUNTERS.adjacency_seconds += perf.perf_timer() - t0
-    return adj
+#: Window width of the round walk (see :func:`coloring_schedule`).
+_WALK_WINDOW = 64
 
 
 def coloring_schedule(
     connections: Sequence[Connection],
     *,
     priority: str = "most-constrained",
-    kernel: str | None = None,
 ) -> ConfigurationSet:
     """Schedule ``connections`` with the Fig. 4 coloring heuristic.
 
@@ -99,77 +73,14 @@ def coloring_schedule(
         ``"most-constrained"`` (default; degree descending -- see the
         module docstring for why) or ``"paper-ratio"`` (the paper's
         literal links/degree rule, fewest conflicts first).
-    kernel:
-        ``"bitmask"`` builds the conflict adjacency as a packed bit
-        matrix (:class:`~repro.core.linkmask.ConflictMatrix`);
-        ``"set"`` uses the per-link-bucket reference build.  The
-        resulting schedules are identical (``None`` = process default).
 
     Returns a :class:`ConfigurationSet` whose conflict-freeness is
     guaranteed by the adjacency knock-outs (and re-checkable with
     ``validate()``).
-    """
-    if priority not in PRIORITY_RULES:
-        raise ValueError(f"priority must be one of {PRIORITY_RULES}, got {priority!r}")
-    kernel = resolve_kernel(kernel)
-    n = len(connections)
-    if n == 0:
-        return ConfigurationSet([], scheduler="coloring")
-    for i, c in enumerate(connections):
-        if c.index != i:
-            raise ValueError("connections must be indexed 0..n-1 in order")
 
-    if kernel == "bitmask":
-        return _coloring_bitmask(connections, priority)
-
-    adj = _adjacency_arrays(connections)
-    deg = np.array([len(a) for a in adj], dtype=np.int64)
-    lengths = np.array([c.num_links for c in connections], dtype=np.float64)
-    uncolored = np.ones(n, dtype=bool)
-    n_left = n
-
-    configs: list[Configuration] = []
-    while n_left > 0:
-        if priority == "paper-ratio":
-            prio = np.where(deg > 0, lengths / np.maximum(deg, 1), np.inf)
-        else:
-            prio = deg.astype(np.float64)
-        idxs = np.nonzero(uncolored)[0]
-        # Primary key: priority descending; secondary: index ascending
-        # (deterministic tie-break).
-        order = idxs[np.lexsort((idxs, -prio[idxs]))]
-        in_work = uncolored.copy()
-        members: list[Connection] = []
-        for i in order:
-            if not in_work[i]:
-                continue
-            members.append(connections[i])
-            uncolored[i] = False
-            in_work[i] = False
-            n_left -= 1
-            nbrs = adj[i]
-            still = nbrs[uncolored[nbrs]] if nbrs.size else nbrs
-            if still.size:
-                deg[still] -= 1
-                in_work[still] = False
-        cfg = Configuration()
-        for c in members:
-            cfg.add(c)
-        configs.append(cfg)
-    return ConfigurationSet(configs, scheduler="coloring")
-
-
-#: Window width of the bitmask round walk (see :func:`_coloring_bitmask`).
-_WALK_WINDOW = 64
-
-
-def _coloring_bitmask(
-    connections: Sequence[Connection], priority: str
-) -> ConfigurationSet:
-    """Bitmask-kernel coloring: identical output, vectorized bookkeeping.
-
-    Three observations let the round loop drop the reference version's
-    per-pick Python bookkeeping without changing a single pick:
+    Three observations let the round loop drop per-pick Python
+    bookkeeping without changing a single pick of the literal
+    walk-the-work-list formulation:
 
     * The degree of an uncolored node in the uncolored subgraph only
       matters at round *starts* (the priority sort), and the nodes
@@ -184,10 +95,18 @@ def _coloring_bitmask(
       greedily with integer bit tests, then knock the union of the
       picks' rows out of the tail once -- amortises the numpy call
       overhead over many picks.
-    * ``lexsort((idxs, -prio))`` over an ascending index array equals a
-      single stable argsort of ``-prio``.
+    * Priority descending with ties broken by index ascending is a
+      single stable argsort of ``-prio`` over the ascending index array.
     """
+    if priority not in PRIORITY_RULES:
+        raise ValueError(f"priority must be one of {PRIORITY_RULES}, got {priority!r}")
     n = len(connections)
+    if n == 0:
+        return ConfigurationSet([], scheduler="coloring")
+    for i, c in enumerate(connections):
+        if c.index != i:
+            raise ValueError("connections must be indexed 0..n-1 in order")
+
     matrix = ConflictMatrix(connections)
     bits = matrix.bits
     B = matrix.unpacked()

@@ -32,7 +32,6 @@ def combined_schedule(
     topology: Topology | None = None,
     phase_of: Mapping[tuple[int, int], int] | None = None,
     *,
-    kernel: str | None = None,
     coloring_ceiling: int | None = COLORING_CONNECTION_CEILING,
 ) -> ConfigurationSet:
     """Best of :func:`coloring_schedule` and :func:`ordered_aapc_schedule`.
@@ -46,9 +45,9 @@ def combined_schedule(
     :data:`COLORING_CONNECTION_CEILING`.
     """
     if coloring_ceiling is not None and len(connections) > coloring_ceiling:
-        by_aapc = ordered_aapc_schedule(connections, topology, phase_of, kernel=kernel)
+        by_aapc = ordered_aapc_schedule(connections, topology, phase_of)
         return ConfigurationSet(list(by_aapc), scheduler=f"combined({by_aapc.scheduler})")
-    by_color = coloring_schedule(connections, kernel=kernel)
-    by_aapc = ordered_aapc_schedule(connections, topology, phase_of, kernel=kernel)
+    by_color = coloring_schedule(connections)
+    by_aapc = ordered_aapc_schedule(connections, topology, phase_of)
     winner = by_aapc if by_aapc.degree < by_color.degree else by_color
     return ConfigurationSet(list(winner), scheduler=f"combined({winner.scheduler})")

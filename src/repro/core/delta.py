@@ -65,7 +65,7 @@ from repro.core.configuration import (
     ConfigurationSet,
     ScheduleValidationError,
 )
-from repro.core.linkmask import SlotOccupancy, required_links, resolve_kernel
+from repro.core.linkmask import SlotOccupancy, required_links
 from repro.core.packing import first_fit, repack
 from repro.core.paths import Connection
 
@@ -189,10 +189,8 @@ class DeltaScheduler:
         *,
         num_links: int | None = None,
         policy: AmendPolicy = DEFAULT_POLICY,
-        kernel: str | None = None,
     ) -> None:
         self.policy = policy
-        self.kernel = resolve_kernel(kernel)
         self._tag = schedule.scheduler
         if num_links is None:
             num_links = required_links(schedule.all_connections())
@@ -341,7 +339,6 @@ class DeltaScheduler:
         packed = first_fit(
             target,
             scheduler=self._tag or "first-fit",
-            kernel=self.kernel,
             num_links=max(len(self._occ.masks), required_links(target)),
         )
         self._install([cfg for cfg in packed if len(cfg) > 0])
@@ -439,7 +436,7 @@ class DeltaScheduler:
             and self._holes > self.policy.repack_threshold
             * max(self.num_connections, 1)
         ):
-            repacked = repack(self.schedule, kernel=self.kernel)
+            repacked = repack(self.schedule)
             self._install([cfg for cfg in repacked if len(cfg) > 0])
             action = "amend+repack"
 
@@ -486,7 +483,6 @@ def amend_schedule(
     remove: Iterable[int] = (),
     policy: AmendPolicy = DEFAULT_POLICY,
     num_links: int | None = None,
-    kernel: str | None = None,
 ) -> AmendResult:
     """Apply one add/remove update to ``schedule`` (copy-on-write).
 
@@ -497,7 +493,5 @@ def amend_schedule(
     the churn campaign) should hold a :class:`DeltaScheduler` instead
     to get O(update size) incremental cost.
     """
-    engine = DeltaScheduler(
-        schedule, num_links=num_links, policy=policy, kernel=kernel
-    )
+    engine = DeltaScheduler(schedule, num_links=num_links, policy=policy)
     return engine.amend(add=add, remove=remove)

@@ -8,9 +8,10 @@ of the paper shows a 5-node linear-array instance where the natural
 order costs 3 slots while the optimum is 2.  The coloring and
 ordered-AAPC algorithms exist precisely to pick better orders.
 
-Complexity: O(|R| * K) disjointness tests, each O(path length) with the
-hash-set representation used here (the paper states
-O(|R| * max|C_i| * K) for the pairwise-test formulation).
+Complexity: O(|R| * K) disjointness tests, answered O(path length)
+word operations at a time by the slot-indexed bitmasks of
+:mod:`repro.core.linkmask` (the paper states O(|R| * max|C_i| * K) for
+the pairwise-test formulation).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from repro.core.paths import Connection
 def greedy_schedule(
     connections: Sequence[Connection],
     order: Sequence[int] | None = None,
-    *,
-    kernel: str | None = None,
 ) -> ConfigurationSet:
     """Schedule ``connections`` with the paper's greedy algorithm.
 
@@ -38,13 +37,10 @@ def greedy_schedule(
         Optional processing order (positions into ``connections``).
         The default is the natural request order, matching the paper's
         "arbitrary order" behaviour deterministically.
-    kernel:
-        Placement-test implementation, ``"bitmask"`` or ``"set"``
-        (``None`` = process default); both produce the same schedule.
 
     Returns
     -------
     ConfigurationSet
         A valid schedule; ``result.degree`` is the multiplexing degree.
     """
-    return first_fit(connections, order, scheduler="greedy", kernel=kernel)
+    return first_fit(connections, order, scheduler="greedy")

@@ -2,9 +2,9 @@
 
 The schedulers' hot path answers one question millions of times per
 sweep: *does this connection's link set intersect that set of occupied
-links?*  The reference implementation (``kernel="set"``) answers it
-with hash-set ``isdisjoint`` per candidate configuration.  This module
-answers it with bitmasks, in two complementary layouts:
+links?*  Asking it with hash-set ``isdisjoint`` per candidate
+configuration is the readable formulation; this module answers it with
+bitmasks instead, in complementary layouts:
 
 **Link-indexed masks** (:func:`pack_masks`, :class:`Occupancy`)
     Each connection's link set packed into a fixed-width row of
@@ -41,8 +41,8 @@ answers it with bitmasks, in two complementary layouts:
 
 Every kernel entry point is exercised by the equivalence property suite
 (``tests/property/test_kernel_equivalence.py``): for any workload the
-bitmask and set kernels must produce *identical* schedules, so the knob
-(:func:`resolve_kernel`, default ``"bitmask"``) only ever changes speed.
+schedulers must produce *identical* schedules to the hash-set reference
+implementation that lives in the test suite (``tests/set_reference.py``).
 """
 
 from __future__ import annotations
@@ -54,34 +54,6 @@ import numpy as np
 
 from repro.core import perf
 from repro.core.paths import Connection
-
-#: The two kernel implementations every threaded-through API accepts.
-KERNELS = ("bitmask", "set")
-
-_default_kernel = "bitmask"
-
-
-def get_default_kernel() -> str:
-    """The kernel used when callers pass ``kernel=None``."""
-    return _default_kernel
-
-
-def set_default_kernel(kernel: str) -> None:
-    """Switch the process-wide default kernel (``"bitmask"`` or ``"set"``)."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    _default_kernel = kernel
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Validate a ``kernel=`` argument, mapping ``None`` to the default."""
-    if kernel is None:
-        return _default_kernel
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS} or None, got {kernel!r}")
-    return kernel
-
 
 def required_links(connections: Sequence[Connection]) -> int:
     """Smallest link-id space covering ``connections`` (0 when empty).
@@ -260,8 +232,8 @@ class SlotMatrix:
 
     Used through ``first_fit(..., runs=...)``
     (:mod:`repro.core.packing`), which states and verifies the
-    precondition under which batching is byte-identical to the
-    sequential kernel.
+    precondition under which batching is byte-identical to sequential
+    placement.
     """
 
     __slots__ = ("bits", "num_slots")

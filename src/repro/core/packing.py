@@ -20,11 +20,9 @@ Two building blocks live here:
     ablation schedulers and by the AAPC phase builder, *not* by the
     paper's three algorithms (they are reproduced faithfully).
 
-Both take a ``kernel`` argument selecting the placement-test
-implementation: ``"bitmask"`` (the default, see
-:mod:`repro.core.linkmask`) or ``"set"`` (the reference hash-set
-implementation).  The kernels produce *identical* schedules -- the
-property suite asserts it -- so the knob only changes speed.
+Placement tests run on the bitmask kernel (:mod:`repro.core.linkmask`).
+The property suite holds both to a hash-set reference implementation
+kept in the tests: the schedules must be *identical*.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.core.linkmask import (
     SlotOccupancy,
     mask_row,
     required_links,
-    resolve_kernel,
 )
 from repro.core.paths import Connection
 
@@ -85,7 +82,6 @@ def first_fit(
     order: Sequence[int] | None = None,
     *,
     scheduler: str = "first-fit",
-    kernel: str | None = None,
     num_links: int | None = None,
     runs: Sequence[int] | None = None,
 ) -> ConfigurationSet:
@@ -99,9 +95,6 @@ def first_fit(
         Positions into ``connections`` giving the processing order;
         defaults to the natural (request) order.  Must be a permutation
         of ``range(len(connections))`` (``ValueError`` otherwise).
-    kernel:
-        ``"bitmask"`` or ``"set"`` placement tests (``None`` = the
-        process default, see :mod:`repro.core.linkmask`).
     num_links:
         Size of the link-id space (``topology.num_links``); derived
         from the connections when omitted.
@@ -109,54 +102,31 @@ def first_fit(
         Optional lengths of consecutive blocks of the *ordered*
         sequence whose members are mutually link-disjoint (e.g. the
         AAPC phase blocks of :func:`repro.core.aapc_ordered.aapc_rank_order`).
-        The bitmask kernel then places each block with one vectorized
-        pass (:class:`repro.core.linkmask.SlotMatrix`) instead of a
-        Python loop.  The result is *byte-identical* to the sequential
-        kernel: within a link-disjoint run, placing one member never
+        Each block is then placed with one vectorized pass
+        (:class:`repro.core.linkmask.SlotMatrix`) instead of a Python
+        loop.  The result is *byte-identical* to the sequential
+        placement: within a link-disjoint run, placing one member never
         changes whether a later member fits any slot (their link sets
         cannot meet), and every member fitting no pre-run slot shares
         the single freshly opened slot -- exactly what the sequential
         scan does.  The precondition is verified up front
         (``ValueError`` on overlapping run members or lengths not
         summing to the sequence), so a wrong hint can never corrupt a
-        schedule.  The set kernel ignores the hint and stays the
-        sequential reference.
+        schedule.
     """
-    kernel = resolve_kernel(kernel)
     if order is None:
         seq = connections
     else:
         validate_order(order, len(connections))
         seq = [connections[i] for i in order]
     t0 = perf.perf_timer()
-    if kernel == "bitmask":
-        if runs is not None:
-            result = _first_fit_bitmask_runs(seq, scheduler, num_links, runs)
-        else:
-            result = _first_fit_bitmask(seq, scheduler, num_links)
+    if runs is not None:
+        result = _first_fit_bitmask_runs(seq, scheduler, num_links, runs)
     else:
-        result = _first_fit_set(seq, scheduler)
+        result = _first_fit_bitmask(seq, scheduler, num_links)
     perf.COUNTERS.kernel_calls += 1
     perf.COUNTERS.kernel_seconds += perf.perf_timer() - t0
     return result
-
-
-def _first_fit_set(seq: Sequence[Connection], scheduler: str) -> ConfigurationSet:
-    """Reference first-fit: hash-set disjointness per candidate slot."""
-    configs: list[Configuration] = []
-    tests = 0
-    for c in seq:
-        for cfg in configs:
-            tests += 1
-            if cfg.fits(c):
-                cfg.add(c)
-                break
-        else:
-            cfg = Configuration()
-            cfg.add(c)
-            configs.append(cfg)
-    perf.COUNTERS.fit_tests += tests
-    return ConfigurationSet(configs, scheduler=scheduler)
 
 
 def _first_fit_bitmask(
@@ -233,60 +203,35 @@ def _first_fit_bitmask_runs(
 # repack
 # ----------------------------------------------------------------------
 
-class _SetDissolver:
-    """Reference dissolution: per-configuration hash-set fit tests."""
-
-    def __init__(self, configs: Sequence[Configuration]) -> None:
-        pass
-
-    def try_dissolve(
-        self, victim: Configuration, configs: list[Configuration], victim_pos: int
-    ) -> list[Configuration] | None:
-        """Move every member of ``victim`` into some other configuration.
-
-        All-or-nothing: on failure every tentative move is rolled back
-        and ``victim`` is left exactly as found.  Returns the receiving
-        configurations on success (for order maintenance), else None.
-        """
-        original = list(victim.connections)
-        moves: list[tuple[Connection, Configuration]] = []
-        tests = 0
-        for c in original:
-            for cfg in configs:
-                if cfg is victim:
-                    continue
-                tests += 1
-                if cfg.fits(c):
-                    victim.remove(c)
-                    cfg.add(c)
-                    moves.append((c, cfg))
-                    break
-            else:
-                # Roll back so the victim is left *exactly* as found --
-                # members in their original order, not rotated (the
-                # bitmask dissolver never touches the victim on failure,
-                # and kernel equivalence requires identical state).
-                for moved, cfg in moves:
-                    cfg.remove(moved)
-                    victim.used_links |= moved.link_set
-                victim.connections[:] = original
-                perf.COUNTERS.fit_tests += tests
-                return None
-        perf.COUNTERS.fit_tests += tests
-        return [cfg for _, cfg in moves]
-
-    def drop_config(self, victim_pos: int) -> None:
-        pass
-
-
 def _try_dissolve(victim: Configuration, others: Sequence[Configuration]) -> bool:
     """Move every member of ``victim`` into some configuration of ``others``.
 
-    All-or-nothing with full rollback; the standalone entry point used
-    by the AAPC degree optimiser (:mod:`repro.aapc.optimize`).
+    All-or-nothing: on failure every tentative move is rolled back and
+    ``victim`` is left exactly as found, members in their original
+    order.  Hash-set fit tests, first fitting configuration in
+    ``others`` order; the AAPC degree optimiser
+    (:mod:`repro.aapc.optimize`) calls it.
     """
-    configs = [victim, *others]
-    return _SetDissolver(configs).try_dissolve(victim, configs, 0) is not None
+    original = list(victim.connections)
+    moves: list[tuple[Connection, Configuration]] = []
+    tests = 0
+    for c in original:
+        for cfg in others:
+            tests += 1
+            if cfg.fits(c):
+                victim.remove(c)
+                cfg.add(c)
+                moves.append((c, cfg))
+                break
+        else:
+            for moved, cfg in moves:
+                cfg.remove(moved)
+                victim.used_links |= moved.link_set
+            victim.connections[:] = original
+            perf.COUNTERS.fit_tests += tests
+            return False
+    perf.COUNTERS.fit_tests += tests
+    return True
 
 
 class _MaskDissolver:
@@ -318,7 +263,7 @@ class _MaskDissolver:
             self.occ.place(mask, target)
             moves.append((c, target))
         # The trial succeeded on masks alone; apply it to the real
-        # configurations (``add`` re-checks disjointness, so a kernel
+        # configurations (``add`` re-checks disjointness, so a mask
         # bug surfaces as ScheduleValidationError, never silently).
         receivers = []
         for c, target in moves:
@@ -336,7 +281,6 @@ def repack(
     schedule: ConfigurationSet,
     *,
     max_rounds: int = 1000,
-    kernel: str | None = None,
 ) -> ConfigurationSet:
     """Local-search improver: dissolve configurations where possible.
 
@@ -355,9 +299,8 @@ def repack(
     Validity is preserved by construction --
     :meth:`Configuration.add` re-checks link-disjointness on every move.
     """
-    kernel = resolve_kernel(kernel)
     configs = [cfg.clone() for cfg in schedule if len(cfg) > 0]
-    dissolver = (_MaskDissolver if kernel == "bitmask" else _SetDissolver)(configs)
+    dissolver = _MaskDissolver(configs)
     # Creation-order ranks make (len, rank) a total order, so incremental
     # re-insertion reproduces the stable smallest-first sort exactly.
     rank = {id(cfg): pos for pos, cfg in enumerate(configs)}

@@ -48,7 +48,7 @@ class Connection:
     def link_set(self) -> frozenset[int]:
         # Built on first use: the bitmask kernel never needs the
         # frozenset, so eager construction would tax every routed
-        # connection for the set kernel's benefit.
+        # connection for the few hash-set callers' benefit.
         ls = self._link_set
         if ls is None:
             ls = self._link_set = frozenset(self.links)

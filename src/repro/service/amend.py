@@ -46,7 +46,6 @@ from repro.compiler.serialize import (
 )
 from repro.core import perf
 from repro.core.delta import DEFAULT_POLICY, AmendPolicy, DeltaScheduler
-from repro.core.linkmask import resolve_kernel
 from repro.core.paths import Connection
 from repro.core.registry import get_scheduler
 from repro.core.requests import Request, RequestSet
@@ -78,7 +77,6 @@ def amend_root_digest(
     topology: Topology,
     tuples: Sequence[tuple[int, int, int, int]],
     scheduler: str,
-    kernel: str | None,
 ) -> str:
     """Stable identity of an amend stream.
 
@@ -87,9 +85,11 @@ def amend_root_digest(
     an amend root can never collide with a plain compile artifact.
     """
     h = hashlib.sha256()
+    # ``bitmask`` is the retired placement-kernel field, kept constant
+    # so existing stream roots stay valid.
     h.update(
         f"repro-amend/v{AMEND_VERSION}\0{topology.signature}\0"
-        f"{scheduler}\0{resolve_kernel(kernel)}\0".encode("ascii")
+        f"{scheduler}\0bitmask\0".encode("ascii")
     )
     h.update(canonical_dumps([list(t) for t in tuples]).encode("ascii"))
     return h.hexdigest()
@@ -129,13 +129,11 @@ class AmendStream:
         tuples: Sequence[tuple[int, int, int, int]],
         *,
         scheduler: str = "greedy",
-        kernel: str | None = None,
         cache: ArtifactCache | None = None,
         policy: AmendPolicy = DEFAULT_POLICY,
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler
-        self.kernel = resolve_kernel(kernel)
         self.cache = cache
         requests = RequestSet(
             (Request(s, d, size=size, tag=tag) for s, d, size, tag in tuples),
@@ -145,13 +143,13 @@ class AmendStream:
         schedule = get_scheduler(scheduler)(connections, topology)
         schedule.validate(connections)
         self.engine = DeltaScheduler(
-            schedule, num_links=topology.num_links, policy=policy, kernel=kernel
+            schedule, num_links=topology.num_links, policy=policy
         )
         self._next_index = len(connections)
         self._by_key: dict[tuple[int, int, int], list[int]] = {}
         for c in connections:
             self._key_add(c)
-        self.root = amend_root_digest(topology, tuples, scheduler, self.kernel)
+        self.root = amend_root_digest(topology, tuples, scheduler)
         self.epoch = 0
         self.digest = self.root
         self.action = "compile"
@@ -165,7 +163,6 @@ class AmendStream:
         doc: dict[str, Any],
         *,
         scheduler: str,
-        kernel: str | None = None,
         cache: ArtifactCache | None = None,
         policy: AmendPolicy = DEFAULT_POLICY,
     ) -> "AmendStream":
@@ -183,13 +180,12 @@ class AmendStream:
         stream = cls.__new__(cls)
         stream.topology = topology
         stream.scheduler = scheduler
-        stream.kernel = resolve_kernel(kernel)
         stream.cache = cache
         # schedule_from_dict re-routes and re-validates: a tampered or
         # stale artifact cannot resume into a conflicting live schedule.
         schedule, connections = schedule_from_dict(topology, doc["schedule"])
         stream.engine = DeltaScheduler(
-            schedule, num_links=topology.num_links, policy=policy, kernel=kernel
+            schedule, num_links=topology.num_links, policy=policy
         )
         stream._next_index = len(connections)
         stream._by_key = {}
@@ -395,7 +391,6 @@ class AmendRegistry:
                 "digest": victim.digest,
                 "epoch": victim.epoch,
                 "scheduler": victim.scheduler,
-                "kernel": victim.kernel,
                 "topology": victim.topology,
             }
             self.evictions += 1
@@ -410,8 +405,7 @@ class AmendRegistry:
             return None
         stream = AmendStream.resume(
             meta["topology"], doc,
-            scheduler=meta["scheduler"], kernel=meta["kernel"],
-            cache=self.cache,
+            scheduler=meta["scheduler"], cache=self.cache,
         )
         del self._evicted[root]
         self._admit(stream)
@@ -456,13 +450,10 @@ class AmendRegistry:
         tuples: Sequence[tuple[int, int, int, int]],
         *,
         scheduler: str = "greedy",
-        kernel: str | None = None,
         policy: AmendPolicy = DEFAULT_POLICY,
     ) -> tuple[AmendStream, bool]:
         """Get-or-create the stream for this pattern; True = created."""
-        root = amend_root_digest(
-            topology, tuples, scheduler, resolve_kernel(kernel)
-        )
+        root = amend_root_digest(topology, tuples, scheduler)
         stream = self._streams.get(root)
         if stream is not None:
             self._touch(root)
@@ -477,8 +468,8 @@ class AmendRegistry:
             self.resets += 1
         t0 = perf.perf_timer()
         stream = AmendStream(
-            topology, tuples, scheduler=scheduler, kernel=kernel,
-            cache=self.cache, policy=policy,
+            topology, tuples, scheduler=scheduler, cache=self.cache,
+            policy=policy,
         )
         self._admit(stream)
         self.opened += 1

@@ -25,8 +25,8 @@ miss, because the compiler can always regenerate it.
 
 Hit/miss/store/quarantine/recovery counts feed both a per-cache
 :class:`CacheStats` and the process-global perf counters
-(:mod:`repro.core.perf`), so ``repro-tdm perf``-style reporting sees
-cache behaviour alongside kernel and route-cache activity.
+(:mod:`repro.core.perf`), so the server's ``stats`` verb reports cache
+behaviour alongside kernel and route-cache activity.
 """
 
 from __future__ import annotations

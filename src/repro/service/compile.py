@@ -42,7 +42,6 @@ from repro.compiler.serialize import (
     schedule_to_dict,
 )
 from repro.core import perf
-from repro.core.linkmask import resolve_kernel
 from repro.core.paths import route_requests
 from repro.core.registry import get_scheduler
 from repro.service.cache import ArtifactCache
@@ -59,20 +58,22 @@ def compile_digest(
     topology: Topology,
     canonical: CanonicalPattern,
     scheduler: str,
-    kernel: str | None,
 ) -> str:
     """Stable content address of one compilation problem.
 
     Keyed by (artifact format version, topology signature -- which
     already encodes every routing-relevant parameter, scheduler name,
-    placement kernel, canonical pattern bytes).  Anything that can
-    change the produced schedule must appear here; bumping
-    ``FORMAT_VERSION`` retires every old entry at once.
+    canonical pattern bytes).  Anything that can change the produced
+    schedule must appear here; bumping ``FORMAT_VERSION`` retires every
+    old entry at once.
     """
     h = hashlib.sha256()
+    # The constant ``bitmask`` field once named a selectable placement
+    # kernel; it stays in the preimage so every existing digest, cache
+    # directory and golden pin remains valid.
     header = (
         f"repro-artifact/v{FORMAT_VERSION}\0{topology.signature}\0"
-        f"{scheduler}\0{resolve_kernel(kernel)}\0"
+        f"{scheduler}\0bitmask\0"
     )
     h.update(header.encode("ascii"))
     h.update(canonical.key_bytes)
@@ -176,7 +177,6 @@ def compile_pattern(
     *,
     cache: ArtifactCache | None = None,
     scheduler: str = "combined",
-    kernel: str | None = None,
     include_registers: bool = False,
 ) -> CompileResult:
     """Compile ``requests`` on ``topology`` through the artifact cache.
@@ -187,7 +187,7 @@ def compile_pattern(
     """
     t0 = perf.perf_timer()
     canonical = canonicalize(topology, requests)
-    digest = compile_digest(topology, canonical, scheduler, kernel)
+    digest = compile_digest(topology, canonical, scheduler)
 
     doc = (
         cache.get(digest, verifier=artifact_verifier(topology))
@@ -240,11 +240,9 @@ class CompileService:
         cache: ArtifactCache | None = None,
         *,
         scheduler: str = "combined",
-        kernel: str | None = None,
     ) -> None:
         self.cache = cache if cache is not None else ArtifactCache()
         self.default_scheduler = scheduler
-        self.default_kernel = kernel
         self.latency: dict[str, dict[str, float]] = {
             "miss": {"count": 0, "seconds": 0.0},
             "hit": {"count": 0, "seconds": 0.0},
@@ -256,7 +254,6 @@ class CompileService:
         requests: Sequence,
         *,
         scheduler: str | None = None,
-        kernel: str | None = None,
         include_registers: bool = False,
     ) -> CompileResult:
         result = compile_pattern(
@@ -264,7 +261,6 @@ class CompileService:
             requests,
             cache=self.cache,
             scheduler=scheduler or self.default_scheduler,
-            kernel=kernel if kernel is not None else self.default_kernel,
             include_registers=include_registers,
         )
         bucket = self.latency[result.cache]

@@ -304,7 +304,7 @@ def route_digest(
         topology = topology_from_spec(req["topology"])
         canonical = canonicalize(topology, _parse_pattern(req))
         scheduler = req.get("scheduler") or default_scheduler
-        return compile_digest(topology, canonical, scheduler, req.get("kernel"))
+        return compile_digest(topology, canonical, scheduler)
     if op == "amend":
         if "root" in req:
             return str(req["root"])
@@ -312,9 +312,7 @@ def route_digest(
             raise ProtocolError("amend request needs 'topology'")
         topology = topology_from_spec(req["topology"])
         scheduler = req.get("scheduler") or default_scheduler
-        return amend_root_digest(
-            topology, _parse_pattern(req), scheduler, req.get("kernel")
-        )
+        return amend_root_digest(topology, _parse_pattern(req), scheduler)
     return None
 
 
@@ -438,7 +436,7 @@ class FarmNodeServer(CompileServer):
         #: ``digests`` inventory and the ``store`` push payloads.
         self._specs: dict[str, dict[str, Any]] = {}
         #: amend root -> latest replicated head metadata (digest,
-        #: epoch, scheduler, kernel, topology_spec) -- what a takeover
+        #: epoch, scheduler, topology_spec) -- what a takeover
         #: resumes from.
         self._amend_heads: dict[str, dict[str, Any]] = {}
         #: one-shot reuse of the ownership check's canonicalization by
@@ -703,8 +701,7 @@ class FarmNodeServer(CompileServer):
                 continue
             head = {
                 "root": root, "epoch": int(stream.epoch), "digest": digest,
-                "scheduler": stream.scheduler, "kernel": stream.kernel,
-                "topology_spec": spec,
+                "scheduler": stream.scheduler, "topology_spec": spec,
             }
             payload = {
                 "op": "store", "digest": digest, "artifact": doc,
@@ -860,7 +857,6 @@ class FarmNodeServer(CompileServer):
             "scheduler": str(
                 head.get("scheduler") or self.service.default_scheduler
             ),
-            "kernel": head.get("kernel"),
             "topology_spec": head.get("topology_spec"),
         }
 
@@ -893,8 +889,7 @@ class FarmNodeServer(CompileServer):
         try:
             stream = AmendStream.resume(
                 topology_from_spec(spec), doc,
-                scheduler=head["scheduler"], kernel=head["kernel"],
-                cache=self.cache,
+                scheduler=head["scheduler"], cache=self.cache,
             )
         except Exception:
             return False  # unresumable artifact: the registry's typed
@@ -925,8 +920,7 @@ class FarmNodeServer(CompileServer):
         self._specs[digest] = spec
         head = {
             "root": root, "epoch": int(stream.epoch), "digest": digest,
-            "scheduler": stream.scheduler, "kernel": stream.kernel,
-            "topology_spec": spec,
+            "scheduler": stream.scheduler, "topology_spec": spec,
         }
         self._adopt_head(head)
         self._spawn_replication(

@@ -43,7 +43,6 @@ from repro.compiler.serialize import (
     schedule_to_dict,
 )
 from repro.core import perf
-from repro.core.linkmask import resolve_kernel
 from repro.core.paths import route_requests
 from repro.core.protection import (
     PLAN_KINDS,
@@ -71,7 +70,6 @@ def protect_digest(
     topology: Topology,
     canonical: CanonicalPattern,
     scheduler: str,
-    kernel: str | None,
 ) -> str:
     """Content address of one protection problem.
 
@@ -82,9 +80,11 @@ def protect_digest(
     version.
     """
     h = hashlib.sha256()
+    # ``bitmask`` is the retired placement-kernel field, kept constant
+    # so existing digests and cache directories stay valid.
     header = (
         f"repro-protect/v{FORMAT_VERSION}.{PROTECTION_VERSION}\0"
-        f"{topology.signature}\0{scheduler}\0{resolve_kernel(kernel)}\0"
+        f"{topology.signature}\0{scheduler}\0bitmask\0"
     )
     h.update(header.encode("ascii"))
     h.update(canonical.key_bytes)
@@ -346,7 +346,6 @@ def protect_pattern(
     *,
     cache: ArtifactCache | None = None,
     scheduler: str = "combined",
-    kernel: str | None = None,
 ) -> ProtectResult:
     """Compile ``requests`` and plan its single-fault protection,
     through the artifact cache.
@@ -358,7 +357,7 @@ def protect_pattern(
     """
     t0 = perf.perf_timer()
     canonical = canonicalize(topology, requests)
-    digest = protect_digest(topology, canonical, scheduler, kernel)
+    digest = protect_digest(topology, canonical, scheduler)
 
     doc = (
         cache.get(digest, verifier=protection_verifier(topology))

@@ -489,7 +489,7 @@ class CompileServer:
         topology = topology_from_spec(req["topology"])
         scheduler = req.get("scheduler") or self.service.default_scheduler
         canonical = canonicalize(topology, _parse_pattern(req))
-        digest = compile_digest(topology, canonical, scheduler, req.get("kernel"))
+        digest = compile_digest(topology, canonical, scheduler)
         return topology, scheduler, canonical, digest
 
     async def _compile_admitted(self, req: dict[str, Any]) -> dict[str, Any]:
@@ -615,7 +615,7 @@ class CompileServer:
             tuples = _parse_pattern(req)
             scheduler = req.get("scheduler") or self.service.default_scheduler
             stream, created = self.amends.open(
-                topology, tuples, scheduler=scheduler, kernel=req.get("kernel"),
+                topology, tuples, scheduler=scheduler
             )
             cache = "open" if created else "resume"
         schedule_doc = stream.doc["schedule"]

@@ -616,7 +616,6 @@ def simulate_compiled_epochs(
     *,
     scheduler: str = "combined",
     policy=None,
-    kernel: str | None = None,
     validate: bool = True,
 ) -> CompiledEpochResult:
     """Compiled run of ``requests`` through a sequence of epoch updates.
@@ -644,9 +643,7 @@ def simulate_compiled_epochs(
         policy = DEFAULT_POLICY
     connections = route_requests(topology, requests)
     schedule = get_scheduler(scheduler)(connections, topology)
-    engine = DeltaScheduler(
-        schedule, num_links=topology.num_links, policy=policy, kernel=kernel
-    )
+    engine = DeltaScheduler(schedule, num_links=topology.num_links, policy=policy)
     messages = messages_from_requests(requests)
     remaining = {m.mid: m.size for m in messages}
     slots = engine.schedule.slot_map()  # mid == connection index

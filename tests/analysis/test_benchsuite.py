@@ -3,10 +3,13 @@ regression-vs-baseline logic, and the end-to-end run/compare/update
 workflow on tiny cases."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import benchsuite as bs
+
+SUITES = Path(__file__).resolve().parents[2] / "benchmarks" / "suites"
 
 
 def suite_doc(cases, defaults=None):
@@ -50,6 +53,27 @@ def test_validate_rejects_malformed_suites(mutate, fragment):
     mutate(doc)
     with pytest.raises(bs.SuiteError, match=fragment):
         bs.validate_suite(doc)
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda d: d["cases"][0].update(sheduler="greedy"), "sheduler"),
+    (lambda d: d["cases"][0].update(kernel="set"), "kernel"),
+    (lambda d: d.update(defaults={"reapeats": 2}), "reapeats"),
+    (lambda d: d.update(defaults={"kind": "cache"}), "kind"),
+])
+def test_validate_rejects_keys_no_runner_reads(mutate, key):
+    # a typo must not silently run the default it failed to override
+    doc = suite_doc([dict(KCASE)])
+    mutate(doc)
+    with pytest.raises(bs.SuiteError, match=f"unknown keys.*'{key}'"):
+        bs.validate_suite(doc)
+
+
+def test_committed_suites_load():
+    paths = sorted(SUITES.glob("*.json"))
+    assert len(paths) == 5
+    for path in paths:
+        assert bs.load_suite(str(path))["cases"]
 
 
 def test_load_suite_rejects_bad_json(tmp_path):
@@ -168,7 +192,7 @@ def tiny_suite():
     return bs.validate_suite(suite_doc(
         [
             {"name": "4x4-greedy", "kind": "kernel", "torus": 4,
-             "scheduler": "greedy", "kernel": "bitmask",
+             "scheduler": "greedy",
              "assert": {"max_seconds": 60.0, "min_throughput": 1.0}},
             {"name": "4x4-fastpath", "kind": "kernel", "torus": 4,
              "scheduler": "fastpath",
@@ -176,6 +200,13 @@ def tiny_suite():
         ],
         defaults={"repeats": 1, "assert": {"max_regression_pct": 50.0}},
     ))
+
+
+def measured_on_clean_tree(report):
+    """``report`` as if run from a clean checkout (the test tree may
+    have uncommitted edits, which ``update_baselines`` refuses)."""
+    report["header"]["git"] = {"commit": "c" * 40, "dirty": False}
+    return report
 
 
 def test_run_suite_produces_metrics_and_validation():
@@ -203,7 +234,7 @@ def test_run_suite_only_filter_and_unknown_name():
 
 
 def test_baseline_roundtrip_and_compare(tmp_path):
-    report = bs.run_suite(tiny_suite())
+    report = measured_on_clean_tree(bs.run_suite(tiny_suite()))
     written = bs.update_baselines(report, str(tmp_path))
     assert written == [str(tmp_path / "BENCH_kernel.json")]
     doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
@@ -229,10 +260,40 @@ def test_update_baselines_merges_instead_of_clobbering(tmp_path):
         "schema": bs.BASELINE_SCHEMA,
         "cases": {"other-case": {"seconds": 1.0}},
     }))
-    report = bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
+    report = measured_on_clean_tree(
+        bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
+    )
     bs.update_baselines(report, str(tmp_path))
     cases = json.loads(path.read_text())["cases"]
     assert set(cases) == {"other-case", "4x4-fastpath"}
+
+
+def test_update_baselines_keeps_the_reports_header(tmp_path):
+    # the baseline names the tree that measured it, not the tree that
+    # ran the update
+    report = measured_on_clean_tree(
+        bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
+    )
+    report["header"]["python"] = "measured-elsewhere"
+    bs.update_baselines(report, str(tmp_path))
+    doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
+    assert doc["header"] == report["header"]
+
+
+@pytest.mark.parametrize("git", [
+    {"commit": "c" * 40, "dirty": True},
+    {"commit": None, "dirty": None},
+    None,
+])
+def test_update_baselines_refuses_dirty_or_unknown_tree(tmp_path, git):
+    report = bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
+    if git is None:
+        del report["header"]
+    else:
+        report["header"]["git"] = git
+    with pytest.raises(bs.SuiteError, match="clean git tree"):
+        bs.update_baselines(report, str(tmp_path))
+    assert not (tmp_path / "BENCH_kernel.json").exists()
 
 
 def test_reevaluate_rejects_foreign_documents():
@@ -248,8 +309,7 @@ def test_reevaluate_rejects_foreign_documents():
 
 def test_kernel_case_generic_pattern():
     m = bs.run_kernel_case({
-        "torus": 4, "pattern": "ring", "scheduler": "greedy",
-        "kernel": "set", "repeats": 2,
+        "torus": 4, "pattern": "ring", "scheduler": "greedy", "repeats": 2,
     })
     assert m["connections"] == 32 and m["degree"] >= 1  # bidirectional ring
     assert m["repeats"] == 2 and m["stddev_seconds"] >= 0.0

@@ -61,7 +61,7 @@ def test_fastpath_slot_matrix_shape():
 def test_dispatcher_generic_schedulers_below_ceiling():
     topo = Torus2D(4)
     for name in ("greedy", "coloring", "aapc", "combined"):
-        schedule = all_to_all_schedule(topo, scheduler=name, kernel="bitmask")
+        schedule = all_to_all_schedule(topo, scheduler=name)
         assert schedule.degree >= all_to_all_lower_bound(topo)
         assert not hasattr(schedule, "slot_of")  # a real ConfigurationSet
 

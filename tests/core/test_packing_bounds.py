@@ -99,41 +99,30 @@ class TestRepack:
         """The incrementally maintained candidate order reaches exactly
         the local optimum of the straightforward re-sort-every-round
         formulation (regression guard for the order bookkeeping)."""
-        from repro.core.packing import _SetDissolver
-
-        def naive_repack(schedule):
-            configs = [cfg for cfg in schedule if len(cfg) > 0]
-            dissolver = _SetDissolver(configs)
-            improved = True
-            while improved and len(configs) > 1:
-                improved = False
-                # Stable smallest-first sort, recomputed from scratch.
-                for victim in sorted(configs, key=len):
-                    pos = configs.index(victim)
-                    if dissolver.try_dissolve(victim, configs, pos) is not None:
-                        configs.pop(pos)
-                        improved = True
-                        break
-            return [[c.pair for c in cfg] for cfg in configs]
+        from tests.set_reference import repack as naive_repack
 
         conns = route_requests(torus8, random_pattern(64, 300, seed=9))
         padded = ConfigurationSet([Configuration([c]) for c in conns])
-        reference = naive_repack(ConfigurationSet([Configuration([c]) for c in conns]))
+        reference = naive_repack(padded)
         packed = repack(padded)
-        assert [[c.pair for c in cfg] for cfg in packed] == reference
+        assert [[c.pair for c in cfg] for cfg in packed] == [
+            [c.pair for c in cfg] for cfg in reference
+        ]
 
     def test_failed_dissolve_leaves_victim_untouched(self, linear5):
         """A failed all-or-nothing dissolution must not reorder the
-        victim's members (the set kernel's rollback used to rotate
-        them, silently diverging from the bitmask kernel)."""
+        victim's members (a hash-set rollback once rotated them,
+        silently diverging from the bitmask dissolver)."""
+        from tests.set_reference import repack as reference_repack
+
         rs = RequestSet.from_pairs([(0, 1), (3, 4), (2, 4)])
         conns = route_requests(linear5, rs)
         a, b, c = conns
-        for kernel in ("set", "bitmask"):
+        for impl in (reference_repack, repack):
             schedule = ConfigurationSet([Configuration([a, b]), Configuration([c])])
-            packed = repack(schedule, kernel=kernel)
+            packed = impl(schedule)
             assert packed.degree == 2  # (3,4) can never leave: no dissolve
-            assert [m.pair for m in packed[0]] == [a.pair, b.pair], kernel
+            assert [m.pair for m in packed[0]] == [a.pair, b.pair], impl
 
 
 class TestBounds:

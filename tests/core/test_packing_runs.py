@@ -1,5 +1,5 @@
 """Run-batched first-fit: the vectorized block placement of
-link-disjoint runs must be byte-identical to the sequential kernel,
+link-disjoint runs must be byte-identical to sequential placement,
 and a wrong ``runs`` hint must be rejected, never silently applied."""
 
 import numpy as np
@@ -10,6 +10,7 @@ from repro.core.packing import first_fit
 from repro.core.paths import route_requests
 from repro.patterns.classic import all_to_all_pattern
 from repro.topology.torus import Torus2D
+from tests import set_reference as ref
 
 
 def slots(schedule):
@@ -24,8 +25,8 @@ def conns():
 
 def test_singleton_runs_match_sequential(conns):
     # every run of length 1 is trivially link-disjoint
-    batched = first_fit(conns, kernel="bitmask", runs=[1] * len(conns))
-    assert slots(batched) == slots(first_fit(conns, kernel="set"))
+    batched = first_fit(conns, runs=[1] * len(conns))
+    assert slots(batched) == slots(ref.first_fit(conns))
 
 
 def test_aapc_runs_match_sequential(conns):
@@ -35,12 +36,10 @@ def test_aapc_runs_match_sequential(conns):
     topo = Torus2D(4)
     order, runs = aapc_rank_order(conns, aapc_phase_map(topo), with_runs=True)
     assert sum(runs) == len(conns) and min(runs) >= 1
-    batched = first_fit(conns, order, kernel="bitmask", runs=runs,
-                        num_links=topo.num_links)
-    sequential = first_fit(conns, order, kernel="bitmask",
-                           num_links=topo.num_links)
+    batched = first_fit(conns, order, runs=runs, num_links=topo.num_links)
+    sequential = first_fit(conns, order, num_links=topo.num_links)
     assert slots(batched) == slots(sequential)
-    assert slots(batched) == slots(first_fit(conns, order, kernel="set"))
+    assert slots(batched) == slots(ref.first_fit(conns, order))
 
 
 def test_duplicate_pairs_split_into_disjoint_runs():
@@ -58,39 +57,31 @@ def test_duplicate_pairs_split_into_disjoint_runs():
     )
     order, runs = aapc_rank_order(dup, aapc_phase_map(topo), with_runs=True)
     assert sum(runs) == len(dup) and min(runs) >= 1
-    batched = first_fit(dup, order, kernel="bitmask", runs=runs,
-                        num_links=topo.num_links)
-    assert slots(batched) == slots(first_fit(dup, order, kernel="set"))
-    assert slots(ordered_aapc_schedule(dup, topo, kernel="bitmask")) == slots(
-        ordered_aapc_schedule(dup, topo, kernel="set")
+    batched = first_fit(dup, order, runs=runs, num_links=topo.num_links)
+    assert slots(batched) == slots(ref.first_fit(dup, order))
+    assert slots(ordered_aapc_schedule(dup, topo)) == slots(
+        ref.ordered_aapc(dup, aapc_phase_map(topo))
     )
 
 
 def test_empty_sequence_with_empty_runs():
-    assert len(first_fit([], kernel="bitmask", runs=[])) == 0
+    assert len(first_fit([], runs=[])) == 0
 
 
 def test_runs_must_sum_to_sequence_length(conns):
     with pytest.raises(ValueError, match="sum"):
-        first_fit(conns, kernel="bitmask", runs=[len(conns) - 1])
+        first_fit(conns, runs=[len(conns) - 1])
 
 
 def test_runs_must_be_positive(conns):
     with pytest.raises(ValueError, match="positive"):
-        first_fit(conns, kernel="bitmask", runs=[0, len(conns)])
+        first_fit(conns, runs=[0, len(conns)])
 
 
 def test_runs_must_be_link_disjoint(conns):
     # one run spanning everything: all-to-all certainly shares links
     with pytest.raises(ValueError, match="disjoint"):
-        first_fit(conns, kernel="bitmask", runs=[len(conns)])
-
-
-def test_set_kernel_ignores_the_hint(conns):
-    # even an illegal hint: the set kernel is the sequential reference
-    reference = first_fit(conns, kernel="set")
-    hinted = first_fit(conns, kernel="set", runs=[len(conns)])
-    assert slots(hinted) == slots(reference)
+        first_fit(conns, runs=[len(conns)])
 
 
 class TestSlotMatrix:

@@ -7,13 +7,12 @@ Two invariants carry the incremental path:
   degree by more than the engine's certified packing gap plus the
   policy's ``recompile_slack`` -- the provable form of the "bounded
   drift" guarantee (see :mod:`repro.core.delta`);
-* ``repack``'s incremental position map is an optimisation, not a
-  behaviour change: its output is byte-identical to a straightforward
-  reference implementation that re-derives every victim position with
-  the O(K) ``configs.index`` scan it replaced.
+* ``repack``'s incremental position map and bitmask dissolver are
+  optimisations, not behaviour changes: its output is byte-identical to
+  the straightforward hash-set reference (``tests/set_reference.py``),
+  which re-sorts the candidates every round and re-derives every victim
+  position with an O(K) ``configs.index`` scan.
 """
-
-import bisect
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from repro.core.packing import first_fit, repack
 from repro.core.paths import Connection, route_requests
 from repro.core.requests import Request, RequestSet
 from repro.topology.torus import Torus2D
+from tests import set_reference as ref
 
 TORUS = Torus2D(4)
 N = TORUS.num_nodes
@@ -128,49 +128,6 @@ class TestAmendInvariants:
         assert canonical_dumps(schedule_to_dict(schedule)) == snapshot
 
 
-def reference_repack(schedule):
-    """The pre-optimisation repack: identical algorithm, but every
-    victim position re-derived with the O(K) ``configs.index`` scan the
-    incremental position map replaced.  Receiver choice mirrors the set
-    dissolver (first fitting configuration in slot order)."""
-    configs = [cfg.clone() for cfg in schedule if len(cfg) > 0]
-    rank = {id(cfg): pos for pos, cfg in enumerate(configs)}
-    key = lambda cfg: (len(cfg), rank[id(cfg)])  # noqa: E731
-    ordered = sorted(configs, key=key)
-    progress = True
-    while progress and len(configs) > 1:
-        progress = False
-        for victim in ordered:
-            victim_pos = configs.index(victim)
-            original = list(victim.connections)
-            moves = []
-            dissolved = True
-            for c in original:
-                for cfg in configs:
-                    if cfg is not victim and cfg.fits(c):
-                        victim.remove(c)
-                        cfg.add(c)
-                        moves.append((c, cfg))
-                        break
-                else:
-                    for moved, cfg in moves:
-                        cfg.remove(moved)
-                        victim.used_links |= moved.link_set
-                    victim.connections[:] = original
-                    dissolved = False
-                    break
-            if dissolved:
-                configs.pop(victim_pos)
-                ordered.remove(victim)
-                receivers = {id(cfg): cfg for _, cfg in moves}
-                for cfg in receivers.values():
-                    ordered.remove(cfg)
-                    bisect.insort(ordered, cfg, key=key)
-                progress = True
-                break
-    return ConfigurationSet(configs, scheduler=schedule.scheduler + "+repack")
-
-
 class TestRepackProperties:
     @settings(max_examples=40, deadline=None)
     @given(pattern=st.lists(pairs, min_size=1, max_size=16, unique=True))
@@ -181,8 +138,8 @@ class TestRepackProperties:
         padded = ConfigurationSet(
             [Configuration([c]) for c in conns], scheduler="padded"
         )
-        fast = repack(padded, kernel="set")
-        slow = reference_repack(padded)
+        fast = repack(padded)
+        slow = ref.repack(padded)
         assert canonical_dumps(schedule_to_dict(fast)) == canonical_dumps(
             schedule_to_dict(slow)
         )

@@ -51,18 +51,26 @@ class TestParseRows:
 
 class TestDigests:
     def test_root_keyed_by_pattern_and_scheduler(self, torus4):
-        a = amend_root_digest(torus4, RING8, "greedy", None)
-        assert a == amend_root_digest(torus4, RING8, "greedy", None)
-        assert a != amend_root_digest(torus4, RING8[:-1], "greedy", None)
-        assert a != amend_root_digest(torus4, RING8, "coloring", None)
+        a = amend_root_digest(torus4, RING8, "greedy")
+        assert a == amend_root_digest(torus4, RING8, "greedy")
+        assert a != amend_root_digest(torus4, RING8[:-1], "greedy")
+        assert a != amend_root_digest(torus4, RING8, "coloring")
+
+    def test_golden_root_pinned(self, torus4):
+        # Pins the root preimage, including its constant ``bitmask``
+        # field: a change here orphans every live stream and cached
+        # epoch -- bump AMEND_VERSION when intended.
+        assert amend_root_digest(torus4, [(0, 1, 1, 0), (2, 3, 4, 5)], "greedy") == (
+            "3fe35c5abd9900668346f2a36fe7be91ca84c123a549a93e0c154ef4d106e4d1"
+        )
 
     def test_root_not_translation_canonicalised(self, torus4):
         """An amend stream lives in the caller's node ids: a shifted
         pattern is a different stream, unlike plain compile digests."""
         shifted = [(s + 1, (d + 1) % 16, size, tag)
                    for s, d, size, tag in [(0, 1, 1, 0)]]
-        assert amend_root_digest(torus4, [(0, 1, 1, 0)], "greedy", None) != \
-            amend_root_digest(torus4, shifted, "greedy", None)
+        assert amend_root_digest(torus4, [(0, 1, 1, 0)], "greedy") != \
+            amend_root_digest(torus4, shifted, "greedy")
 
     def test_epoch_digest_chains_history(self):
         d1 = amend_epoch_digest("root", [(0, 1, 1, 0)], [])

@@ -33,8 +33,8 @@ class TestDigest:
     def test_deterministic(self, torus):
         reqs = [(0, 1, 2, 0), (5, 10, 1, 0)]
         c = canonicalize(torus, reqs)
-        assert compile_digest(torus, c, "combined", None) == compile_digest(
-            torus, c, "combined", None
+        assert compile_digest(torus, c, "combined") == compile_digest(
+            torus, c, "combined"
         )
 
     def test_translated_variants_share_digest(self, torus):
@@ -43,17 +43,16 @@ class TestDigest:
         sigma = node_permutation(torus, shift)
         moved = [(sigma[r.src], sigma[r.dst], r.size, r.tag) for r in base]
         assert compile_digest(
-            torus, canonicalize(torus, base), "combined", None
-        ) == compile_digest(torus, canonicalize(torus, moved), "combined", None)
+            torus, canonicalize(torus, base), "combined"
+        ) == compile_digest(torus, canonicalize(torus, moved), "combined")
 
     def test_scheduler_and_kernel_and_topology_key(self, torus):
         c = canonicalize(torus, [(0, 1, 1, 0)])
-        base = compile_digest(torus, c, "combined", None)
-        assert compile_digest(torus, c, "coloring", None) != base
-        assert compile_digest(torus, c, "combined", "set") != base
+        base = compile_digest(torus, c, "combined")
+        assert compile_digest(torus, c, "coloring") != base
         other = Torus2D(8)
         c8 = canonicalize(other, [(0, 1, 1, 0)])
-        assert compile_digest(other, c8, "combined", None) != base
+        assert compile_digest(other, c8, "combined") != base
 
     def test_golden_digest_pinned(self, torus):
         # Pins the whole digest pipeline (canonical packing, topology
@@ -62,7 +61,7 @@ class TestDigest:
         # intended.
         c = canonicalize(torus, [(0, 1, 1, 0), (2, 3, 4, 5)])
         assert (
-            compile_digest(torus, c, "combined", None)
+            compile_digest(torus, c, "combined")
             == "5416e7021428f2912168fdf2a9b437b5b5abbb20e500bb4bf8d7f74ba33c5bc4"
         )
 
@@ -142,7 +141,7 @@ def swapped_register_doc(topology, requests):
     words = doc["registers"]["words"]
     assert words["0"] != words["1"]
     words["0"], words["1"] = words["1"], words["0"]
-    return compile_digest(topology, canonical, "combined", None), doc
+    return compile_digest(topology, canonical, "combined"), doc
 
 
 class TestVerifyArtifact:

@@ -125,6 +125,23 @@ class TestRouteDigest:
             assert route_digest(req) == reply["digest"]
         run(with_farm(go, nodes=2))
 
+    def test_legacy_kernel_field_routes_with_the_node(self):
+        """A request carrying the retired ``kernel`` field shards on the
+        digest the owning node caches under: the router forwards it
+        straight to an owner (no ``wrong_shard`` redirect) and a request
+        without the field hits the entry it stored."""
+        async def go(farm):
+            req = {"op": "compile", "topology": TORUS4, "pattern": RING16}
+            async with AsyncCompileClient(*farm.router_address) as c:
+                legacy = await c.request({**req, "kernel": "set"})
+                plain = await c.request(dict(req))
+            assert route_digest({**req, "kernel": "set"}) == legacy["digest"]
+            assert legacy["cache"] == "miss" and plain["cache"] == "hit"
+            assert plain["digest"] == legacy["digest"]
+            assert plain["schedule"] == legacy["schedule"]
+            assert sum(node.wrong_shard for node in farm.nodes.values()) == 0
+        run(with_farm(go, nodes=3, replication=2))
+
     def test_amend_routes_on_root(self):
         assert route_digest({"op": "amend", "root": "r" * 64}) == "r" * 64
 
@@ -382,7 +399,7 @@ class TestStoreVerification:
         doc = build_canonical_artifact(topology, canonical.requests)
         words = doc["registers"]["words"]
         words["0"], words["1"] = words["1"], words["0"]  # well formed, wrong
-        digest = compile_digest(topology, canonical, "combined", None)
+        digest = compile_digest(topology, canonical, "combined")
 
         async def go(farm):
             node = next(iter(farm.nodes.values()))

@@ -60,13 +60,22 @@ class TestProtectPattern:
 
     def test_digest_distinct_from_compile_digest(self):
         canonical = canonicalize(TORUS, PAIRS)
-        assert protect_digest(TORUS, canonical, "combined", None) \
-            != compile_digest(TORUS, canonical, "combined", None)
+        assert protect_digest(TORUS, canonical, "combined") \
+            != compile_digest(TORUS, canonical, "combined")
 
     def test_digest_keys_on_scheduler(self):
         canonical = canonicalize(TORUS, PAIRS)
-        assert protect_digest(TORUS, canonical, "combined", None) \
-            != protect_digest(TORUS, canonical, "greedy", None)
+        assert protect_digest(TORUS, canonical, "combined") \
+            != protect_digest(TORUS, canonical, "greedy")
+
+    def test_golden_digest_pinned(self):
+        # Pins the protection digest preimage, including its constant
+        # ``bitmask`` field: a change here invalidates every cached
+        # protection artifact -- bump PROTECTION_VERSION when intended.
+        canonical = canonicalize(TORUS, [(0, 1, 1, 0), (2, 3, 4, 5)])
+        assert protect_digest(TORUS, canonical, "combined") == (
+            "8a11fb30a5e7c136647cac7708eaa888b096613b2945bfab45b219e4f079cdf6"
+        )
 
     def test_protection_entry_never_serves_schedules(self, cache):
         # Same pattern compiled and protected in one cache: two

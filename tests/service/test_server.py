@@ -52,6 +52,21 @@ class TestProtocol:
 
         run(with_server(go))
 
+    def test_legacy_kernel_field_ignored(self):
+        """Requests from clients that still send the retired ``kernel``
+        field compile to the same digest and schedule as requests
+        without it, and share one cache entry."""
+        async def go(server, host, port):
+            req = {"op": "compile", "topology": TORUS4, "pattern": TRANSPOSE4}
+            async with AsyncCompileClient(host, port) as c:
+                legacy = await c.request({**req, "kernel": "set"})
+                plain = await c.request(dict(req))
+            assert legacy["cache"] == "miss" and plain["cache"] == "hit"
+            assert plain["digest"] == legacy["digest"]
+            assert plain["schedule"] == legacy["schedule"]
+
+        run(with_server(go))
+
     def test_pairs_request_and_registers(self):
         async def go(server, host, port):
             async with AsyncCompileClient(host, port) as c:
