@@ -6,14 +6,21 @@ hop (one link of the route) per ``control_hop_latency`` slots; data
 moves on the optical network per the TDM transfer model shared with the
 compiled simulator.  All races (two RES packets contending for the same
 virtual channel) are resolved by event order, which is deterministic:
-ties in time break by event sequence number, and the only randomness --
-retry backoff -- comes from a generator seeded by ``SimParams.seed``.
+events due in the same slot run in the order they were posted, and the
+only randomness -- retry backoff -- comes from a generator seeded by
+``SimParams.seed``.
+
+The event queue is a slot calendar: one FIFO bucket of events per due
+slot, plus a heap of the distinct due slots.  Most events are posted a
+fixed hop latency ahead, so thousands share a slot and the heap sees
+one push and one pop per slot rather than per event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,19 +32,30 @@ from repro.simulator.faults import FaultSchedule
 from repro.simulator.messages import Message, messages_from_requests
 from repro.simulator.dynamic.trace import ProtocolTrace
 from repro.simulator.params import SimParams
-from repro.simulator.tdm import TDMNetwork
+from repro.simulator.tdm import LinkSlotState, TDMNetwork
 from repro.topology.base import RoutingError, Topology
 
+#: Backoff draws taken from the generator at a time.  A block of draws
+#: equals the same number of scalar draws, so the size never shows in
+#: results (the test suite pins this against a scalar-draw reference).
+_DRAW_BLOCK = 1024
 
-@dataclass
+
+@dataclass(eq=False, slots=True)
 class _Reservation:
     """In-flight reservation state for one message attempt."""
 
     rid: int
     message: Message
     path: tuple[int, ...]
-    carried: list[int] = field(default_factory=list)
+    #: slot state of each link of ``path``, resolved once per attempt.
+    links: list[LinkSlotState]
+    #: bitmask of the slots still free on every link walked so far.
+    carried: int = 0
     chosen: int = -1
+    #: set when a fault tears the reservation down: its in-flight
+    #: control packets (RES/ACK/NACK/REL/data_done) evaporate.
+    dead: bool = False
     #: hop index where the RES is parked (holding protocol), or -1.
     parked_hop: int = -1
     #: invalidates stale park-timeout events after a wake-up.
@@ -100,12 +118,17 @@ class _DynamicSimulator:
         self.topology = topology
         self.trace = trace
         self.protocol = protocol
-        #: holding protocol: link id -> parked reservation ids (FIFO).
-        self.parked: dict[int, deque[int]] = {}
+        #: holding protocol: link id -> parked reservations (FIFO).
+        self.parked: dict[int, deque[_Reservation]] = {}
         self.params = params
+        self.hop_latency = params.control_hop_latency
         self.degree = degree
         self.net = TDMNetwork(topology, degree)
+        #: route -> the slot state of each of its links.
+        self._path_links: dict[tuple[int, ...], list[LinkSlotState]] = {}
         self.rng = np.random.default_rng(params.seed)
+        #: the current block of backoff draws, next draw last.
+        self._draws: list[int] = []
         self.messages = messages_from_requests(requests)
         if arrivals is not None and len(arrivals) != len(self.messages):
             raise ValueError("one arrival time per request required")
@@ -131,13 +154,15 @@ class _DynamicSimulator:
                 m._path = topology.route(m.src, m.dst)
             self.queues.setdefault(m.src, deque())
         self.outstanding: set[int] = set()  # nodes with a RES in flight
-        self.events: list[tuple[int, int, str, tuple]] = []
-        self._seq = itertools.count()
+        #: slot -> the events due then, in posting order, as
+        #: ``(handler, subject, arg)``; ``_slots`` heaps its keys.
+        self.calendar: dict[int, list[tuple]] = {}
+        self._slots: list[int] = []
+        #: the slot whose events are running (none before ``run``).
+        self.now: float = -math.inf
         self._rid = itertools.count()
+        #: live reservations by id, in creation order.
         self.reservations: dict[int, _Reservation] = {}
-        #: reservation ids torn down by a fault -- their in-flight
-        #: control packets (RES/ACK/NACK/REL/data_done) evaporate.
-        self.killed: set[int] = set()
         #: message id -> consecutive routing failures (partitioned).
         self._route_failures: dict[int, int] = {}
         self.delivered_count = 0
@@ -148,8 +173,25 @@ class _DynamicSimulator:
         self.fault_log: list[dict] = []
 
     # -- event machinery -------------------------------------------------
-    def _post(self, time: int, kind: str, payload: tuple) -> None:
-        heapq.heappush(self.events, (time, next(self._seq), kind, payload))
+    def _post(self, time: int, handler, subject, arg=None) -> None:
+        """Run ``handler(time, subject, arg)`` after every event already
+        due at ``time`` (handlers without an ``arg`` ignore it)."""
+        bucket = self.calendar.get(time)
+        if bucket is None:
+            if time < self.now:
+                raise RuntimeError(
+                    f"event posted for slot {time} while slot {self.now} runs"
+                )
+            bucket = self.calendar[time] = []
+            heapq.heappush(self._slots, time)
+        bucket.append((handler, subject, arg))
+
+    def _backoff(self) -> int:
+        """Slots until a failed attempt retries: 1 + the next seeded draw."""
+        if not self._draws:
+            block = self.rng.integers(0, self.params.retry_backoff, size=_DRAW_BLOCK)
+            self._draws = block.tolist()[::-1]
+        return 1 + self._draws.pop()
 
     @property
     def pending_count(self) -> int:
@@ -163,39 +205,37 @@ class _DynamicSimulator:
             # schedule at slot 0 bit-identical to a pre-run
             # FaultyTopology, asserted in the test suite).
             for ev in self.faults:
-                self._post(ev.slot, "fault", (ev.action, ev.link))
+                self._post(ev.slot, self._on_fault, ev.action, ev.link)
         for m in self.messages:
-            self._post(self.arrivals[m.mid], "arrive", (m.mid,))
-        handlers = {
-            "arrive": self._on_arrive,
-            "node": self._on_node,
-            "res": self._on_res,
-            "nack": self._on_nack,
-            "ack": self._on_ack,
-            "data_done": self._on_data_done,
-            "rel": self._on_rel,
-            "park_timeout": self._on_park_timeout,
-            "fault": self._on_fault,
-        }
-        # Run until the event queue drains: the trailing REL chains
-        # after the last delivery still tear their circuits down, so
-        # the network ends clean (asserted by the property suite).
+            self._post(self.arrivals[m.mid], self._on_arrive, m.mid)
+        # Run until the calendar drains: the trailing REL chains after
+        # the last delivery still tear their circuits down, so the
+        # network ends clean (asserted by the property suite).
         # max_slots only guards *undelivered* traffic: the teardown
         # tail after the final delivery may legitimately cross it.
-        while self.events:
-            time, _, kind, payload = heapq.heappop(self.events)
-            if time > self.params.max_slots and self.pending_count:
+        # Pending messages only fall within a slot, so checking once
+        # per slot raises exactly when a per-event check would.
+        calendar, slots = self.calendar, self._slots
+        while slots:
+            t = heapq.heappop(slots)
+            if t > self.params.max_slots and self.pending_count:
                 raise RuntimeError(
                     f"dynamic simulation exceeded max_slots="
                     f"{self.params.max_slots} with "
                     f"{self.pending_count} messages pending"
                 )
-            handlers[kind](time, *payload)
+            self.now = t
+            # Events posted for this slot while it runs join the end of
+            # its bucket; a list iterator walks by index, so it reaches
+            # them after every event posted earlier.
+            for handler, subject, arg in calendar[t]:
+                handler(t, subject, arg)
+            del calendar[t]
         if self.pending_count:
             raise RuntimeError("event queue drained with undelivered messages")
 
     # -- handlers ---------------------------------------------------------
-    def _on_arrive(self, t: int, mid: int) -> None:
+    def _on_arrive(self, t: int, mid: int, _=None) -> None:
         """A message becomes ready at its source's control queue."""
         m = self.messages[mid]
         m.first_attempt = t
@@ -217,7 +257,7 @@ class _DynamicSimulator:
             return m._path
         return self.route_topo.route(m.src, m.dst)
 
-    def _on_node(self, t: int, node: int) -> None:
+    def _on_node(self, t: int, node: int, _=None) -> None:
         """Try to start a reservation for the node's head-of-line message."""
         if node in self.outstanding:
             return
@@ -232,14 +272,16 @@ class _DynamicSimulator:
             return
         self._route_failures.pop(m.mid, None)
         self.outstanding.add(node)
+        links = self._path_links.get(path)
+        if links is None:
+            links = self._path_links[path] = [self.net.link(l) for l in path]
         rid = next(self._rid)
-        res = _Reservation(rid=rid, message=m, path=path)
-        res.carried = list(range(self.degree))
+        res = _Reservation(rid, m, path, links, (1 << self.degree) - 1)
         self.reservations[rid] = res
         if self.trace:
             self.trace.emit(t, "res-start", m.mid, f"rid {rid}, {len(path)} links")
         # RES reaches (and processes) link i after i+1 hop latencies.
-        self._post(t + self.params.control_hop_latency, "res", (rid, 0))
+        self._post(t + self.hop_latency, self._on_res, res, 0)
 
     def _no_route(self, t: int, m: Message) -> None:
         """Source and destination are disconnected by the current cuts.
@@ -258,12 +300,11 @@ class _DynamicSimulator:
                     t, "lost", m.mid, f"no route after {failures - 1} retries"
                 )
             self.queues[m.src].popleft()
-            self._post(t, "node", (m.src,))  # serve the next message
+            self._post(t, self._on_node, m.src)  # serve the next message
             return
         m.retries += 1
         self.fault_retries += 1
-        backoff = 1 + int(self.rng.integers(0, self.params.retry_backoff))
-        self._post(t + backoff, "node", (m.src,))
+        self._post(t + self._backoff(), self._on_node, m.src)
 
     # -- runtime faults ---------------------------------------------------
     def _on_fault(self, t: int, action: str, link_id: int) -> None:
@@ -279,13 +320,11 @@ class _DynamicSimulator:
         if self.trace:
             self.trace.emit(t, "link-fail", -1, f"link {link_id}")
         affected = [
-            rid
-            for rid, res in list(self.reservations.items())
-            if link_id in res.path
+            res for res in self.reservations.values() if link_id in res.path
         ]
         requeued = []
-        for rid in affected:
-            mid = self._kill(t, rid)
+        for res in affected:
+            mid = self._kill(t, res)
             if mid is not None:
                 requeued.append(mid)
         self.fault_log.append(
@@ -293,8 +332,8 @@ class _DynamicSimulator:
              "requeued": requeued}
         )
 
-    def _kill(self, t: int, rid: int) -> int | None:
-        """Tear reservation ``rid`` out of the network after a cut.
+    def _kill(self, t: int, res: _Reservation) -> int | None:
+        """Tear reservation ``res`` out of the network after a cut.
 
         Scrubs its locks *and* owners from every link of its path
         (whatever protocol phase it was in: RES walk, parked, ACK walk,
@@ -303,21 +342,21 @@ class _DynamicSimulator:
         Returns the requeued message id, or None when the message had
         already fully delivered (only its REL teardown was interrupted).
         """
-        res = self.reservations.pop(rid)
-        self.killed.add(rid)
+        del self.reservations[res.rid]
+        res.dead = True
         m = res.message
         if res.parked_hop >= 0:
             parked = self.parked.get(res.path[res.parked_hop])
-            if parked and rid in parked:
-                parked.remove(rid)
-        for link_id in res.path:
-            freed = self.net.link(link_id).clear_reservation(rid)
+            if parked and res in parked:
+                parked.remove(res)
+        for link_id, link in zip(res.path, res.links):
+            freed = link.clear_reservation(res.rid)
             if freed:
                 self._wake_parked(t, link_id, freed)
         if m.delivered is not None:
             return None
         if self.trace:
-            self.trace.emit(t, "fault-kill", m.mid, f"rid {rid}")
+            self.trace.emit(t, "fault-kill", m.mid, f"rid {res.rid}")
         m.retries += 1
         self.fault_retries += 1
         if m.established is not None:
@@ -332,20 +371,14 @@ class _DynamicSimulator:
             # Not yet established: the message is still at its queue
             # head with this reservation outstanding.
             self.outstanding.discard(m.src)
-        backoff = 1 + int(self.rng.integers(0, self.params.retry_backoff))
-        self._post(t + backoff, "node", (m.src,))
+        self._post(t + self._backoff(), self._on_node, m.src)
         return m.mid
 
-    def _on_res(self, t: int, rid: int, hop: int) -> None:
-        if rid in self.killed:
+    def _on_res(self, t: int, res: _Reservation, hop: int) -> None:
+        if res.dead:
             return
-        res = self.reservations[rid]
-        link = self.net.link(res.path[hop])
-        avail = [
-            k
-            for k in res.carried
-            if link.owner[k] == -1 and link.lock[k] == -1
-        ]
+        link = res.links[hop]
+        avail = res.carried & ~link.busy
         if not avail:
             if self.protocol == "holding":
                 # Park at this switch: wait for a channel to free, with
@@ -358,56 +391,51 @@ class _DynamicSimulator:
                 res.park_generation += 1
                 if res.park_deadline < 0:
                     res.park_deadline = t + self.params.hold_timeout
-                self.parked.setdefault(res.path[hop], deque()).append(rid)
+                self.parked.setdefault(res.path[hop], deque()).append(res)
                 if self.trace:
                     self.trace.emit(
                         t, "res-park", res.message.mid,
-                        f"rid {rid} at link {res.path[hop]}",
+                        f"rid {res.rid} at link {res.path[hop]}",
                     )
                 self._post(
                     res.park_deadline,
-                    "park_timeout",
-                    (rid, res.park_generation),
+                    self._on_park_timeout,
+                    res,
+                    res.park_generation,
                 )
                 return
             # Dropping protocol: NACK walks back releasing locks.
             if hop == 0:
-                self._fail(t, rid)
+                self._fail(t, res)
             else:
-                self._post(
-                    t + self.params.control_hop_latency, "nack", (rid, hop - 1)
-                )
+                self._post(t + self.hop_latency, self._on_nack, res, hop - 1)
             return
-        link.lock_slots(avail, rid)
+        link.lock_mask(avail, res.rid)
         res.carried = avail
         res.park_deadline = -1  # hop progress resets the deadlock clock
         if self.trace:
             self.trace.emit(
                 t, "res-hop", res.message.mid,
-                f"rid {rid} link {res.path[hop]}: {len(avail)} slots carried",
+                f"rid {res.rid} link {res.path[hop]}: "
+                f"{avail.bit_count()} slots carried",
             )
-        if hop + 1 < len(res.path):
-            self._post(t + self.params.control_hop_latency, "res", (rid, hop + 1))
+        if hop + 1 < len(res.links):
+            self._post(t + self.hop_latency, self._on_res, res, hop + 1)
         else:
             # Destination: pick the lowest-numbered surviving channel and
             # send the ACK back along the path.
-            res.chosen = res.carried[0]
-            self._post(
-                t + self.params.control_hop_latency,
-                "ack",
-                (rid, len(res.path) - 1),
-            )
+            res.chosen = (avail & -avail).bit_length() - 1
+            self._post(t + self.hop_latency, self._on_ack, res, hop)
 
-    def _on_nack(self, t: int, rid: int, hop: int) -> None:
-        if rid in self.killed:
+    def _on_nack(self, t: int, res: _Reservation, hop: int) -> None:
+        if res.dead:
             return
-        res = self.reservations[rid]
-        freed = self.net.link(res.path[hop]).release_locks(res.rid)
+        freed = res.links[hop].release_locks(res.rid)
         self._wake_parked(t, res.path[hop], freed)
         if hop == 0:
-            self._fail(t + self.params.control_hop_latency, rid)
+            self._fail(t + self.hop_latency, res)
         else:
-            self._post(t + self.params.control_hop_latency, "nack", (rid, hop - 1))
+            self._post(t + self.hop_latency, self._on_nack, res, hop - 1)
 
     def _wake_parked(self, t: int, link_id: int, freed: int) -> None:
         """``freed`` channels on ``link_id`` freed: wake that many
@@ -421,59 +449,60 @@ class _DynamicSimulator:
             return
         woken = 0
         while queue and woken < freed:
-            rid = queue.popleft()
-            res = self.reservations.get(rid)
-            if res is None or res.parked_hop < 0:
+            res = queue.popleft()
+            if res.parked_hop < 0:
                 continue
             hop = res.parked_hop
             res.parked_hop = -1
             res.park_generation += 1  # cancel the pending timeout
-            self._post(t, "res", (rid, hop))
+            self._post(t, self._on_res, res, hop)
             woken += 1
 
-    def _on_park_timeout(self, t: int, rid: int, generation: int) -> None:
-        res = self.reservations.get(rid)
-        if res is None or res.parked_hop < 0 or res.park_generation != generation:
+    def _on_park_timeout(self, t: int, res: _Reservation, generation: int) -> None:
+        if res.dead or res.parked_hop < 0 or res.park_generation != generation:
             return  # already woken or resolved
         hop = res.parked_hop
         res.parked_hop = -1
-        link_id = res.path[hop]
-        queue = self.parked.get(link_id)
-        if queue and rid in queue:
-            queue.remove(rid)
+        queue = self.parked.get(res.path[hop])
+        if queue and res in queue:
+            queue.remove(res)
         if hop == 0:
-            self._fail(t, rid)
+            self._fail(t, res)
         else:
-            self._post(t + self.params.control_hop_latency, "nack", (rid, hop - 1))
+            self._post(t + self.hop_latency, self._on_nack, res, hop - 1)
 
-    def _fail(self, t: int, rid: int) -> None:
+    def _fail(self, t: int, res: _Reservation) -> None:
         """Reservation failed: requeue with randomised backoff."""
-        res = self.reservations.pop(rid)
+        del self.reservations[res.rid]
         m = res.message
         m.retries += 1
         self.total_retries += 1
         if self.trace:
-            self.trace.emit(t, "res-fail", m.mid, f"rid {rid}, retry {m.retries}")
+            self.trace.emit(
+                t, "res-fail", m.mid, f"rid {res.rid}, retry {m.retries}"
+            )
         self.outstanding.discard(m.src)
-        backoff = 1 + int(self.rng.integers(0, self.params.retry_backoff))
-        self._post(t + backoff, "node", (m.src,))
+        self._post(t + self._backoff(), self._on_node, m.src)
 
-    def _on_ack(self, t: int, rid: int, hop: int) -> None:
-        if rid in self.killed:
+    def _on_ack(self, t: int, res: _Reservation, hop: int) -> None:
+        if res.dead:
             return
-        res = self.reservations[rid]
-        freed = self.net.link(res.path[hop]).release_locks(rid, keep=res.chosen)
+        freed = res.links[hop].release_locks(res.rid, keep=res.chosen)
         self._wake_parked(t, res.path[hop], freed)
         if hop > 0:
-            self._post(t + self.params.control_hop_latency, "ack", (rid, hop - 1))
+            self._post(t + self.hop_latency, self._on_ack, res, hop - 1)
         else:
             # Hop 0 is the injection link at the source's own switch, so
             # the source learns of the established circuit immediately:
             # establishment costs exactly 2 * path length * hop latency.
-            self._established(t, rid)
+            self._established(t, res)
 
-    def _established(self, t: int, rid: int) -> None:
-        res = self.reservations[rid]
+    def _transfer_finish(self, t: int, slot: int, chunks: int) -> int:
+        """Slot the last chunk lands when streaming starts at ``t``:
+        one chunk per frame, in the circuit's own slot."""
+        return transfer_finish(t, slot, self.degree, chunks)
+
+    def _established(self, t: int, res: _Reservation) -> None:
         m = res.message
         m.established = t
         m.slot = res.chosen
@@ -488,15 +517,14 @@ class _DynamicSimulator:
             queue.remove(m)
         self.outstanding.discard(m.src)
         # The node may reserve for its next message while data streams.
-        self._post(t, "node", (m.src,))
+        self._post(t, self._on_node, m.src)
         chunks = transfer_chunks(m.size, self.params.slot_payload)
-        finish = transfer_finish(t, res.chosen, self.degree, chunks)
-        self._post(finish, "data_done", (rid,))
+        finish = self._transfer_finish(t, res.chosen, chunks)
+        self._post(finish, self._on_data_done, res)
 
-    def _on_data_done(self, t: int, rid: int) -> None:
-        if rid in self.killed:
+    def _on_data_done(self, t: int, res: _Reservation, _=None) -> None:
+        if res.dead:
             return
-        res = self.reservations[rid]
         m = res.message
         m.delivered = t
         self.delivered_count += 1
@@ -504,20 +532,19 @@ class _DynamicSimulator:
         if self.trace:
             self.trace.emit(t, "delivered", m.mid)
         # REL walks the path tearing the circuit down.
-        self._post(t + self.params.control_hop_latency, "rel", (rid, 0))
+        self._post(t + self.hop_latency, self._on_rel, res, 0)
 
-    def _on_rel(self, t: int, rid: int, hop: int) -> None:
-        if rid in self.killed:
+    def _on_rel(self, t: int, res: _Reservation, hop: int) -> None:
+        if res.dead:
             return
-        res = self.reservations[rid]
-        freed = self.net.link(res.path[hop]).release_owner(rid)
+        freed = res.links[hop].release_owner(res.rid)
         self._wake_parked(t, res.path[hop], freed)
-        if hop + 1 < len(res.path):
-            self._post(t + self.params.control_hop_latency, "rel", (rid, hop + 1))
+        if hop + 1 < len(res.links):
+            self._post(t + self.hop_latency, self._on_rel, res, hop + 1)
         else:
             if self.trace:
                 self.trace.emit(t, "released", res.message.mid)
-            del self.reservations[rid]
+            del self.reservations[res.rid]
 
 
 def simulate_dynamic(

@@ -63,9 +63,13 @@ class ProtocolTrace:
         Network-level events (``mid == -1``, link fail/restore) are
         exempt from per-message checks.
         """
+        by_mid: dict[int, list[TraceEvent]] = {}
+        for e in self.events:
+            if e.mid >= 0:
+                by_mid.setdefault(e.mid, []).append(e)
         mids = {e.mid for e in self.events if e.mid >= 0}
         for mid in mids:
-            seq = self.of_message(mid)
+            seq = by_mid[mid]
             kinds = [e.kind for e in seq]
             if kinds.count("arrive") != 1:
                 raise AssertionError(f"message {mid}: {kinds.count('arrive')} arrivals")

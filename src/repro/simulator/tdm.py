@@ -7,17 +7,26 @@ circuit must use the **same slot index on every link of its path**
 slot), which is why the reservation protocol intersects availability
 sets along the path.
 
-:class:`LinkSlotState` tracks, per (link, slot):
+:class:`LinkSlotState` keeps one link's channels as bitmasks over the K
+slots (bit ``k`` is slot ``k``):
 
-* ``owner`` -- the established circuit using the channel, if any;
-* ``lock`` -- the in-flight reservation holding the channel while its
-  RES packet is still travelling (released by the ACK/NACK pass).
+* ``busy`` -- every channel owned or locked;
+* ``owners`` -- reservation id -> the channels its established circuit
+  uses;
+* ``locks`` -- reservation id -> the channels its in-flight RES packet
+  holds (released by the ACK/NACK pass).
+
+Every protocol operation is a few integer operations, whatever K is.
+The per-slot ``owner``/``lock`` lists are derived views for inspection.
 
 :class:`TDMNetwork` aggregates one state per link of a topology.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from repro.core.linkmask import iter_bits
 from repro.topology.base import Topology
 
 #: Sentinel for "channel free".
@@ -27,26 +36,51 @@ FREE = -1
 class LinkSlotState:
     """Occupancy of one link's K virtual channels."""
 
-    __slots__ = ("owner", "lock")
+    __slots__ = ("degree", "busy", "owners", "locks")
 
     def __init__(self, degree: int) -> None:
-        self.owner = [FREE] * degree
-        self.lock = [FREE] * degree
+        self.degree = degree
+        self.busy = 0
+        self.owners: dict[int, int] = {}
+        self.locks: dict[int, int] = {}
+
+    def _view(self, holders: dict[int, int]) -> list[int]:
+        out = [FREE] * self.degree
+        for rid, mask in holders.items():
+            for k in iter_bits(mask):
+                out[k] = rid
+        return out
+
+    @property
+    def owner(self) -> list[int]:
+        """Per-slot circuit owner (reservation id or ``FREE``)."""
+        return self._view(self.owners)
+
+    @property
+    def lock(self) -> list[int]:
+        """Per-slot lock holder (reservation id or ``FREE``)."""
+        return self._view(self.locks)
 
     def free_slots(self) -> list[int]:
         """Slots neither owned nor locked."""
-        return [
-            k
-            for k in range(len(self.owner))
-            if self.owner[k] == FREE and self.lock[k] == FREE
-        ]
+        return list(iter_bits(~self.busy & ((1 << self.degree) - 1)))
 
-    def lock_slots(self, slots: list[int], rid: int) -> None:
+    def lock_mask(self, mask: int, rid: int) -> None:
+        """Lock the slots of ``mask`` for reservation ``rid`` (must be free)."""
+        clash = mask & self.busy
+        if clash:
+            raise RuntimeError(
+                f"slot {(clash & -clash).bit_length() - 1} not free to lock"
+            )
+        self.busy |= mask
+        self.locks[rid] = self.locks.get(rid, 0) | mask
+
+    def lock_slots(self, slots: Iterable[int], rid: int) -> None:
         """Lock ``slots`` for reservation ``rid`` (must be free)."""
+        mask = 0
         for k in slots:
-            if self.owner[k] != FREE or self.lock[k] != FREE:
-                raise RuntimeError(f"slot {k} not free to lock")
-            self.lock[k] = rid
+            mask |= 1 << k
+        self.lock_mask(mask, rid)
 
     def release_locks(self, rid: int, keep: int | None = None) -> int:
         """Drop ``rid``'s locks; if ``keep`` is given, that slot becomes owned.
@@ -55,24 +89,19 @@ class LinkSlotState:
         turns into an owned circuit, so it does not count) -- the
         holding protocol wakes at most that many parked reservations.
         """
-        freed = 0
-        for k, holder in enumerate(self.lock):
-            if holder == rid:
-                self.lock[k] = FREE
-                if k == keep:
-                    self.owner[k] = rid
-                else:
-                    freed += 1
-        return freed
+        mask = self.locks.pop(rid, 0)
+        if keep is not None and mask >> keep & 1:
+            bit = 1 << keep
+            self.owners[rid] = self.owners.get(rid, 0) | bit
+            mask ^= bit
+        self.busy &= ~mask
+        return mask.bit_count()
 
     def release_owner(self, rid: int) -> int:
         """Tear down ``rid``'s established channel(s); returns channels freed."""
-        freed = 0
-        for k, holder in enumerate(self.owner):
-            if holder == rid:
-                self.owner[k] = FREE
-                freed += 1
-        return freed
+        mask = self.owners.pop(rid, 0)
+        self.busy &= ~mask
+        return mask.bit_count()
 
     def clear_reservation(self, rid: int) -> int:
         """Forcibly drop every trace of ``rid`` -- locks *and* owners.
@@ -106,7 +135,9 @@ class TDMNetwork:
     def occupied_channels(self) -> int:
         """Total owned (link, slot) channels -- a utilisation probe."""
         return sum(
-            sum(1 for o in st.owner if o != FREE) for st in self._links.values()
+            mask.bit_count()
+            for st in self._links.values()
+            for mask in st.owners.values()
         )
 
     def orphans(self) -> list[tuple[int, int, str, int]]:

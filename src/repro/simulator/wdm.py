@@ -116,16 +116,8 @@ def wdm_compiled_completion_time(
 class _WDMDynamicSimulator(_DynamicSimulator):
     """Dynamic control on WDM: continuous transfer once established."""
 
-    def _established(self, t: int, rid: int) -> None:  # noqa: D401
-        res = self.reservations[rid]
-        m = res.message
-        m.established = t
-        m.slot = res.chosen
-        self.queues[m.src].popleft()
-        self.outstanding.discard(m.src)
-        self._post(t, "node", (m.src,))
-        finish = t + transfer_chunks(m.size, self.params.slot_payload)
-        self._post(finish, "data_done", (rid,))
+    def _transfer_finish(self, t: int, slot: int, chunks: int) -> int:
+        return t + chunks
 
 
 def simulate_dynamic_wdm(

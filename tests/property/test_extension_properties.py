@@ -169,11 +169,6 @@ class TestDynamicNetworkInvariants:
 
         sim = _DynamicSimulator(TORUS, rs, degree, SimParams())
         sim.run()
-        # Drain the trailing REL events.
-        while sim.events:
-            time, _, kind, payload = __import__("heapq").heappop(sim.events)
-            if kind == "rel":
-                sim._on_rel(time, *payload)
         assert sim.net.occupied_channels() == 0
         for state in sim.net._links.values():
             assert all(l == -1 for l in state.lock)

@@ -8,6 +8,7 @@ from repro.patterns.classic import ring_pattern
 from repro.patterns.random_patterns import random_pattern
 from repro.simulator.compiled import compiled_completion_time
 from repro.simulator.dynamic import simulate_dynamic
+from repro.simulator.dynamic.control import _DynamicSimulator
 from repro.simulator.params import SimParams
 
 
@@ -107,3 +108,32 @@ class TestPaperShape:
         requests = random_pattern(64, 100, seed=0, size=1000)
         with pytest.raises(RuntimeError, match="max_slots"):
             simulate_dynamic(torus8, requests, 1, SimParams(max_slots=50))
+
+
+class TestCalendar:
+    """Events due in one slot run in posting order; the past is closed."""
+
+    def _sim(self, torus8):
+        requests = RequestSet.from_pairs([(0, 1)], size=4)
+        return _DynamicSimulator(torus8, requests, 1, SimParams())
+
+    def test_same_slot_events_run_in_posting_order(self, torus8):
+        sim = self._sim(torus8)
+        seen = []
+
+        def record(t, name, _):
+            seen.append((t, name))
+            if name == "a":  # posted into the running slot: runs after "b"
+                sim._post(t, record, "c")
+
+        sim._post(5, record, "a")
+        sim._post(5, record, "b")
+        sim._post(3, record, "z")
+        sim.run()
+        assert seen == [(3, "z"), (5, "a"), (5, "b"), (5, "c")]
+
+    def test_post_into_a_past_slot_raises(self, torus8):
+        sim = self._sim(torus8)
+        sim._post(5, lambda t, *_: sim._post(t - 1, print, None), None)
+        with pytest.raises(RuntimeError, match="slot 4 while slot 5 runs"):
+            sim.run()

@@ -125,6 +125,26 @@ class TestDynamicFaultRecovery:
         assert result.fault_log[0]["requeued"] == [0]
         assert result.fault_log[0]["time_to_recover"] > 0
 
+    def test_cut_during_release_requeues_nothing(self, torus8, params):
+        """Cut a delivered message's circuit while its REL still walks
+        the path: the teardown finishes in the fault handler, and the
+        REL packets left in flight evaporate."""
+        requests = RequestSet.from_pairs([(0, 1)], size=4)
+        link = torus8.route(0, 1)[1]
+        healthy = simulate_dynamic(torus8, requests, 1, params)
+        delivered = healthy.messages[0].delivered
+        # REL reaches hop 0 one hop latency after delivery, hop 1 one later.
+        cut_at = delivered + params.control_hop_latency + 1
+        faults = FaultSchedule.from_tuples([(cut_at, "fail", link)])
+        sim = _run_with_net(torus8, requests, 1, params, faults)
+        assert sim.fault_log == [
+            {"slot": cut_at, "link": link, "torn": 1, "requeued": []}
+        ]
+        assert sim.messages[0].delivered == delivered
+        assert sim.fault_retries == 0
+        assert sim.reservations == {}
+        assert sim.net.orphans() == []
+
     def test_cut_unused_link_costs_nothing(self, torus8, params):
         """A fiber no route crosses tears down nothing."""
         requests = RequestSet.from_pairs([(0, 1)], size=4)

@@ -52,25 +52,44 @@ def _holding_sim(num_messages: int = 1) -> _DynamicSimulator:
     )
 
 
+def _reservation(
+    sim: _DynamicSimulator, rid: int, mid: int, link_id: int
+) -> _Reservation:
+    """A one-hop reservation on ``link_id`` carrying slot 0."""
+    res = _Reservation(
+        rid=rid, message=sim.messages[mid], path=(link_id,),
+        links=[sim.net.link(link_id)], carried=0b1,
+    )
+    sim.reservations[rid] = res
+    return res
+
+
+def _due(sim: _DynamicSimulator, handler) -> list[int]:
+    """The slot of every event on the calendar for ``handler``."""
+    return [
+        slot
+        for slot, bucket in sim.calendar.items()
+        for event in bucket
+        if event[0] == handler
+    ]
+
+
 class TestHoldTimeoutDeadline:
     """Re-parking must not postpone the deadlock-breaking deadline."""
 
     def test_repark_preserves_original_deadline(self):
         sim = _holding_sim()
         link_id = sim.topology.route(0, 2)[0]
-        res = _Reservation(
-            rid=100, message=sim.messages[0], path=(link_id,), carried=[0]
-        )
-        sim.reservations[100] = res
+        res = _reservation(sim, 100, 0, link_id)
 
         # Channel busy (foreign lock): the RES parks and fixes its
         # deadline relative to the *first* park time.
         sim.net.link(link_id).lock_slots([0], 999)
-        sim._on_res(10, 100, 0)
+        sim._on_res(10, res, 0)
         deadline = res.park_deadline
         assert deadline == 10 + sim.params.hold_timeout
         assert any(
-            ev[0] == deadline and ev[2] == "park_timeout" for ev in sim.events
+            slot == deadline for slot in _due(sim, sim._on_park_timeout)
         )
 
         # A channel frees; the reservation is woken...
@@ -81,30 +100,25 @@ class TestHoldTimeoutDeadline:
         # ...but loses the race to another reservation and re-parks.
         # The deadline must survive the wake/re-park churn unchanged.
         sim.net.link(link_id).lock_slots([0], 998)
-        sim._on_res(20, 100, 0)
+        sim._on_res(20, res, 0)
         assert res.parked_hop == 0
         assert res.park_deadline == deadline
-        timeouts = [
-            ev[0] for ev in sim.events if ev[2] == "park_timeout"
-        ]
+        timeouts = _due(sim, sim._on_park_timeout)
         assert all(t == deadline for t in timeouts)
 
     def test_hop_progress_resets_deadline(self):
         sim = _holding_sim()
         link_id = sim.topology.route(0, 2)[0]
-        res = _Reservation(
-            rid=100, message=sim.messages[0], path=(link_id,), carried=[0]
-        )
-        sim.reservations[100] = res
+        res = _reservation(sim, 100, 0, link_id)
         sim.net.link(link_id).lock_slots([0], 999)
-        sim._on_res(10, 100, 0)
+        sim._on_res(10, res, 0)
         assert res.park_deadline == 10 + sim.params.hold_timeout
 
         # The channel frees and this time the RES wins it: locking the
         # hop is progress, so the deadlock clock starts over.
         sim.net.link(link_id).release_locks(999)
         sim._wake_parked(20, link_id, 1)
-        sim._on_res(20, 100, 0)
+        sim._on_res(20, res, 0)
         assert res.park_deadline == -1
 
 
@@ -114,18 +128,12 @@ class TestWakeParkedFairness:
     def test_no_thundering_herd(self):
         sim = _holding_sim(num_messages=2)
         link_id = sim.topology.route(1, 2)[0]  # shared transit fiber
-        res_a = _Reservation(
-            rid=100, message=sim.messages[0], path=(link_id,), carried=[0]
-        )
-        res_b = _Reservation(
-            rid=101, message=sim.messages[1], path=(link_id,), carried=[0]
-        )
-        sim.reservations[100] = res_a
-        sim.reservations[101] = res_b
+        res_a = _reservation(sim, 100, 0, link_id)
+        res_b = _reservation(sim, 101, 1, link_id)
         sim.net.link(link_id).lock_slots([0], 999)
-        sim._on_res(10, 100, 0)
-        sim._on_res(11, 101, 0)
-        assert list(sim.parked[link_id]) == [100, 101]
+        sim._on_res(10, res_a, 0)
+        sim._on_res(11, res_b, 0)
+        assert list(sim.parked[link_id]) == [res_a, res_b]
 
         freed = sim.net.link(link_id).release_locks(999)
         assert freed == 1
@@ -134,19 +142,16 @@ class TestWakeParkedFairness:
         # FIFO: the first parker wakes, the second stays parked.
         assert res_a.parked_hop == -1
         assert res_b.parked_hop == 0
-        assert list(sim.parked[link_id]) == [101]
-        woken = [ev for ev in sim.events if ev[2] == "res" and ev[0] == 20]
+        assert list(sim.parked[link_id]) == [res_b]
+        woken = [slot for slot in _due(sim, sim._on_res) if slot == 20]
         assert len(woken) == 1
 
     def test_zero_freed_wakes_nobody(self):
         sim = _holding_sim(num_messages=2)
         link_id = sim.topology.route(1, 2)[0]
-        res_a = _Reservation(
-            rid=100, message=sim.messages[0], path=(link_id,), carried=[0]
-        )
-        sim.reservations[100] = res_a
+        res_a = _reservation(sim, 100, 0, link_id)
         sim.net.link(link_id).lock_slots([0], 999)
-        sim._on_res(10, 100, 0)
+        sim._on_res(10, res_a, 0)
         sim._wake_parked(20, link_id, 0)
         assert res_a.parked_hop == 0
-        assert list(sim.parked[link_id]) == [100]
+        assert list(sim.parked[link_id]) == [res_a]

@@ -1,8 +1,11 @@
 """Tests for dynamic-protocol event tracing."""
 
+import time
+
 import pytest
 
 from repro.core.requests import RequestSet
+from repro.patterns.applications import p3m_pattern
 from repro.simulator.dynamic import simulate_dynamic
 from repro.simulator.dynamic.trace import ProtocolTrace, TraceEvent
 from repro.simulator.params import SimParams
@@ -89,3 +92,17 @@ class TestWellformedChecks:
         ]
         with pytest.raises(AssertionError, match="before"):
             trace.check_wellformed()
+
+    def test_dense_trace_checks_faster_than_it_simulates(self, torus8):
+        # 2,016 messages and ~38k events: a per-message rescan of the
+        # whole trace costs several times the simulation itself.
+        trace = ProtocolTrace()
+        requests = p3m_pattern(2, 32).requests
+        t0 = time.perf_counter()
+        simulate_dynamic(torus8, requests, 2, SimParams(), trace=trace)
+        simulate_s = time.perf_counter() - t0
+        assert len(requests) == 2016
+        assert len(trace.events) > 30_000
+        t0 = time.perf_counter()
+        trace.check_wellformed()
+        assert time.perf_counter() - t0 < simulate_s
