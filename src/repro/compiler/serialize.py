@@ -51,6 +51,10 @@ class ArtifactError(ValueError):
 # canonical JSON + digests
 # ----------------------------------------------------------------------
 
+#: Scalar types :func:`canonical_json` passes through unchanged.
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
 def canonical_json(obj: Any) -> Any:
     """Normalise ``obj`` so equal artifacts serialize identically.
 
@@ -65,17 +69,24 @@ def canonical_json(obj: Any) -> Any:
     Raises :class:`ArtifactError` for non-finite floats or types JSON
     cannot represent, rather than letting ``json.dumps`` pick a
     platform-dependent fallback.
+
+    Containers go first and pass plain scalars through without a call
+    (an artifact is mostly dicts of ints).
     """
+    if isinstance(obj, dict):
+        return {
+            k if type(k) is str else str(k):
+            v if type(v) in _PLAIN else canonical_json(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _PLAIN else canonical_json(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ArtifactError(f"non-finite float {obj!r} in artifact document")
         return int(obj) if obj.is_integer() else obj
-    if isinstance(obj, dict):
-        return {str(k): canonical_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical_json(v) for v in obj]
     raise ArtifactError(f"type {type(obj).__name__} is not JSON-serialisable")
 
 
@@ -90,9 +101,15 @@ def canonical_dumps(obj: Any) -> str:
     )
 
 
-def artifact_digest(doc: dict[str, Any]) -> str:
-    """SHA-256 hex digest of a document's canonical encoding."""
-    return hashlib.sha256(canonical_dumps(doc).encode("ascii")).hexdigest()
+def artifact_digest(doc: dict[str, Any] | bytes) -> str:
+    """SHA-256 hex digest of a document's canonical encoding.
+
+    Pass the encoding itself (``bytes``) when it is already at hand --
+    the service hashes cached or received canonical bytes this way
+    instead of re-encoding the document.
+    """
+    data = doc if isinstance(doc, bytes) else canonical_dumps(doc).encode("ascii")
+    return hashlib.sha256(data).hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,11 @@ content-addressed, persistent, servable artifacts.
 * :mod:`repro.service.compile` -- the synchronous compile core gluing
   canonicalization, the scheduler registry and the cache together;
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- an
-  asyncio JSON-lines batch compile server with in-flight request
-  deduplication, plus async and blocking clients;
+  asyncio batch compile server with in-flight request deduplication,
+  plus async and blocking clients;
+* :mod:`repro.service.wire` -- the one frame codec on every service
+  connection: a JSON header line plus a canonical-JSON payload line,
+  encoded and hashed once;
 * :mod:`repro.service.specs` -- JSON topology specs (the wire format
   naming a topology in a compile request);
 * :mod:`repro.service.errors` -- the typed failure taxonomy every

@@ -3,7 +3,10 @@
 Two tiers:
 
 * an **in-process LRU** of parsed documents (``memory_entries`` deep),
-  so a hot pattern costs a dict lookup;
+  so a hot pattern costs a dict lookup.  Each entry also keeps the
+  document's canonical encoding (:class:`CachedArtifact`), computed
+  once when the entry is made, so serving or pushing an artifact never
+  re-encodes or re-hashes it;
 * an **on-disk store** under ``root/<digest[:2]>/<digest>.json`` that
   survives processes and is shared between them.
 
@@ -39,8 +42,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.compiler.serialize import artifact_digest
+from repro.compiler.serialize import ArtifactError, artifact_digest, canonical_dumps
 from repro.core import perf
+from repro.service.wire import Payload
 
 #: Default depth of the in-process LRU tier.
 DEFAULT_MEMORY_ENTRIES = 64
@@ -83,6 +87,49 @@ class CacheStats:
         return out
 
 
+class CachedArtifact:
+    """A cached document with its canonical encoding, computed once.
+
+    ``fields`` maps each top-level field to its canonical JSON bytes.
+    Keys sort, so ``b'{"registers":' + R + b',"schedule":' + S + b'}'``
+    is byte-for-byte ``canonical_dumps`` of that sub-document, and the
+    whole artifact composes the same way.  ``sha256`` is the artifact's
+    :func:`artifact_digest` -- the value its disk shard and ``store``
+    pushes carry.  Artifacts are content-addressed and never mutated
+    once cached, so neither can go stale.
+    """
+
+    __slots__ = ("doc", "fields", "sha256", "_payloads")
+
+    def __init__(self, doc: dict[str, Any]) -> None:
+        if not isinstance(doc, dict):
+            raise ArtifactError("an artifact must be a JSON object")
+        self.doc = doc
+        self.fields = {
+            str(k): canonical_dumps(v).encode("ascii") for k, v in doc.items()
+        }
+        self.sha256 = artifact_digest(self._compose(sorted(self.fields)))
+        self._payloads: dict[tuple[str, ...], Payload] = {}
+
+    def _compose(self, keys: Any) -> bytes:
+        return b"{" + b",".join(
+            json.dumps(k).encode("ascii") + b":" + self.fields[k] for k in keys
+        ) + b"}"
+
+    def whole(self) -> Payload:
+        """The whole artifact as a payload (``store``/``fetch``)."""
+        return Payload(self._compose(sorted(self.fields)), self.sha256)
+
+    def payload(self, *keys: str) -> Payload:
+        """The sub-document of ``keys`` as a payload, hashed once."""
+        keys = tuple(sorted(keys))
+        out = self._payloads.get(keys)
+        if out is None:
+            data = self._compose(keys)
+            out = self._payloads[keys] = Payload(data, artifact_digest(data))
+        return out
+
+
 class ArtifactCache:
     """Two-tier content-addressed store of compiled-schedule documents.
 
@@ -107,7 +154,7 @@ class ArtifactCache:
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.memory_entries = int(memory_entries)
-        self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._memory: OrderedDict[str, CachedArtifact] = OrderedDict()
         self.stats = CacheStats()
         if recover and self.root is not None and self.root.is_dir():
             self.recover()
@@ -129,37 +176,38 @@ class ArtifactCache:
         passed it, or were produced by a validated compile in-process.
         A rejected document is quarantined and the lookup is a miss.
         """
-        doc = self._memory.get(digest)
-        if doc is not None:
+        entry = self._memory.get(digest)
+        if entry is not None:
             self._memory.move_to_end(digest)
             self.stats.hits += 1
             self.stats.memory_hits += 1
             perf.COUNTERS.artifact_cache_hits += 1
-            return doc
-        doc = self._disk_read(digest)
-        if doc is not None and verifier is not None:
+            return entry.doc
+        entry = self._disk_read(digest)
+        if entry is not None and verifier is not None:
             try:
-                verifier(doc)
+                verifier(entry.doc)
             except Exception:
                 self.stats.verify_failures += 1
                 perf.COUNTERS.artifact_verify_failures += 1
                 self._quarantine(self._path(digest))
-                doc = None
-        if doc is not None:
-            self._memory_put(digest, doc)
+                entry = None
+        if entry is not None:
+            self._memory_put(digest, entry)
             self.stats.hits += 1
             self.stats.disk_hits += 1
             perf.COUNTERS.artifact_cache_hits += 1
-            return doc
+            return entry.doc
         self.stats.misses += 1
         perf.COUNTERS.artifact_cache_misses += 1
         return None
 
     def put(self, digest: str, doc: dict[str, Any]) -> None:
         """Store ``doc`` under ``digest`` in both tiers (atomic on disk)."""
-        self._memory_put(digest, doc)
+        entry = CachedArtifact(doc)
+        self._memory_put(digest, entry)
         if self.root is not None:
-            self._disk_write(digest, doc)
+            self._disk_write(digest, entry)
         self.stats.stores += 1
         perf.COUNTERS.artifact_cache_stores += 1
 
@@ -187,18 +235,24 @@ class ArtifactCache:
         entry), but a peek never promotes, never counts as a hit, and
         never reorders the memory tier.
         """
-        doc = self._memory.get(digest)
-        if doc is not None:
-            return doc
+        entry = self.encoded(digest)
+        return None if entry is None else entry.doc
+
+    def encoded(self, digest: str) -> CachedArtifact | None:
+        """:meth:`peek` with the document's canonical encoding: what a
+        server writes, or a farm node pushes, without re-encoding."""
+        entry = self._memory.get(digest)
+        if entry is not None:
+            return entry
         return self._disk_read(digest)
 
     # ------------------------------------------------------------------
     # memory tier
     # ------------------------------------------------------------------
-    def _memory_put(self, digest: str, doc: dict[str, Any]) -> None:
+    def _memory_put(self, digest: str, entry: CachedArtifact) -> None:
         if self.memory_entries <= 0:
             return
-        self._memory[digest] = doc
+        self._memory[digest] = entry
         self._memory.move_to_end(digest)
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
@@ -237,14 +291,14 @@ class ArtifactCache:
         self.stats.quarantined += 1
         perf.COUNTERS.artifact_cache_quarantined += 1
 
-    def _disk_read(self, digest: str) -> dict[str, Any] | None:
+    def _disk_read(self, digest: str) -> CachedArtifact | None:
         if self.root is None:
             return None
         path = self._path(digest)
         try:
             wrapped = json.loads(path.read_text())
-            doc = wrapped["artifact"]
-            if artifact_digest(doc) != wrapped["payload_sha256"]:
+            entry = CachedArtifact(wrapped["artifact"])
+            if entry.sha256 != wrapped["payload_sha256"]:
                 raise ValueError("payload digest mismatch")
         except FileNotFoundError:
             return None
@@ -253,12 +307,12 @@ class ArtifactCache:
             self.stats.corrupt += 1
             self._quarantine(path)
             return None
-        return doc
+        return entry
 
-    def _disk_write(self, digest: str, doc: dict[str, Any]) -> None:
+    def _disk_write(self, digest: str, entry: CachedArtifact) -> None:
         path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        wrapped = {"artifact": doc, "payload_sha256": artifact_digest(doc)}
+        wrapped = {"artifact": entry.doc, "payload_sha256": entry.sha256}
         intent = self._write_intent(digest)
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
@@ -343,16 +397,16 @@ class ArtifactCache:
         for shard in sorted(self.root.glob("??/*.json")):
             digest = shard.stem
             report["checked"] += 1
-            doc = self._disk_read(digest)
-            if doc is not None and verifier is not None:
+            entry = self._disk_read(digest)
+            if entry is not None and verifier is not None:
                 try:
-                    verifier(doc)
+                    verifier(entry.doc)
                 except Exception:
                     self.stats.verify_failures += 1
                     perf.COUNTERS.artifact_verify_failures += 1
                     self._quarantine(shard)
-                    doc = None
-            if doc is None:
+                    entry = None
+            if entry is None:
                 report["quarantined"].append(digest)
             else:
                 report["ok"] += 1

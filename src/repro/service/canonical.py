@@ -36,23 +36,25 @@ order.
 Canonical form
 --------------
 Requests are packed as integers ``((src * N + dst) << 36) | (size <<
-16) | tag`` (a numpy int64 fast path; arbitrary sizes fall back to
-tuples), translated by every admissible ``sigma``, sorted, and the
-lexicographically smallest image wins.  Ties between translations are
-broken by group enumeration order, so every process picks the same
-``sigma`` -- which matters because cache *responses* are translated
-back through ``sigma^-1`` and must be byte-identical across processes.
+16) | tag`` (a numpy int64 fast path over ``(n, 4)`` row arrays;
+arbitrary sizes fall back to tuples), translated by every admissible
+``sigma``, sorted, and the lexicographically smallest image wins.
+Ties between translations are broken by group enumeration order, so
+every process picks the same ``sigma`` -- which matters because cache
+*responses* are translated back through ``sigma^-1`` and must be
+byte-identical across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.compiler.serialize import register_array
-from repro.core.requests import Request, RequestSet
+from repro.service.errors import ProtocolError
 from repro.topology.kary_ncube import translation_group  # noqa: F401 (re-export)
 from repro.topology.switch import port_tables
 
@@ -103,45 +105,52 @@ def translate_link(topology: Any, link_id: int, sigma: Sequence[int]) -> int:
     return topology.transit_link_base + sigma[node] * fanout + rest
 
 
-@dataclass
+@dataclass(eq=False)
 class CanonicalPattern:
     """The canonical representative of a pattern's translation class.
 
     Attributes
     ----------
-    requests:
-        The canonical request tuples ``(src, dst, size, tag)``, sorted.
     key_bytes:
         Deterministic byte encoding of ``requests`` -- the pattern
         component of the cache digest.
     sigma:
         Node permutation mapping the *submitted* pattern onto the
         canonical one (``canonical request = sigma applied to original``).
-    sigma_inv:
-        Its inverse -- applied to cached artifacts before they are
-        served, so the caller gets a schedule in its own node ids.
     translation:
         The winning translation vector (``()`` for the identity on
         asymmetric topologies).
+    rows:
+        The canonical pattern as computed: the winning packed int64
+        image, or the sorted tuples of the fallback path.
+    requests:
+        The canonical request tuples ``(src, dst, size, tag)``, sorted
+        (unpacked on first use: only a cold compile needs them).
+    sigma_inv:
+        The inverse of ``sigma`` -- applied to cached artifacts before
+        they are served, so the caller gets a schedule in its own node
+        ids.
     """
 
-    requests: list[RequestTuple]
     key_bytes: bytes
     sigma: list[int]
-    sigma_inv: list[int]
     translation: tuple[int, ...]
+    rows: np.ndarray | list[RequestTuple]
+    num_nodes: int
+
+    @cached_property
+    def requests(self) -> list[RequestTuple]:
+        if isinstance(self.rows, np.ndarray):
+            return _unpack(self.rows, self.num_nodes)
+        return self.rows
+
+    @cached_property
+    def sigma_inv(self) -> list[int]:
+        return invert_permutation(self.sigma)
 
     @property
     def is_identity(self) -> bool:
         return not any(self.translation)
-
-    def request_set(self) -> RequestSet:
-        """The canonical pattern as a schedulable :class:`RequestSet`."""
-        return RequestSet(
-            (Request(s, d, size=size, tag=tag) for s, d, size, tag in self.requests),
-            allow_duplicates=True,
-            name="canonical",
-        )
 
 
 def _as_tuples(requests: Sequence) -> list[RequestTuple]:
@@ -155,13 +164,37 @@ def _as_tuples(requests: Sequence) -> list[RequestTuple]:
     return out
 
 
-def _packable(n_nodes: int, tuples: list[RequestTuple]) -> bool:
-    return (
-        n_nodes <= _MAX_PACK_NODES
-        and all(
-            0 < size < _MAX_PACK_SIZE and 0 <= tag < _MAX_PACK_TAG
-            for _, _, size, tag in tuples
-        )
+def _as_rows(requests: Any) -> np.ndarray | list[RequestTuple]:
+    """``(n, 4)`` int64 rows, or tuples when a value overflows int64."""
+    if isinstance(requests, np.ndarray):
+        return requests
+    tuples = _as_tuples(requests)
+    try:
+        return np.array(tuples, dtype=np.int64).reshape(len(tuples), 4)
+    except OverflowError:
+        return tuples
+
+
+def _check_nodes(rows: np.ndarray | list[RequestTuple], n_nodes: int) -> None:
+    """Refuse endpoints outside ``[0, n_nodes)`` (fancy indexing would
+    wrap a negative id onto another node)."""
+    if isinstance(rows, np.ndarray):
+        ends = rows[:, :2]
+        bad = ends[(ends < 0) | (ends >= n_nodes)]
+        bad = bad.tolist()
+    else:
+        bad = [v for s, d, _, _ in rows for v in (s, d) if not 0 <= v < n_nodes]
+    if bad:
+        raise ProtocolError(f"node {bad[0]} out of range [0, {n_nodes})")
+
+
+def _packable(n_nodes: int, rows: np.ndarray | list[RequestTuple]) -> bool:
+    if not isinstance(rows, np.ndarray) or n_nodes > _MAX_PACK_NODES:
+        return False
+    sizes, tags = rows[:, 2], rows[:, 3]
+    return bool(
+        ((sizes > 0) & (sizes < _MAX_PACK_SIZE)).all()
+        and ((tags >= 0) & (tags < _MAX_PACK_TAG)).all()
     )
 
 
@@ -172,49 +205,50 @@ def _unpack(packed: np.ndarray, n_nodes: int) -> list[RequestTuple]:
     return list(zip(src.tolist(), dst.tolist(), sizes.tolist(), tags.tolist()))
 
 
-def canonicalize(topology: Any, requests: Sequence) -> CanonicalPattern:
+def canonicalize(topology: Any, requests: Any) -> CanonicalPattern:
     """Canonical representative of ``requests`` on ``topology``.
 
     ``requests`` may be a :class:`RequestSet`, a sequence of
-    :class:`Request`, or of ``(src, dst[, size[, tag]])`` tuples.  The
+    :class:`Request`, of ``(src, dst[, size[, tag]])`` tuples, or an
+    ``(n, 4)`` int64 array of ``(src, dst, size, tag)`` rows.  The
     result is independent of the submitted request *order* and, on
     translation-symmetric topologies, of any admissible translation of
-    the whole pattern.
+    the whole pattern.  An endpoint outside the topology is a
+    :class:`~repro.service.errors.ProtocolError` (a ``ValueError``).
     """
-    tuples = _as_tuples(requests)
+    rows = _as_rows(requests)
     n = topology.num_nodes
+    _check_nodes(rows, n)
     group = port_tables(topology).group
-
-    if _packable(n, tuples):
-        return _canonicalize_packed(topology, tuples, group)
-    return _canonicalize_tuples(topology, tuples, group)
+    if _packable(n, rows):
+        return _canonicalize_packed(topology, rows, group)
+    if isinstance(rows, np.ndarray):
+        rows = [tuple(r) for r in rows.tolist()]
+    return _canonicalize_tuples(topology, rows, group)
 
 
 def _canonicalize_packed(
-    topology: Any, tuples: list[RequestTuple], group: Sequence[tuple[int, ...]]
+    topology: Any, rows: np.ndarray, group: Sequence[tuple[int, ...]]
 ) -> CanonicalPattern:
     """int64 fast path: one vectorised sort per admissible translation."""
     n = topology.num_nodes
-    src = np.fromiter((t[0] for t in tuples), dtype=np.int64, count=len(tuples))
-    dst = np.fromiter((t[1] for t in tuples), dtype=np.int64, count=len(tuples))
-    rest = np.fromiter(
-        ((t[2] << 16) | t[3] for t in tuples), dtype=np.int64, count=len(tuples)
-    )
+    rest = (rows[:, 2] << 16) | rows[:, 3]
     # sigmas: (|group|, N) matrix of node images.
     sigmas = port_tables(topology).sigmas
-    images = np.sort((sigmas[:, src] * n + sigmas[:, dst]) << 36 | rest, axis=1)
-    best = 0
-    for i in range(1, images.shape[0]):
-        diff = np.nonzero(images[i] != images[best])[0]
-        if diff.size and images[i, diff[0]] < images[best, diff[0]]:
-            best = i
-    sigma = sigmas[best].tolist()
+    images = np.sort(
+        (sigmas[:, rows[:, 0]] * n + sigmas[:, rows[:, 1]]) << 36 | rest, axis=1
+    )
+    # Every packed value is non-negative, so big-endian bytes order like
+    # the integer rows: the smallest image is the lexicographic minimum,
+    # and min() keeps the first of equal images (group order breaks ties).
+    keys = [row.tobytes() for row in images.astype(">i8")]
+    best = min(range(len(keys)), key=keys.__getitem__)
     return CanonicalPattern(
-        requests=_unpack(images[best], n),
         key_bytes=b"packed\0" + images[best].astype("<i8").tobytes(),
-        sigma=sigma,
-        sigma_inv=invert_permutation(sigma),
+        sigma=sigmas[best].tolist(),
         translation=group[best],
+        rows=images[best],
+        num_nodes=n,
     )
 
 
@@ -232,11 +266,11 @@ def _canonicalize_tuples(
     assert best_key is not None
     encoded = ";".join(f"{s},{d},{size},{tag}" for s, d, size, tag in best_key)
     return CanonicalPattern(
-        requests=best_key,
         key_bytes=b"tuples\0" + encoded.encode("ascii"),
         sigma=best_sigma,
-        sigma_inv=invert_permutation(best_sigma),
         translation=best_t,
+        rows=best_key,
+        num_nodes=topology.num_nodes,
     )
 
 

@@ -41,6 +41,7 @@ from typing import Any
 
 from repro.compiler.serialize import canonical_dumps
 from repro.service.cache import ArtifactCache, JOURNAL_DIR
+from repro.service import wire
 from repro.service.client import AsyncCompileClient
 from repro.service.errors import ServiceError
 from repro.service.policy import CircuitBreaker, RetryPolicy, ServerPolicy
@@ -93,8 +94,9 @@ class ChaosProxy:
 
     Listens on its own ephemeral TCP endpoint; every accepted client
     gets a fresh upstream connection.  Faults are decided per *frame*
-    (newline-terminated JSON line) independently in each direction, by
-    a single seeded RNG, so a campaign is reproducible.
+    (a header line plus the payload line it announces,
+    :mod:`repro.service.wire`) independently in each direction, by a
+    single seeded RNG, so a campaign is reproducible.
     """
 
     def __init__(
@@ -185,7 +187,8 @@ class ChaosProxy:
     ) -> None:
         try:
             while True:
-                frame = await reader.readline()
+                # A frame torn at the source arrives torn: pass it on.
+                frame = await wire.read_frame(reader)
                 if not frame:
                     return
                 try:
@@ -194,7 +197,8 @@ class ChaosProxy:
                     return
                 writer.write(frame)
                 await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except (ConnectionResetError, BrokenPipeError, OSError,
+                asyncio.LimitOverrunError):
             return
 
     async def _maul(self, frame: bytes, writer: asyncio.StreamWriter) -> bytes:
@@ -219,10 +223,13 @@ class ChaosProxy:
         if roll < cfg.garble_rate and len(frame) > 2:
             self.stats.garbled += 1
             body = bytearray(frame)
+            # Never touch a line terminator: a garbled frame is still a
+            # frame, just a lying one.
+            ends = {frame.find(b"\n"), len(frame) - 1}
             for _ in range(max(1, len(body) // 256)):
-                # Never touch the terminator: a garbled frame is still
-                # a frame, just a lying one.
-                body[rng.randrange(0, len(body) - 1)] = rng.randrange(256)
+                at = rng.randrange(0, len(body) - 1)
+                if at not in ends:
+                    body[at] = rng.randrange(256)
             frame = bytes(body)
         roll -= cfg.garble_rate
         if roll < cfg.delay_rate:

@@ -1,6 +1,7 @@
-"""Clients for the JSON-lines compile server.
+"""Clients for the compile server.
 
-:class:`AsyncCompileClient` speaks the protocol over an asyncio stream;
+:class:`AsyncCompileClient` speaks the protocol (one frame per request
+and reply, :mod:`repro.service.wire`) over an asyncio stream;
 :class:`CompileClient` is a blocking wrapper over a plain socket for
 scripts, the CLI and CI.  Both support TCP (``host``/``port``) and unix
 sockets (``socket_path``) and can be used as context managers::
@@ -39,14 +40,12 @@ Both clients share the resilience machinery of
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import time
 from typing import Any
 
-from repro.compiler.serialize import artifact_digest
-
 from repro.core import perf
+from repro.service import wire
 from repro.service.errors import (
     CircuitOpen,
     Overloaded,
@@ -143,14 +142,21 @@ def _compile_request(
     return req
 
 
-def _parse_reply(line: bytes, req: dict[str, Any]) -> dict[str, Any]:
+def _parse_reply(frame: bytes, req: dict[str, Any]) -> dict[str, Any]:
+    """Decode one reply frame; every frame fault is a
+    :class:`TransportError` (the caller drops the connection, so a
+    leftover line is never read as the next reply)."""
+    if not frame:
+        raise TransportError("server closed the connection")
+    if not frame.endswith(b"\n"):
+        raise TransportError("connection cut mid-reply (truncated frame)")
     try:
-        reply = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"malformed reply frame: {exc}") from None
-    if not isinstance(reply, dict):
-        raise ProtocolError(f"malformed reply: {reply!r}")
-    if not reply.get("ok"):
+        reply = wire.decode(frame)
+    except wire.FrameError as exc:
+        raise TransportError(f"reply frame integrity check failed: {exc}") from None
+    if not isinstance(reply.get("ok"), bool):
+        raise TransportError("reply frame integrity check failed: no 'ok' field")
+    if not reply["ok"]:
         raise reply_error(reply)
     _verify_reply(req, reply)
     return reply
@@ -160,26 +166,27 @@ def _verify_reply(req: dict[str, Any], reply: dict[str, Any]) -> None:
     """End-to-end integrity past TCP's checksum (chaos-grade links).
 
     A reply that *parses* can still lie: the ``idem`` echo proves the
-    server answered the request we sent (not a garbled variant of it),
-    and ``payload_sha256`` proves the artifact content crossed the wire
-    intact.  Mismatches raise :class:`TransportError` -- retryable,
-    because a replay re-reads the same cached artifact.
+    server answered the request we sent (not a garbled variant of it).
+    The frame decoder hashed the payload bytes against the header's
+    ``payload_sha256`` before parsing them, so a reply that carries
+    that field carried a verified payload; an ok ``compile``/``amend``
+    (or found ``fetch``) reply must.  Failures raise
+    :class:`TransportError` -- retryable, because a replay re-reads the
+    same cached artifact.
     """
     if "idem" in req and reply.get("idem") not in (None, req["idem"]):
         raise TransportError(
             "request integrity mismatch: server answered a different "
             f"request ({reply.get('idem')!r} != {req['idem']!r})"
         )
-    if "payload_sha256" in reply and "schedule" in reply:
-        doc = {"schedule": reply["schedule"]}
-        if "registers" in reply:
-            doc["registers"] = reply["registers"]
-        try:
-            actual = artifact_digest(doc)
-        except Exception as exc:
-            raise TransportError(f"reply payload unhashable: {exc}") from None
-        if actual != reply["payload_sha256"]:
-            raise TransportError("reply payload integrity check failed")
+    op = req.get("op", "compile")
+    if "payload_sha256" not in reply and (
+        op in ("compile", "amend") or (op == "fetch" and reply.get("found"))
+    ):
+        raise TransportError(
+            f"reply payload integrity check failed: ok {op} reply "
+            "carries no payload"
+        )
 
 
 class _ResilientBase:
@@ -324,10 +331,11 @@ class AsyncCompileClient(_ResilientBase):
             await self.connect()
         assert self._reader is not None and self._writer is not None
         try:
-            self._writer.write(json.dumps(req).encode() + b"\n")
+            self._writer.write(wire.encode(req))
             await self._writer.drain()
-            line = await asyncio.wait_for(
-                self._reader.readline(), timeout=self.timeout
+            # Header and payload in one await: one task per frame.
+            frame = await asyncio.wait_for(
+                wire.read_frame(self._reader), timeout=self.timeout
             )
         except (asyncio.TimeoutError, TimeoutError) as exc:
             raise ServiceTimeout(
@@ -335,14 +343,11 @@ class AsyncCompileClient(_ResilientBase):
             ) from exc
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
             raise TransportError(f"connection failed mid-request: {exc}") from exc
-        except ValueError as exc:
-            # asyncio raises ValueError past the stream limit.
+        except asyncio.LimitOverrunError as exc:
+            # The rest of the frame is still buffered: drop the stream.
+            await self.close()
             raise ProtocolError(f"reply frame too large: {exc}") from None
-        if not line:
-            raise TransportError("server closed the connection")
-        if not line.endswith(b"\n"):
-            raise TransportError("connection cut mid-reply (truncated frame)")
-        return _parse_reply(line, req)
+        return _parse_reply(frame, req)
 
     async def request(self, req: dict[str, Any]) -> dict[str, Any]:
         """Send one request object; retry transient failures per policy."""
@@ -524,21 +529,18 @@ class CompileClient(_ResilientBase):
             self.connect()
         assert self._sock is not None and self._file is not None
         try:
-            self._sock.sendall(json.dumps(req).encode() + b"\n")
-            line = self._file.readline(MAX_LINE_BYTES + 1)
+            self._sock.sendall(wire.encode(req))
+            frame = wire.read_frame_file(self._file, MAX_LINE_BYTES)
         except socket.timeout as exc:
             raise ServiceTimeout(
                 f"no reply within {self.timeout}s"
             ) from exc
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
             raise TransportError(f"connection failed mid-request: {exc}") from exc
-        if not line:
-            raise TransportError("server closed the connection")
-        if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError("reply frame too large")
-        if not line.endswith(b"\n"):
-            raise TransportError("connection cut mid-reply (truncated frame)")
-        return _parse_reply(line, req)
+        except wire.FrameError as exc:
+            self.close()  # the rest of the frame is still buffered
+            raise ProtocolError(f"reply frame too large: {exc}") from None
+        return _parse_reply(frame, req)
 
     def request(self, req: dict[str, Any]) -> dict[str, Any]:
         """Send one request object; retry transient failures per policy."""

@@ -252,7 +252,7 @@ def error_fields(exc: BaseException) -> dict[str, Any]:
 
 
 def reply_error(reply: dict[str, Any]) -> ServiceError:
-    """The typed exception encoded by an ``ok: false`` reply line."""
+    """The typed exception encoded by an ``ok: false`` reply."""
     cls = CODE_TO_ERROR.get(reply.get("error_type", ""), ServerError)
     message = str(reply.get("error", "unknown server error"))
     if cls is Overloaded:

@@ -34,12 +34,12 @@ Pieces
 
 :class:`ShardRouter`
     Thin request router: computes the route digest, forwards the **raw
-    request bytes** to the owning node and relays the **raw reply
-    bytes** back, so the client's end-to-end integrity checks (``idem``
-    echo, ``payload_sha256``) survive the extra hop byte-for-byte.  A
-    node that dies mid-request is demoted -- removed from the map,
-    version bumped, survivors reshard -- and the request retries on the
-    new owner.  Its ``stats``/``health`` verbs aggregate every node
+    request frame** to the owning node and relays the **raw reply
+    frame** back, parsing only its header, so the client's end-to-end
+    integrity checks (``idem`` echo, ``payload_sha256``) survive the
+    extra hop byte-for-byte.  A node that dies mid-request is demoted
+    -- removed from the map, version bumped, survivors reshard -- and
+    the request retries on the new owner.  Its ``stats``/``health`` verbs aggregate every node
     (per-node breakdown plus numeric farm-wide totals).
 
 :class:`AsyncFarmClient`
@@ -85,16 +85,14 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import json
 import random
 import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.compiler.serialize import artifact_digest
+from repro.service import wire
 from repro.service.amend import AmendStream, amend_root_digest
-from repro.service.cache import ArtifactCache
-from repro.service.canonical import canonicalize
+from repro.service.cache import ArtifactCache, CachedArtifact
 from repro.service.client import (
     AsyncCompileClient,
     _amend_request,
@@ -113,7 +111,7 @@ from repro.service.errors import (
     reply_error,
 )
 from repro.service.policy import MAX_LINE_BYTES, ServerPolicy, request_digest
-from repro.service.server import CompileServer, _parse_pattern
+from repro.service.server import CompileServer, canonical_pattern, pattern_tuples
 from repro.service.specs import (
     TopologySpecError,
     topology_from_spec,
@@ -302,7 +300,7 @@ def route_digest(
         if "topology" not in req:
             raise ProtocolError("compile request needs 'topology'")
         topology = topology_from_spec(req["topology"])
-        canonical = canonicalize(topology, _parse_pattern(req))
+        canonical = canonical_pattern(topology, req)
         scheduler = req.get("scheduler") or default_scheduler
         return compile_digest(topology, canonical, scheduler)
     if op == "amend":
@@ -312,7 +310,7 @@ def route_digest(
             raise ProtocolError("amend request needs 'topology'")
         topology = topology_from_spec(req["topology"])
         scheduler = req.get("scheduler") or default_scheduler
-        return amend_root_digest(topology, _parse_pattern(req), scheduler)
+        return amend_root_digest(topology, pattern_tuples(req), scheduler)
     return None
 
 
@@ -341,6 +339,50 @@ def _sum_into(out: dict[str, Any], doc: dict[str, Any]) -> None:
             prev = out.get(key, 0)
             if isinstance(prev, (int, float)) and not isinstance(prev, bool):
                 out[key] = prev + value
+
+
+def _decode_reply(frame: bytes, who: str) -> dict[str, Any]:
+    """A reply frame decoded, its payload hash-checked and merged.
+
+    A frame fault is a :class:`TransportError`; an ``ok: false`` reply
+    raises the typed error it encodes.
+    """
+    try:
+        reply = wire.decode(frame)
+    except wire.FrameError as exc:
+        raise TransportError(f"{who} sent a bad reply frame: {exc}") from None
+    if not reply.get("ok"):
+        raise reply_error(reply)
+    return reply
+
+
+async def _call(
+    host: str, port: int, data: bytes, *, timeout: float | None, who: str
+) -> dict[str, Any]:
+    """One request frame on a fresh connection; the decoded reply."""
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port, limit=MAX_LINE_BYTES), timeout
+        )
+    except (OSError, asyncio.TimeoutError, TimeoutError) as exc:
+        raise TransportError(f"{who} unreachable: {exc!r}") from exc
+    try:
+        writer.write(data)
+        await writer.drain()
+        frame = await asyncio.wait_for(wire.read_frame(reader), timeout)
+    except (asyncio.TimeoutError, TimeoutError):
+        raise ServiceTimeout(f"{who} gave no reply within {timeout}s") from None
+    except (asyncio.LimitOverrunError, OSError) as exc:
+        raise TransportError(f"{who} connection failed: {exc!r}") from exc
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+    if not frame.endswith(b"\n"):
+        raise TransportError(f"{who} cut mid-reply")
+    return _decode_reply(frame, who)
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +565,6 @@ class FarmNodeServer(CompileServer):
                     shard_map=self.shard_map.as_dict(), owners=owners,
                 )
             if op == "compile":
-                await self._read_repair(req, digest, owners)
                 self._key_memo[id(req)] = key
                 try:
                     reply = await super()._handle_op(op, req)
@@ -696,24 +737,21 @@ class FarmNodeServer(CompileServer):
             except TopologySpecError:
                 continue  # unspeccable: the registry tombstone stands
             digest = str(stream.digest)
-            doc = self.cache.get(digest)
-            if doc is None:
+            entry = self.cache.encoded(digest)
+            if entry is None:
                 continue
             head = {
                 "root": root, "epoch": int(stream.epoch), "digest": digest,
                 "scheduler": stream.scheduler, "topology_spec": spec,
             }
-            payload = {
-                "op": "store", "digest": digest, "artifact": doc,
-                "payload_sha256": artifact_digest(doc),
-                "topology_spec": spec, "amend_head": head,
-                "adopt": True,
-            }
+            data = self._store_frame(
+                digest, entry, spec, amend_head=head, adopt=True
+            )
             pushed = False
             for peer in successor.owners(root):
                 if peer == self.name:
                     continue
-                await self._push_replica(peer, payload)
+                await self._push_replica(peer, data)
                 pushed = True
             if pushed:
                 handoffs += 1
@@ -734,10 +772,10 @@ class FarmNodeServer(CompileServer):
         """
         repushed = 0
         for digest in sorted(self.cache.digests()):
-            doc = self.cache.peek(digest)
-            if doc is None:
+            entry = self.cache.encoded(digest)
+            if entry is None:
                 continue
-            lineage = doc.get("lineage")
+            lineage = entry.doc.get("lineage")
             key = (
                 str(lineage.get("root", "")) or digest
                 if isinstance(lineage, dict) else digest
@@ -750,15 +788,9 @@ class FarmNodeServer(CompileServer):
             ]
             if not targets:
                 continue
-            payload: dict[str, Any] = {
-                "op": "store", "digest": digest, "artifact": doc,
-                "payload_sha256": artifact_digest(doc),
-            }
-            spec = self._specs.get(digest)
-            if spec is not None:
-                payload["topology_spec"] = spec
+            data = self._store_frame(digest, entry)
             for peer in targets:
-                await self._push_replica(peer, payload)
+                await self._push_replica(peer, data)
                 self.drain_repushes += 1
                 repushed += 1
         return repushed
@@ -767,20 +799,22 @@ class FarmNodeServer(CompileServer):
         digest = str(req.get("digest") or "")
         if not digest:
             raise ProtocolError("fetch request needs 'digest'")
-        doc = self.cache.get(digest)
-        out = self._reply(req, op="fetch", digest=digest, found=doc is not None)
-        if doc is not None:
-            out["artifact"] = doc
-            out["payload_sha256"] = artifact_digest(doc)
+        # A peer's read, not a served lookup: uncounted, like a peek.
+        entry = self.cache.encoded(digest)
+        out = self._reply(req, op="fetch", digest=digest, found=entry is not None)
+        if entry is not None:
+            out["payload"] = entry.whole()
         return out
 
     def _store_replica(self, req: dict[str, Any]) -> dict[str, Any]:
         digest = str(req.get("digest") or "")
         doc = req.get("artifact")
-        if not digest or not isinstance(doc, dict):
-            raise ProtocolError("store request needs 'digest' and 'artifact'")
-        if artifact_digest(doc) != req.get("payload_sha256"):
-            raise ProtocolError("store payload integrity check failed")
+        # ``payload_sha256`` is only ever set by the frame codec, after
+        # it hashed the payload bytes it read against it.
+        if not digest or not isinstance(doc, dict) or "payload_sha256" not in req:
+            raise ProtocolError(
+                "store request needs 'digest' and an artifact payload"
+            )
         spec = req.get("topology_spec")
         if isinstance(spec, dict):
             # Same bar as read repair: hash proves transport integrity,
@@ -819,20 +853,20 @@ class FarmNodeServer(CompileServer):
         (when known) the topology spec a puller needs to re-verify."""
         inventory: list[dict[str, Any]] = []
         for digest in sorted(self.cache.digests()):
-            doc = self.cache.peek(digest)
-            if doc is None:
+            entry = self.cache.encoded(digest)
+            if entry is None:
                 continue
-            entry: dict[str, Any] = {
-                "digest": digest, "payload_sha256": artifact_digest(doc),
+            item: dict[str, Any] = {
+                "digest": digest, "payload_sha256": entry.sha256,
             }
             spec = self._specs.get(digest)
             if spec is not None:
-                entry["topology_spec"] = spec
-            lineage = doc.get("lineage")
+                item["topology_spec"] = spec
+            lineage = entry.doc.get("lineage")
             if isinstance(lineage, dict):
                 # Amend epochs place on their stream's *root*.
-                entry["root"] = str(lineage.get("root", ""))
-            inventory.append(entry)
+                item["root"] = str(lineage.get("root", ""))
+            inventory.append(item)
         return self._reply(
             req, op="digests", inventory=inventory,
             amend_heads={r: dict(h) for r, h in self._amend_heads.items()},
@@ -883,7 +917,7 @@ class FarmNodeServer(CompileServer):
         spec = head.get("topology_spec")
         if not isinstance(spec, dict):
             return False
-        doc = self.cache.get(head["digest"])
+        doc = self.cache.peek(head["digest"])
         if doc is None or not isinstance(doc.get("lineage"), dict):
             return False
         try:
@@ -944,27 +978,37 @@ class FarmNodeServer(CompileServer):
         topology spec so receivers can verify semantically, and -- for
         amend epochs -- the resume metadata a takeover needs.
         """
-        doc = self.cache.get(digest)
-        if doc is None:
+        entry = self.cache.encoded(digest)
+        if entry is None:
             return
-        payload = {
-            "op": "store", "digest": digest, "artifact": doc,
-            "payload_sha256": artifact_digest(doc),
+        extra = {} if amend_head is None else {"amend_head": amend_head}
+        data = self._store_frame(digest, entry, spec, **extra)
+        for peer in owners:
+            if peer == self.name or peer not in self.shard_map.nodes:
+                continue
+            task = asyncio.ensure_future(self._push_replica(peer, data))
+            self._repl_tasks.add(task)
+            task.add_done_callback(self._repl_tasks.discard)
+
+    def _store_frame(
+        self,
+        digest: str,
+        entry: CachedArtifact,
+        spec: dict[str, Any] | None = None,
+        **extra: Any,
+    ) -> bytes:
+        """One ``store`` push of a cached artifact: the cache's bytes and
+        sha256, plus the topology spec a receiver verifies against."""
+        msg: dict[str, Any] = {
+            "op": "store", "digest": digest, **extra, "payload": entry.whole(),
         }
         if spec is None:
             spec = self._specs.get(digest)
         if spec is not None:
-            payload["topology_spec"] = spec
-        if amend_head is not None:
-            payload["amend_head"] = amend_head
-        for peer in owners:
-            if peer == self.name or peer not in self.shard_map.nodes:
-                continue
-            task = asyncio.ensure_future(self._push_replica(peer, payload))
-            self._repl_tasks.add(task)
-            task.add_done_callback(self._repl_tasks.discard)
+            msg["topology_spec"] = spec
+        return wire.encode(msg)
 
-    async def _push_replica(self, peer: str, payload: dict[str, Any]) -> None:
+    async def _push_replica(self, peer: str, data: bytes) -> None:
         """One replica push: a single bounded retry (with jitter) before
         giving up, so one transient peer hiccup does not leave R unmet
         until the next anti-entropy sweep."""
@@ -979,7 +1023,7 @@ class FarmNodeServer(CompileServer):
             return
         for attempt in (0, 1):
             try:
-                await self._peer_request(peer, payload)
+                await self._peer_request(peer, data)
                 self.replicas_pushed += 1
                 return
             except ServiceError:
@@ -991,31 +1035,27 @@ class FarmNodeServer(CompileServer):
                     self.push_retry_delay * (0.5 + self._rng.random())
                 )
 
-    async def _read_repair(
-        self, req: dict[str, Any], digest: str, owners: list[str]
-    ) -> None:
-        """Adopt a peer replica before paying for a recompile.
+    async def _repair_miss(
+        self, req: dict[str, Any], topology: Any, digest: str
+    ) -> dict[str, Any] | None:
+        """Read repair: adopt a peer replica before paying for a recompile.
 
         Runs on the serve path of a local miss -- including the miss a
         *corrupt* local entry turns into once the verifier quarantines
-        it.  A peer copy is accepted only after its transported hash
-        matches a local re-hash **and** it passes the same semantic
+        it -- after the request's one counted cache lookup.  A peer copy
+        is accepted only after the frame codec hashed the bytes read
+        against the peer's claim **and** it passes the same semantic
         verification a cache read gets; anything else counts as a
         failed repair and the cold-compile path takes over.
         """
-        topology = topology_from_spec(req["topology"])
         verifier = artifact_verifier(topology)
-        local = self.cache.get(digest, verifier=verifier)
         want_registers = bool(req.get("registers", False))
-        if local is not None and (not want_registers or "registers" in local):
-            return
-        for peer in owners:
+        fetch = wire.encode({"op": "fetch", "digest": digest})
+        for peer in self.shard_map.owners(digest):
             if peer == self.name or peer not in self.shard_map.nodes:
                 continue
             try:
-                reply = await self._peer_request(
-                    peer, {"op": "fetch", "digest": digest}
-                )
+                reply = await self._peer_request(peer, fetch)
             except ServiceError:
                 self.read_repair_failures += 1
                 continue
@@ -1025,8 +1065,6 @@ class FarmNodeServer(CompileServer):
             if want_registers and "registers" not in doc:
                 continue
             try:
-                if artifact_digest(doc) != reply.get("payload_sha256"):
-                    raise ProtocolError("replica hash mismatch")
                 verifier(doc)  # raises on a semantically bad replica
             except Exception:
                 self.read_repair_failures += 1
@@ -1034,7 +1072,8 @@ class FarmNodeServer(CompileServer):
             self.cache.put(digest, doc)
             self._specs.setdefault(digest, dict(req["topology"]))
             self.read_repairs += 1
-            return
+            return doc
+        return None
 
     # -- anti-entropy ---------------------------------------------------
     async def _anti_entropy_loop(self) -> None:
@@ -1068,7 +1107,9 @@ class FarmNodeServer(CompileServer):
                 if peer == self.name:
                     continue
                 try:
-                    reply = await self._peer_request(peer, {"op": "digests"})
+                    reply = await self._peer_request(
+                        peer, wire.encode({"op": "digests"})
+                    )
                 except ServiceError:
                     failures += 1
                     continue
@@ -1087,13 +1128,15 @@ class FarmNodeServer(CompileServer):
                     owner_key = str(entry.get("root") or digest)
                     if self.name not in self.shard_map.owners(owner_key):
                         continue
-                    local = self.cache.peek(digest)
-                    if local is not None and artifact_digest(local) == remote_hash:
+                    local = self.cache.encoded(digest)
+                    if local is not None and local.sha256 == remote_hash:
                         continue
                     spec = entry.get("topology_spec") or self._specs.get(digest)
                     if not isinstance(spec, dict):
                         continue
-                    outcome = await self._repair_from(peer, digest, spec, local)
+                    outcome = await self._repair_from(
+                        peer, digest, spec, None if local is None else local.doc
+                    )
                     if outcome is True:
                         repaired += 1
                     elif outcome is False:
@@ -1115,7 +1158,7 @@ class FarmNodeServer(CompileServer):
         """Fetch + verify + adopt one replica (True/False/None=skipped)."""
         try:
             reply = await self._peer_request(
-                peer, {"op": "fetch", "digest": digest}
+                peer, wire.encode({"op": "fetch", "digest": digest})
             )
         except ServiceError:
             return False
@@ -1123,8 +1166,6 @@ class FarmNodeServer(CompileServer):
         if not isinstance(doc, dict):
             return None  # the peer lost it between inventory and fetch
         try:
-            if artifact_digest(doc) != reply.get("payload_sha256"):
-                raise ProtocolError("replica hash mismatch")
             artifact_verifier(topology_from_spec(spec))(doc)
         except Exception:
             return False
@@ -1140,52 +1181,16 @@ class FarmNodeServer(CompileServer):
         self._specs[digest] = dict(spec)
         return True
 
-    async def _peer_request(
-        self, peer: str, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        """One request/reply round trip to a peer node (fresh conn)."""
+    async def _peer_request(self, peer: str, data: bytes) -> dict[str, Any]:
+        """One request frame to a peer node (fresh connection) -> reply."""
         if self.peer_filter is not None and not self.peer_filter(self.name, peer):
             raise TransportError(
                 f"peer {peer!r} unreachable from {self.name!r}: partitioned"
             )
         host, port = self.shard_map.endpoint(peer)
-        try:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=MAX_LINE_BYTES
-            )
-        except OSError as exc:
-            raise TransportError(f"peer {peer!r} unreachable: {exc}") from exc
-        try:
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.peer_timeout
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            raise ServiceTimeout(
-                f"peer {peer!r} gave no reply within {self.peer_timeout}s"
-            ) from None
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise TransportError(
-                f"peer {peer!r} connection failed: {exc}"
-            ) from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        if not line or not line.endswith(b"\n"):
-            raise TransportError(f"peer {peer!r} cut mid-reply")
-        try:
-            reply = json.loads(line)
-        except ValueError as exc:
-            raise ProtocolError(f"peer {peer!r} malformed reply: {exc}") from None
-        if not isinstance(reply, dict):
-            raise ProtocolError(f"peer {peer!r} malformed reply: {reply!r}")
-        if not reply.get("ok"):
-            raise reply_error(reply)
-        return reply
+        return await _call(
+            host, port, data, timeout=self.peer_timeout, who=f"peer {peer!r}"
+        )
 
     # -- stats ----------------------------------------------------------
     def _ready(self) -> bool:
@@ -1244,10 +1249,11 @@ class ShardRouter:
     """Routes requests to owning nodes; owns membership and failover.
 
     Forwarding is **byte-transparent**: the router parses the request
-    only to compute its route digest, then writes the original line to
-    the node and relays the node's reply line verbatim -- the client's
-    ``idem`` echo and ``payload_sha256`` checks therefore cover the
-    full client-router-node path with no re-serialization in between.
+    only to compute its route digest, then writes the original frame to
+    the node and relays the node's reply frame verbatim, parsing only
+    its header -- the client's ``idem`` echo and ``payload_sha256``
+    checks therefore cover the full client-router-node path with no
+    re-serialization in between.
 
     A forward that dies on transport (or times out) demotes the node:
     it is removed from the map, the version is bumped, survivors get a
@@ -1432,23 +1438,19 @@ class ShardRouter:
         try:
             while True:
                 try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    line = exc.partial
-                    if not line:
-                        break
+                    frame = await wire.read_frame(reader)
                 except asyncio.LimitOverrunError:
                     err = ProtocolError(
                         f"frame exceeds {MAX_LINE_BYTES} bytes"
                     )
-                    writer.write(json.dumps(
+                    writer.write(wire.encode(
                         {"id": None, "ok": False, **error_fields(err)}
-                    ).encode() + b"\n")
+                    ))
                     await writer.drain()
                     break
-                if not line.strip():
+                if not frame.strip():
                     break
-                writer.write(await self._route(line))
+                writer.write(await self._route(frame))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
@@ -1463,16 +1465,14 @@ class ShardRouter:
                     asyncio.CancelledError):
                 pass
 
-    async def _route(self, line: bytes) -> bytes:
-        """One raw request line to one raw reply line."""
+    async def _route(self, frame: bytes) -> bytes:
+        """One raw request frame to one raw reply frame."""
         req: Any = {}
         try:
             try:
-                req = json.loads(line)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise ProtocolError(f"bad JSON frame: {exc}") from None
-            if not isinstance(req, dict):
-                raise ProtocolError("request must be a JSON object")
+                req = wire.decode_header(frame)
+            except wire.FrameError as exc:
+                raise ProtocolError(str(exc)) from None
             self.requests_served += 1
             op = req.get("op", "compile")
             if op == "ping":
@@ -1499,24 +1499,24 @@ class ShardRouter:
                     **await self.drain_node(str(req.get("node") or "")),
                 )
             if op in ("compile", "amend"):
-                return await self._forward(line, req)
+                return await self._forward(frame, req)
             raise ProtocolError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             req = req if isinstance(req, dict) else {}
-            return json.dumps(
+            return wire.encode(
                 {"id": req.get("id"), "ok": False, **error_fields(exc)}
-            ).encode() + b"\n"
+            )
 
-    def _local_reply(self, req: dict[str, Any], **payload: Any) -> bytes:
-        out = {"id": req.get("id"), "ok": True, **payload}
+    def _local_reply(self, req: dict[str, Any], **fields: Any) -> bytes:
+        out = {"id": req.get("id"), "ok": True, **fields}
         if "idem" in req:
             out["idem"] = request_digest(req)
-        return json.dumps(out).encode() + b"\n"
+        return wire.encode(out)
 
     # -- forwarding -----------------------------------------------------
-    async def _forward(self, line: bytes, req: dict[str, Any]) -> bytes:
-        if not line.endswith(b"\n"):
-            line += b"\n"
+    async def _forward(self, frame: bytes, req: dict[str, Any]) -> bytes:
+        if not frame.endswith(b"\n"):
+            frame += b"\n"  # a last request cut off by EOF
         last_error: ServiceError = ServerError("no live farm nodes")
         failed: set[str] = set()
         for attempt in range(self.max_attempts):
@@ -1530,7 +1530,7 @@ class ShardRouter:
                 raise last_error
             target = owners[0]
             try:
-                reply_line = await self._node_request_raw(target, line)
+                reply_frame, reply = await self._node_request_raw(target, frame)
             except (TransportError, ServiceTimeout) as exc:
                 last_error = exc
                 if self.is_leader:
@@ -1542,17 +1542,12 @@ class ShardRouter:
                     failed.add(target)
                 continue
             self.forwarded += 1
-            try:
-                reply = json.loads(reply_line)
-            except ValueError:
-                # Unparseable node reply: relay as-is; the client's
+            if reply is None:
+                # Undecodable node reply: relay as-is; the client's
                 # frame/integrity checks own this failure mode.
-                return reply_line
-            if (
-                isinstance(reply, dict)
-                and not reply.get("ok")
-                and reply.get("error_type") == WrongShard.code
-            ):
+                return reply_frame
+            # Only the header was parsed: the payload goes out untouched.
+            if not reply.get("ok") and reply.get("error_type") == WrongShard.code:
                 # Map skew: the node is behind (or we are).  Adopt the
                 # newer map, push ours if the node's is older, retry.
                 self.rerouted += 1
@@ -1567,7 +1562,7 @@ class ShardRouter:
                         continue
                 await self._push_map(target)
                 continue
-            return reply_line
+            return reply_frame
         raise last_error
 
     # -- membership -----------------------------------------------------
@@ -1627,7 +1622,7 @@ class ShardRouter:
         for peer in list(self.shard_map.nodes):
             await self._push_map(peer)
         try:
-            await self._node_request_raw(name, b'{"op": "repair"}\n')
+            await self._node_call(name, {"op": "repair"})
         except ServiceError:
             pass  # the node's own anti-entropy loop will catch it up
 
@@ -1690,31 +1685,13 @@ class ShardRouter:
     async def _probe_endpoint(self, host: str, port: int) -> tuple[bool, bool]:
         """One ``health`` probe -> ``(alive, ready)``.  Never raises."""
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=MAX_LINE_BYTES),
-                timeout=self.probe_timeout,
+            reply = await _call(
+                host, port, wire.encode({"op": "health"}),
+                timeout=self.probe_timeout, who=f"node at {host}:{port}",
             )
-        except (OSError, asyncio.TimeoutError, TimeoutError):
+        except ServiceError:
             return False, False
-        try:
-            writer.write(b'{"op": "health"}\n')
-            await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.probe_timeout
-            )
-            reply = json.loads(line)
-            if not isinstance(reply, dict) or not reply.get("ok"):
-                return False, False
-            return True, bool(reply.get("ready"))
-        except (asyncio.TimeoutError, TimeoutError, ConnectionResetError,
-                BrokenPipeError, OSError, ValueError):
-            return False, False
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        return True, bool(reply.get("ready"))
 
     # -- leadership (node-arbitrated leases) ----------------------------
     async def _lease_loop(self) -> None:
@@ -1744,19 +1721,16 @@ class ShardRouter:
         """
         self.lease_rounds += 1
         claim = self.epoch if self.is_leader else self._observed_epoch + 1
-        payload = json.dumps({
+        claim_msg = {
             "op": "lease", "router": self.name,
             "epoch": claim, "ttl": self.lease_ttl,
-        }).encode() + b"\n"
+        }
         grants = 0
         members = list(self.shard_map.nodes)
         for node in members:
             try:
-                line = await self._node_request_raw(node, payload)
-                reply = json.loads(line)
-            except (ServiceError, ValueError):
-                continue
-            if not isinstance(reply, dict) or not reply.get("ok"):
+                reply = await self._node_call(node, claim_msg)
+            except ServiceError:
                 continue
             self._observed_epoch = max(
                 self._observed_epoch, int(reply.get("holder_epoch") or 0)
@@ -1827,46 +1801,11 @@ class ShardRouter:
         reply error -- a deposed leader pushing to the promoted peer
         gets the :class:`StaleEpoch` it needs to learn its fate.
         """
-        payload = {"op": "reshard", "shard_map": self.shard_map.as_dict()}
-        try:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=MAX_LINE_BYTES
-            )
-        except OSError as exc:
-            raise TransportError(
-                f"peer router {host}:{port} unreachable: {exc}"
-            ) from exc
-        try:
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.node_timeout
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            raise ServiceTimeout(
-                f"peer router {host}:{port} gave no reply"
-            ) from None
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise TransportError(
-                f"peer router {host}:{port} connection failed: {exc}"
-            ) from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ProtocolError(
-                f"peer router {host}:{port} malformed reply"
-            ) from None
-        if not isinstance(reply, dict):
-            raise ProtocolError(f"peer router {host}:{port} malformed reply")
-        if not reply.get("ok"):
-            raise reply_error(reply)
-        return reply
+        return await _call(
+            host, port,
+            wire.encode({"op": "reshard", "shard_map": self.shard_map.as_dict()}),
+            timeout=self.node_timeout, who=f"peer router {host}:{port}",
+        )
 
     def _reshard_verb(self, req: dict[str, Any]) -> dict[str, Any]:
         """A peer router pushed its map at us: adopt or fence."""
@@ -1908,18 +1847,9 @@ class ShardRouter:
             if name not in self.shard_map.nodes:
                 raise ProtocolError(f"unknown farm node {name!r}")
             successor = self.shard_map.without(name)
-            line = json.dumps(
-                {"op": "drain", "shard_map": successor.as_dict()}
-            ).encode() + b"\n"
-            reply_line = await self._node_request_raw(name, line)
-            try:
-                reply = json.loads(reply_line)
-            except ValueError:
-                raise ProtocolError(
-                    f"node {name!r} malformed drain reply"
-                ) from None
-            if not isinstance(reply, dict) or not reply.get("ok"):
-                raise reply_error(reply if isinstance(reply, dict) else {})
+            reply = await self._node_call(
+                name, {"op": "drain", "shard_map": successor.as_dict()}
+            )
             self._drained.add(name)
             self._adopt_map(successor)
             self._departed.pop(name, None)
@@ -1937,36 +1867,56 @@ class ShardRouter:
 
     async def _push_map(self, name: str) -> None:
         """Best-effort ``reshard`` push; a dead target demotes on use."""
-        req = json.dumps(
-            {"op": "reshard", "shard_map": self.shard_map.as_dict()}
-        ).encode() + b"\n"
         try:
-            await self._node_request_raw(name, req)
+            await self._node_call(
+                name, {"op": "reshard", "shard_map": self.shard_map.as_dict()}
+            )
         except ServiceError:
             pass
 
     # -- node connections (pooled, one in-flight request each) ---------
-    async def _node_request_raw(self, name: str, line: bytes) -> bytes:
+    async def _node_request_raw(
+        self, name: str, frame: bytes
+    ) -> tuple[bytes, dict[str, Any] | None]:
+        """One raw request frame to a node -> its raw reply frame and
+        parsed header (``None`` when the frame does not decode; that
+        connection is then dropped, never pooled, so no leftover line
+        can pass for the next reply)."""
         conn = await self._acquire(name)
         reader, writer = conn
         try:
-            writer.write(line)
+            writer.write(frame)
             await writer.drain()
+            # Header and payload in one await: one task per frame.
             reply = await asyncio.wait_for(
-                reader.readline(), timeout=self.node_timeout
+                wire.read_frame(reader), timeout=self.node_timeout
             )
         except (asyncio.TimeoutError, TimeoutError):
             writer.close()
             raise ServiceTimeout(
                 f"node {name!r} gave no reply within {self.node_timeout}s"
             ) from None
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
+        except (asyncio.LimitOverrunError, OSError) as exc:
             writer.close()
             raise TransportError(f"node {name!r} died mid-request: {exc}") from exc
-        if not reply or not reply.endswith(b"\n"):
+        if not reply.endswith(b"\n"):
             writer.close()
             raise TransportError(f"node {name!r} cut mid-reply")
+        try:
+            header = wire.decode_header(reply)
+        except wire.FrameError:
+            writer.close()
+            return reply, None
         self._release(name, conn)
+        return reply, header
+
+    async def _node_call(self, name: str, msg: dict[str, Any]) -> dict[str, Any]:
+        """One router-originated request to a node -> its reply header."""
+        _, reply = await self._node_request_raw(name, wire.encode(msg))
+        if reply is None:
+            raise TransportError(f"node {name!r} sent a bad reply frame")
+        if not reply.get("ok"):
+            raise reply_error(reply)
         return reply
 
     async def _acquire(
@@ -2005,15 +1955,10 @@ class ShardRouter:
         """Per-node breakdown plus farm-wide numeric totals."""
         per_node: dict[str, dict[str, Any]] = {}
         down: list[str] = []
-        probe = json.dumps({"op": op}).encode() + b"\n"
         for name in list(self.shard_map.nodes):
             try:
-                line = await self._node_request_raw(name, probe)
-                reply = json.loads(line)
-            except (ServiceError, ValueError):
-                down.append(name)
-                continue
-            if not isinstance(reply, dict) or not reply.get("ok"):
+                reply = await self._node_call(name, {"op": op})
+            except ServiceError:
                 down.append(name)
                 continue
             per_node[name] = {
@@ -2092,10 +2037,9 @@ class ShardRouter:
         """Forward ``shutdown`` to every node, then stop routing."""
         if self._server is not None:
             self._server.close()
-        line = json.dumps({"op": "shutdown"}).encode() + b"\n"
         for name in list(self.shard_map.nodes):
             try:
-                await self._node_request_raw(name, line)
+                await self._node_call(name, {"op": "shutdown"})
             except ServiceError:
                 pass
         return self._local_reply(req, op="shutdown")

@@ -1,6 +1,10 @@
-"""Asyncio JSON-lines compile server.
+"""Asyncio compile server.
 
-Protocol: one JSON object per line, one response line per request.
+Protocol: one request frame in, one reply frame out
+(:mod:`repro.service.wire`).  A frame is a JSON header line, followed
+-- when the header announces one -- by a payload line of canonical
+JSON carrying the bulk document.  Requests are one line; a compile or
+amend reply carries its schedule (and register image) as the payload.
 
 Verbs::
 
@@ -20,8 +24,9 @@ Verbs::
 ``pairs`` -- a list of ``[src, dst]``/``[src, dst, size]``/``[src, dst,
 size, tag]`` rows -- is accepted instead.  Responses echo ``id`` and
 carry ``ok``; a compile response adds ``digest``, ``cache``
-(``hit``/``miss``/``inflight``), ``degree``, ``seconds`` and the
-serialized ``schedule`` (plus ``registers`` when requested).  Failures
+(``hit``/``miss``/``inflight``), ``degree``, ``seconds`` and, as its
+payload, the serialized ``schedule`` (plus ``registers`` when
+requested) with its ``payload_sha256``.  Failures
 reply ``ok: false`` with ``error`` and a typed ``error_type``
 (:mod:`repro.service.errors`); shed requests additionally carry
 ``retry_after``.
@@ -29,7 +34,12 @@ reply ``ok: false`` with ``error`` and a typed ``error_type``
 Execution model
 ---------------
 The event loop only parses requests, canonicalizes patterns and serves
-cache hits; scheduler runs are fanned out to a worker pool.  Identical
+cache hits; scheduler runs are fanned out to a worker pool.  A hit
+encodes and hashes nothing it has done before: ``pairs`` parse as one
+int64 array and canonicalize as arrays, named ``pattern`` specs are
+memoized to their canonical pattern, and an identity hit writes the
+payload bytes the cache encoded when the artifact was stored (a
+translated hit permutes, then encodes and hashes once).  Identical
 in-flight requests (same digest) are **deduplicated**: followers await
 the leader's future and are answered from the same artifact with
 ``cache: "inflight"`` -- N concurrent identical requests trigger
@@ -63,17 +73,22 @@ finish and are answered, then the pool is torn down.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
+import numpy as np
+
 from repro.analysis.parallel import _run_isolated, resolve_workers
+from repro.compiler.serialize import canonical_dumps
 from repro.core import perf
+from repro.service import wire
 from repro.service.amend import AmendRegistry, parse_rows
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, CachedArtifact
 from repro.service.compile import CompileService, artifact_verifier, compile_digest
 from repro.service.canonical import (
+    CanonicalPattern,
     canonicalize,
     permute_registers_dict,
     permute_schedule_dict,
@@ -87,7 +102,13 @@ from repro.service.errors import (
 )
 from repro.service.policy import ServerPolicy, request_digest
 from repro.service.specs import topology_from_spec
-from repro.compiler.serialize import artifact_digest
+
+#: Named ``pattern`` specs memoized to their canonical pattern, keyed by
+#: topology signature and the spec's canonical JSON.  Every spec of
+#: :mod:`repro.compiler.recognition` is deterministic, so a repeated spec
+#: skips regenerating and re-canonicalizing its requests.
+SPEC_MEMO_ENTRIES = 64
+_spec_memo: OrderedDict[tuple[str, str], CanonicalPattern] = OrderedDict()
 
 
 def _worker_compile(task: dict[str, Any]) -> dict[str, Any]:
@@ -110,13 +131,24 @@ def _worker_compile(task: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def _parse_pattern(req: dict[str, Any]) -> list[tuple[int, int, int, int]]:
-    """Request tuples from either a ``pattern`` spec or a ``pairs`` list."""
+def _parse_pattern(
+    req: dict[str, Any],
+) -> np.ndarray | list[tuple[int, int, int, int]]:
+    """Request rows from either a ``pattern`` spec or a ``pairs`` list.
+
+    Integer ``pairs`` of 2-4 columns parse with one ``np.asarray`` into
+    ``(n, 4)`` int64 ``(src, dst, size, tag)`` rows; ragged or
+    non-integer rows take the per-row path (``int()`` coercion, typed
+    errors) and come back as tuples.
+    """
     if "pattern" in req:
         from repro.compiler.recognition import recognize
 
         return [(r.src, r.dst, r.size, r.tag) for r in recognize(req["pattern"])]
     if "pairs" in req:
+        rows = _pairs_array(req["pairs"])
+        if rows is not None:
+            return rows
         out = []
         for row in req["pairs"]:
             if not 2 <= len(row) <= 4:
@@ -127,6 +159,42 @@ def _parse_pattern(req: dict[str, Any]) -> list[tuple[int, int, int, int]]:
             out.append((int(s), int(d), size, tag))
         return out
     raise ProtocolError("compile request needs 'pattern' or 'pairs'")
+
+
+def _pairs_array(pairs: Any) -> np.ndarray | None:
+    """``pairs`` as ``(n, 4)`` int64 rows, or ``None`` off the fast path."""
+    try:
+        arr = np.asarray(pairs)
+    except (ValueError, TypeError):  # ragged rows
+        return None
+    if arr.ndim != 2 or not 2 <= arr.shape[1] <= 4 or arr.dtype.kind != "i":
+        return None
+    rows = np.zeros((len(arr), 4), dtype=np.int64)
+    rows[:, 2] = 1  # default size; tag defaults to 0
+    rows[:, : arr.shape[1]] = arr
+    return rows
+
+
+def pattern_tuples(req: dict[str, Any]) -> list[tuple[int, int, int, int]]:
+    """The request's rows as tuples, in the caller's order (amend streams)."""
+    rows = _parse_pattern(req)
+    if isinstance(rows, np.ndarray):
+        return [tuple(r) for r in rows.tolist()]
+    return rows
+
+
+def canonical_pattern(topology: Any, req: dict[str, Any]) -> CanonicalPattern:
+    """The canonical pattern a compile request names (specs memoized)."""
+    if "pattern" not in req:
+        return canonicalize(topology, _parse_pattern(req))
+    key = (topology.signature, canonical_dumps(req["pattern"]))
+    canonical = _spec_memo.pop(key, None)
+    if canonical is None:
+        canonical = canonicalize(topology, _parse_pattern(req))
+    _spec_memo[key] = canonical  # most recently used last
+    if len(_spec_memo) > SPEC_MEMO_ENTRIES:
+        _spec_memo.popitem(last=False)
+    return canonical
 
 
 class CompileServer:
@@ -287,20 +355,18 @@ class CompileServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes | None:
-        """One request line; ``None`` = connection is done (EOF / torn).
+    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
+        """One request frame; ``b""`` = connection is done (EOF).
 
-        Raises :class:`ProtocolError` for frames past the size limit --
-        the stream cannot be resynchronized mid-frame, so the caller
+        A frame cut off by EOF comes back as it arrived and is answered
+        like any other: a last request without its newline still
+        decodes, a torn one gets a typed ``protocol`` error.  Raises
+        :class:`ProtocolError` for frames past the size limit -- the
+        stream cannot be resynchronized mid-frame, so the caller
         replies once and closes.
         """
         try:
-            return await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            # EOF: clean between frames (empty partial) or mid-frame
-            # (torn request -- nobody left to answer).  Either way the
-            # connection is over and the accept loop is untouched.
-            return exc.partial or None
+            return await wire.read_frame(reader)
         except asyncio.LimitOverrunError:
             raise ProtocolError(
                 f"frame exceeds {self.policy.max_frame_bytes} bytes"
@@ -315,23 +381,23 @@ class CompileServer:
         try:
             while True:
                 try:
-                    line = await self._read_frame(reader)
+                    frame = await self._read_frame(reader)
                 except ProtocolError as exc:
-                    writer.write(json.dumps(
+                    writer.write(wire.encode(
                         {"id": None, "ok": False, **error_fields(exc)}
-                    ).encode() + b"\n")
+                    ))
                     await writer.drain()
                     break
-                if not line:
+                if not frame:
                     break
-                response = await self._dispatch(line)
+                response = await self._dispatch(frame)
                 if response.get("op") == "shutdown":
                     # Refuse new connections *before* acking, so no
                     # client can connect into a closing server and be
                     # dropped without a reply.
                     if self._server is not None:
                         self._server.close()
-                writer.write(json.dumps(response).encode() + b"\n")
+                writer.write(wire.encode(response))
                 await writer.drain()
                 if response.get("op") == "shutdown":
                     # Drain in the background so the client is not held
@@ -357,15 +423,14 @@ class CompileServer:
                 # the transport is already closing, nothing to salvage.
                 pass
 
-    async def _dispatch(self, line: bytes) -> dict[str, Any]:
+    async def _dispatch(self, frame: bytes) -> dict[str, Any]:
+        """One request frame to its reply message (encoded by the caller)."""
         req: Any = {}
         try:
             try:
-                req = json.loads(line)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise ProtocolError(f"bad JSON frame: {exc}") from None
-            if not isinstance(req, dict):
-                raise ProtocolError("request must be a JSON object")
+                req = wire.decode(frame)
+            except wire.FrameError as exc:
+                raise ProtocolError(str(exc)) from None
             op = req.get("op", "compile")
             self.requests_served += 1
             return await self._handle_op(op, req)
@@ -395,8 +460,8 @@ class CompileServer:
             return await self._amend(req)
         raise ProtocolError(f"unknown op {op!r}")
 
-    def _reply(self, req: dict[str, Any], **payload: Any) -> dict[str, Any]:
-        out = {"id": req.get("id"), "ok": True, **payload}
+    def _reply(self, req: dict[str, Any], **fields: Any) -> dict[str, Any]:
+        out = {"id": req.get("id"), "ok": True, **fields}
         if "idem" in req:
             # Echo our *recomputation* over the received bytes, so a
             # client can detect a request garbled in flight (its own
@@ -488,9 +553,22 @@ class CompileServer:
             raise ProtocolError("compile request needs 'topology'")
         topology = topology_from_spec(req["topology"])
         scheduler = req.get("scheduler") or self.service.default_scheduler
-        canonical = canonicalize(topology, _parse_pattern(req))
+        canonical = canonical_pattern(topology, req)
         digest = compile_digest(topology, canonical, scheduler)
         return topology, scheduler, canonical, digest
+
+    async def _repair_miss(
+        self, req: dict[str, Any], topology: Any, digest: str
+    ) -> dict[str, Any] | None:
+        """A second source for a local cache miss, tried before a cold
+        compile.  None here; a farm node reads a peer's replica."""
+        return None
+
+    def _encoded(self, digest: str, doc: dict[str, Any]) -> CachedArtifact:
+        """``doc`` with its canonical encoding: the one the cache made
+        when it stored this very document, else a fresh one."""
+        entry = self.cache.encoded(digest)
+        return entry if entry is not None and entry.doc is doc else CachedArtifact(doc)
 
     async def _compile_admitted(self, req: dict[str, Any]) -> dict[str, Any]:
         t0 = perf.perf_timer()
@@ -502,6 +580,8 @@ class CompileServer:
         doc = self.cache.get(digest, verifier=artifact_verifier(topology))
         if doc is not None and include_registers and "registers" not in doc:
             doc = None
+        if doc is None:
+            doc = await self._repair_miss(req, topology, digest)
         if doc is None:
             remaining = (
                 None if deadline is None else deadline - (perf.perf_timer() - t0)
@@ -529,36 +609,37 @@ class CompileServer:
                     include_registers, remaining,
                 )
 
-        schedule_doc = doc["schedule"]
-        registers_doc = doc.get("registers") if include_registers else None
+        keys = ("registers", "schedule") if include_registers else ("schedule",)
+        sub = {key: doc[key] for key in keys}
         if not canonical.is_identity:
-            schedule_doc = permute_schedule_dict(schedule_doc, canonical.sigma_inv)
-            if registers_doc is not None:
-                registers_doc = permute_registers_dict(
-                    topology, registers_doc, canonical.sigma_inv
+            sub["schedule"] = permute_schedule_dict(
+                sub["schedule"], canonical.sigma_inv
+            )
+            if include_registers:
+                sub["registers"] = permute_registers_dict(
+                    topology, sub["registers"], canonical.sigma_inv
                 )
         seconds = perf.perf_timer() - t0
         bucket = self.service.latency["hit" if outcome != "miss" else "miss"]
         bucket["count"] += 1
         bucket["seconds"] += seconds
-        out = self._reply(
+        # The payload carries its sha256 (chaos-grade links: the client
+        # re-hashes what it received and rejects a garbled artifact).
+        # An identity hit writes the bytes the cache encoded at put; a
+        # translated hit is encoded and hashed once, here.
+        if canonical.is_identity:
+            payload = self._encoded(digest, doc).payload(*keys)
+        else:
+            payload = wire.Payload.of(sub)
+        return self._reply(
             req,
             op="compile",
             digest=digest,
             cache=outcome,
-            degree=int(schedule_doc["degree"]),
+            degree=int(sub["schedule"]["degree"]),
             seconds=seconds,
-            schedule=schedule_doc,
+            payload=payload,
         )
-        if registers_doc is not None:
-            out["registers"] = registers_doc
-        payload = {"schedule": schedule_doc}
-        if registers_doc is not None:
-            payload["registers"] = registers_doc
-        # End-to-end payload integrity (chaos-grade links): the client
-        # re-hashes what it received and rejects a garbled artifact.
-        out["payload_sha256"] = artifact_digest(payload)
-        return out
 
     # ------------------------------------------------------------------
     # the amend verb (epoch-numbered incremental compilation)
@@ -612,24 +693,21 @@ class CompileServer:
             if "topology" not in req:
                 raise ProtocolError("amend request needs 'topology'")
             topology = topology_from_spec(req["topology"])
-            tuples = _parse_pattern(req)
+            tuples = pattern_tuples(req)
             scheduler = req.get("scheduler") or self.service.default_scheduler
             stream, created = self.amends.open(
                 topology, tuples, scheduler=scheduler
             )
             cache = "open" if created else "resume"
-        schedule_doc = stream.doc["schedule"]
-        out = self._reply(
+        return self._reply(
             req,
             op="amend",
             cache=cache,
             seconds=perf.perf_timer() - t0,
-            schedule=schedule_doc,
             lineage=stream.doc["lineage"],
+            payload=self._encoded(stream.digest, stream.doc).payload("schedule"),
             **stream.state(),
         )
-        out["payload_sha256"] = artifact_digest({"schedule": schedule_doc})
-        return out
 
     async def _lead_compile(
         self,

@@ -232,6 +232,26 @@ class TestSharding:
         run(with_farm(go, nodes=3, replication=2))
 
 
+    def test_one_counted_cache_lookup_per_served_request(self):
+        """A miss and a warm read are one miss and one hit, summed over
+        the farm: read repair, replication and peer fetches read the
+        cache without counting."""
+        async def go(farm):
+            async with farm.client() as c:
+                assert (await c.compile(TORUS4, pattern=RING16))["cache"] == "miss"
+                for node in farm.nodes.values():
+                    if node._repl_tasks:
+                        await asyncio.gather(
+                            *node._repl_tasks, return_exceptions=True
+                        )
+                assert (await c.compile(TORUS4, pattern=RING16))["cache"] == "hit"
+            stats = [n.cache.stats for n in farm.nodes.values()]
+            assert sum(s.hits for s in stats) == 1
+            assert sum(s.misses for s in stats) == 1
+            assert sum(s.stores for s in stats) == 2  # compile + one replica
+        run(with_farm(go, nodes=3, replication=2))
+
+
 # ----------------------------------------------------------------------
 # failover
 # ----------------------------------------------------------------------

@@ -455,6 +455,25 @@ class TestClientResilience:
 
         run(go())
 
+    @pytest.mark.parametrize("reply", [
+        # The ``schedule`` key lost a byte: nothing left to hash.
+        {"op": "compile", "schedul": {"degree": 1, "slots": []},
+         "payload_sha256": "0" * 64},
+        # The payload fields themselves lost a byte.
+        {"op": "compile", "digest": "d" * 64, "cache": "hit",
+         "payload_sh256": "0" * 64, "schedule": {"degree": 1, "slots": []}},
+        {"op": "amend", "root": "r", "epoch": 1},
+    ])
+    def test_ok_reply_without_verified_payload_rejected(self, reply):
+        async def go():
+            async with _ScriptedServer([reply]) as fake:
+                client = AsyncCompileClient(*fake.address, retry=None)
+                with pytest.raises(TransportError, match="integrity"):
+                    await client.request({"op": reply["op"]})
+                await client.close()
+
+        run(go())
+
     def test_breaker_fast_fails_after_threshold(self):
         async def go():
             breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0)

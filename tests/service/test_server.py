@@ -8,7 +8,10 @@ import pytest
 from repro.service import compile as compile_mod
 from repro.service.cache import ArtifactCache
 from repro.service.client import AsyncCompileClient, ServerError
+from repro.service.compile import compile_pattern
+from repro.service.errors import ProtocolError
 from repro.service.server import CompileServer, _parse_pattern
+from repro.topology.torus import Torus2D
 
 TORUS4 = {"kind": "torus", "width": 4}
 TRANSPOSE4 = {"pattern": "transpose", "width": 4}
@@ -229,3 +232,81 @@ class TestParsePattern:
     def test_needs_pattern_or_pairs(self):
         with pytest.raises(ValueError, match="needs 'pattern' or 'pairs'"):
             _parse_pattern({})
+
+
+class TestNodeRange:
+    """Endpoints outside the topology are typed protocol errors: a
+    negative id must not wrap onto another node, a large one must not
+    leak an untyped IndexError."""
+
+    TORUS8 = {"kind": "torus", "width": 8}
+
+    @pytest.mark.parametrize("pairs", [[[-1, 5]], [[64, 5]], [[0, 1], [5, 70, 2]]])
+    def test_compile_refuses_out_of_range_ids(self, pairs):
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port, retry=None) as c:
+                with pytest.raises(ProtocolError, match="out of range"):
+                    await c.compile(self.TORUS8, pairs=pairs)
+                assert (await c.ping())["ok"]
+
+        run(with_server(go))
+
+    def test_compile_pattern_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"node -1 out of range \[0, 64\)"):
+            compile_pattern(Torus2D(8), [(-1, 5)])
+        with pytest.raises(ValueError, match="node 64 out of range"):
+            compile_pattern(Torus2D(8), [(64, 5, 1, 0)])
+
+
+class TestArrayParse:
+    def test_uniform_pairs_parse_as_one_array(self):
+        rows = _parse_pattern({"pairs": [[0, 1], [2, 3]]})
+        assert rows.dtype.kind == "i" and rows.tolist() == [[0, 1, 1, 0], [2, 3, 1, 0]]
+
+    def test_ragged_and_coerced_rows_keep_the_row_path(self):
+        assert _parse_pattern({"pairs": [[0, 1], [2, 3, 4]]}) == [
+            (0, 1, 1, 0), (2, 3, 4, 0)
+        ]
+        assert _parse_pattern({"pairs": [[0.0, 1.9], [True, "3"]]}) == [
+            (0, 1, 1, 0), (1, 3, 1, 0)
+        ]
+
+
+class TestSpecMemo:
+    def test_warm_spec_regenerates_no_requests(self, monkeypatch):
+        from repro.compiler import recognition
+        from repro.service import server as server_mod
+
+        calls = []
+        original = recognition.recognize
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(recognition, "recognize", counting)
+        monkeypatch.setattr(server_mod, "_spec_memo", type(server_mod._spec_memo)())
+
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port) as c:
+                first = await c.compile(TORUS4, pattern=TRANSPOSE4)
+                for _ in range(3):
+                    again = await c.compile(TORUS4, pattern=TRANSPOSE4)
+                    assert again["digest"] == first["digest"]
+                    assert again["schedule"] == first["schedule"]
+                positive = {"kind": "torus", "width": 4, "tie_break": "positive"}
+                await c.compile(positive, pattern=TRANSPOSE4)
+
+        run(with_server(go))
+        assert len(calls) == 2  # once per topology signature
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.service import server as server_mod
+
+        monkeypatch.setattr(server_mod, "_spec_memo", type(server_mod._spec_memo)())
+        topo = Torus2D(4)
+        for size in range(1, server_mod.SPEC_MEMO_ENTRIES + 6):
+            server_mod.canonical_pattern(
+                topo, {"pattern": {"pattern": "ring", "nodes": 16, "size": size}}
+            )
+        assert len(server_mod._spec_memo) == server_mod.SPEC_MEMO_ENTRIES
