@@ -859,11 +859,7 @@ def farm_campaign(
                     topology, pairs=pattern, scheduler=scheduler,
                     registers=registers,
                 )
-            for node in farm.nodes.values():
-                if node._repl_tasks:
-                    await asyncio.gather(
-                        *node._repl_tasks, return_exceptions=True
-                    )
+            await farm.settle()
 
             queue = list(schedule)
             outcomes = {"hit": 0, "miss": 0, "inflight": 0}

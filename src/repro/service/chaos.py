@@ -35,15 +35,28 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.compiler.serialize import canonical_dumps
+from repro.service.amend import amend_epoch_digest, parse_rows
 from repro.service.cache import ArtifactCache, JOURNAL_DIR
 from repro.service import wire
 from repro.service.client import AsyncCompileClient
-from repro.service.errors import ServiceError
+from repro.service.errors import (
+    EpochConflict,
+    ServiceError,
+    StaleEpoch,
+    WrongShard,
+)
+from repro.service.farm import (
+    SUSPECT_AFTER,
+    AsyncFarmClient,
+    Farm,
+    ShardMap,
+    route_digest,
+)
 from repro.service.policy import CircuitBreaker, RetryPolicy, ServerPolicy
 from repro.service.server import CompileServer
 
@@ -353,6 +366,156 @@ def _reply_bytes(reply: dict[str, Any]) -> str:
     return canonical_dumps(doc)
 
 
+async def _baseline(
+    combos: list[dict[str, Any]], server: CompileServer | None = None
+) -> list[str]:
+    """Clean-run reference bytes of every combo, straight at ``server``.
+
+    With no ``server`` a fresh plain single-box server answers: compiles
+    are deterministic, so every farm reply -- served by any replica,
+    before or after any fault -- must be byte-identical to it.
+    """
+    own = server is None
+    if own:
+        server = CompileServer(workers=0)
+        await server.start()
+    try:
+        async with AsyncCompileClient(*server.address, retry=None) as clean:
+            return [
+                _reply_bytes(await clean.request({"op": "compile", **combo}))
+                for combo in combos
+            ]
+    finally:
+        if own:
+            await server.shutdown()
+
+
+class _Score:
+    """A campaign's scorecard for the byte-identical-or-typed-error rule.
+
+    Every scored request is ``attempted``; it is ``completed`` when it
+    matches the clean-run baseline (or is the typed refusal the scenario
+    demands), a typed failure when it raises a :class:`ServiceError`,
+    and otherwise ``corrupted`` or ``untyped`` -- the two outcomes that
+    fail a campaign.
+    """
+
+    def __init__(
+        self,
+        report: dict[str, Any],
+        combos: list[dict[str, Any]],
+        baseline: list[str],
+    ) -> None:
+        self.report = report
+        self.combos = combos
+        self.baseline = baseline
+        report.update(attempted=0, completed=0, typed_failures={},
+                      corrupted=[], untyped_failures=[])
+
+    def typed(self, exc: ServiceError) -> None:
+        failures = self.report["typed_failures"]
+        failures[exc.code] = failures.get(exc.code, 0) + 1
+
+    async def compile(
+        self,
+        client: Any,
+        which: int,
+        label: Any = None,
+        errors: list[str] | None = None,
+    ) -> dict[str, Any] | None:
+        """Score compile ``which``: the reply when byte-identical.
+
+        A typed failure's code is also appended to ``errors``.
+        """
+        self.report["attempted"] += 1
+        try:
+            reply = await client.request({"op": "compile", **self.combos[which]})
+        except ServiceError as exc:
+            self.typed(exc)
+            if errors is not None:
+                errors.append(exc.code)
+            return None
+        except Exception as exc:  # noqa: BLE001 - the invariant itself
+            self.report["untyped_failures"].append(repr(exc))
+            return None
+        if _reply_bytes(reply) != self.baseline[which]:
+            self.report["corrupted"].append({
+                "request": which if label is None else label,
+                "digest": reply.get("digest"),
+            })
+            return None
+        self.report["completed"] += 1
+        return reply
+
+    async def refused(
+        self, call: Awaitable[Any], refusal: type[ServiceError]
+    ) -> ServiceError | None:
+        """Score a request that must be refused with ``refusal``."""
+        self.report["attempted"] += 1
+        try:
+            await call
+        except refusal as exc:
+            self.report["completed"] += 1  # the typed refusal is the contract
+            return exc
+        except ServiceError as exc:
+            self.typed(exc)
+        return None
+
+    async def open_stream(
+        self, client: Any, pairs: list[list[int]],
+        row: Callable[[int], list[int]], label: str,
+    ) -> "_AmendChain":
+        """Open one amend stream on a 4x4 torus (scored, must succeed)."""
+        self.report["attempted"] += 1
+        reply = await client.amend({"kind": "torus", "width": 4}, pairs=pairs)
+        self.report["completed"] += 1
+        return _AmendChain(self, client, reply, row, label)
+
+
+class _AmendChain:
+    """A client-verified amend stream: each step must extend the digest
+    chain the client computes itself (:func:`amend_epoch_digest`)."""
+
+    def __init__(
+        self, score: _Score, client: Any, opened: dict[str, Any],
+        row: Callable[[int], list[int]], label: str,
+    ) -> None:
+        self.score = score
+        self.client = client
+        self.row = row
+        self.label = label
+        self.root = str(opened["root"])
+        self.digest = str(opened["digest"])
+        self.epoch = int(opened["epoch"])
+        self.lineage_ok = self.digest == self.root  # epoch 0 *is* the root
+
+    async def step(self, e: int) -> bool:
+        """One epoch update; False when it raised a typed error."""
+        add = [self.row(e)]
+        report = self.score.report
+        report["attempted"] += 1
+        try:
+            reply = await self.client.amend(
+                root=self.root, epoch=self.epoch, add=add
+            )
+        except ServiceError as exc:
+            self.score.typed(exc)
+            return False
+        expect = amend_epoch_digest(
+            self.digest, parse_rows(add, what="add"), []
+        )
+        if str(reply["digest"]) != expect:
+            self.lineage_ok = False
+            report["corrupted"].append(
+                {"request": f"{self.label}-{e}", "digest": reply.get("digest")}
+            )
+        else:
+            report["completed"] += 1
+        self.digest = str(reply["digest"])
+        self.epoch = int(reply["epoch"])
+        return True
+
+
 async def _run_campaign_async(
     requests: int,
     config: ChaosConfig,
@@ -371,21 +534,14 @@ async def _run_campaign_async(
     await server.start()
     proxy = ChaosProxy(server.address, config)
     await proxy.start()
-    report: dict[str, Any] = {
-        "requests": requests,
-        "completed": 0,
-        "typed_failures": {},
-        "corrupted": [],
-        "untyped_failures": [],
-    }
+    report: dict[str, Any] = {"requests": requests}
     try:
         # Clean-run baseline, straight at the server (no proxy, no
         # faults): the byte-identity reference for every request kind.
-        baseline: list[str] = []
-        async with AsyncCompileClient(*server.address, retry=None) as clean:
-            for combo in CAMPAIGN_REQUESTS:
-                reply = await clean.request({"op": "compile", **combo})
-                baseline.append(_reply_bytes(reply))
+        score = _Score(
+            report, CAMPAIGN_REQUESTS,
+            await _baseline(CAMPAIGN_REQUESTS, server),
+        )
 
         if kill_writer:
             # Crash a writer against the same directory the server is
@@ -404,26 +560,8 @@ async def _run_campaign_async(
         )
         for _ in range(requests):
             which = rng.randrange(len(CAMPAIGN_REQUESTS))
-            combo = CAMPAIGN_REQUESTS[which]
-            try:
-                reply = await client.request({"op": "compile", **combo})
-            except ServiceError as exc:
-                key = exc.code
-                report["typed_failures"][key] = (
-                    report["typed_failures"].get(key, 0) + 1
-                )
+            if await score.compile(client, which) is None:
                 await client.close()
-                continue
-            except Exception as exc:  # noqa: BLE001 - the invariant itself
-                report["untyped_failures"].append(repr(exc))
-                await client.close()
-                continue
-            if _reply_bytes(reply) == baseline[which]:
-                report["completed"] += 1
-            else:
-                report["corrupted"].append(
-                    {"request": which, "digest": reply.get("digest")}
-                )
         report["client_retries"] = client.retries
         report["breaker"] = breaker.as_dict()
         await client.close()
@@ -510,32 +648,13 @@ async def _run_farm_campaign_async(
     seed: int,
     cache_dir: str | Path | None,
 ) -> dict[str, Any]:
-    from repro.service.farm import Farm
-
     combos = CAMPAIGN_REQUESTS + _farm_extra_combos(seed)
     report: dict[str, Any] = {
         "requests": requests,
         "nodes": nodes,
         "replication": replication,
-        "completed": 0,
-        "typed_failures": {},
-        "corrupted": [],
-        "untyped_failures": [],
     }
-
-    # Independent baseline: one plain single-box server.  Compiles are
-    # deterministic, so every farm reply -- before the kill, after the
-    # kill, served by any replica -- must be byte-identical to it.
-    baseline: list[str] = []
-    single = CompileServer(workers=0)
-    await single.start()
-    try:
-        async with AsyncCompileClient(*single.address, retry=None) as clean:
-            for combo in combos:
-                reply = await clean.request({"op": "compile", **combo})
-                baseline.append(_reply_bytes(reply))
-    finally:
-        await single.shutdown()
+    score = _Score(report, combos, await _baseline(combos))
 
     farm = Farm(
         nodes, replication=replication, workers=0, cache_dir=cache_dir,
@@ -550,8 +669,6 @@ async def _run_farm_campaign_async(
         # The victim is the primary owner of combo 0: after the kill a
         # router-path probe of that combo *must* trigger a demote, so
         # rebalance verification cannot depend on random routing luck.
-        from repro.service.farm import route_digest
-
         probe_digest = route_digest(dict({"op": "compile", **combos[0]}))
         victim = farm.router.shard_map.owners(probe_digest)[0]
 
@@ -561,29 +678,12 @@ async def _run_farm_campaign_async(
                 report["killed_at"] = i
                 async with AsyncCompileClient(*farm.router_address) as probe:
                     reply = await probe.request({"op": "compile", **combos[0]})
-                    if _reply_bytes(reply) != baseline[0]:
+                    if _reply_bytes(reply) != score.baseline[0]:
                         report["corrupted"].append(
                             {"request": "post-kill-probe",
                              "digest": reply.get("digest")}
                         )
-            which = rng.randrange(len(combos))
-            try:
-                reply = await client.request({"op": "compile", **combos[which]})
-            except ServiceError as exc:
-                key = exc.code
-                report["typed_failures"][key] = (
-                    report["typed_failures"].get(key, 0) + 1
-                )
-                continue
-            except Exception as exc:  # noqa: BLE001 - the invariant itself
-                report["untyped_failures"].append(repr(exc))
-                continue
-            if _reply_bytes(reply) == baseline[which]:
-                report["completed"] += 1
-            else:
-                report["corrupted"].append(
-                    {"request": which, "digest": reply.get("digest")}
-                )
+            await score.compile(client, rng.randrange(len(combos)))
 
         router = farm.router
         survivors_adopted = all(
@@ -701,14 +801,8 @@ async def _restore_replication(
 
 
 async def _run_router_ha_phases(
-    report: dict[str, Any],
-    gates: dict[str, bool],
-    baseline: list[str],
-    all_combos: list[dict[str, Any]],
-    *,
-    nodes: int,
-    replication: int,
-    seed: int,
+    score: _Score, gates: dict[str, bool], *,
+    nodes: int, replication: int, seed: int,
 ) -> None:
     """Phases F and G: router HA pair promotion + graceful drain.
 
@@ -726,15 +820,11 @@ async def _run_router_ha_phases(
     and every uniquely-owned artifact must land on all successor
     owners.
     """
-    from repro.service.amend import amend_epoch_digest, parse_rows
-    from repro.service.errors import StaleEpoch, WrongShard
-    from repro.service.farm import AsyncFarmClient, Farm, ShardMap
-
+    report = score.report
     ha = Farm(
         nodes, replication=replication, workers=0,
         policy=ServerPolicy(max_pending=64, retry_after=0.05),
-        routers=2, lease_ttl=0.6, lease_interval=0.15,
-        chaos_seed=seed ^ 0x51AB,
+        routers=2, lease_ttl=0.6, chaos_seed=seed ^ 0x51AB,
     )
     await ha.start()
     endpoints = ha.router_addresses
@@ -742,32 +832,10 @@ async def _run_router_ha_phases(
     tracked: dict[int, str] = {}
 
     async def drive(cl: AsyncFarmClient, which: int) -> bool:
-        report["attempted"] += 1
-        try:
-            reply = await cl.request({"op": "compile", **all_combos[which]})
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
-            return False
-        except Exception as exc:  # noqa: BLE001 - the invariant itself
-            report["untyped_failures"].append(repr(exc))
-            return False
-        if _reply_bytes(reply) == baseline[which]:
-            report["completed"] += 1
+        reply = await score.compile(cl, which, f"ha-{which}")
+        if reply is not None:
             tracked[which] = str(reply["digest"])
-            return True
-        report["corrupted"].append(
-            {"request": f"ha-{which}", "digest": reply.get("digest")}
-        )
-        return False
-
-    async def settle_pushes() -> None:
-        for node in list(ha.nodes.values()):
-            if node._repl_tasks:
-                await asyncio.gather(
-                    *node._repl_tasks, return_exceptions=True
-                )
+        return reply is not None
 
     try:
         await client.connect()
@@ -817,34 +885,24 @@ async def _run_router_ha_phases(
             **deposed_map.as_dict(),
             "version": standby.shard_map.version + 10,
         })
-        node0 = next(iter(ha.nodes.values()))
-        fenced_by_node = fenced_by_standby = False
-        report["attempted"] += 1
-        try:
-            host, port = node0.address
+
+        async def push_to_node() -> None:
+            host, port = next(iter(ha.nodes.values())).address
             async with AsyncCompileClient(host, port, retry=None) as direct:
                 await direct.request(
                     {"op": "reshard", "shard_map": stale.as_dict()}
                 )
-        except StaleEpoch as exc:
-            fenced_by_node = exc.current_epoch == standby.shard_map.epoch
-            report["completed"] += 1  # the typed refusal is the contract
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
+
+        by_node = await score.refused(push_to_node(), StaleEpoch)
+        fenced_by_node = (
+            by_node is not None
+            and by_node.current_epoch == standby.shard_map.epoch
+        )
         dead_leader = ha.dead_routers[leader.name]
         dead_leader.shard_map = stale
-        report["attempted"] += 1
-        try:
-            await dead_leader.push_map_peer(*standby.address)
-        except StaleEpoch:
-            fenced_by_standby = True
-            report["completed"] += 1
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
+        fenced_by_standby = await score.refused(
+            dead_leader.push_map_peer(*standby.address), StaleEpoch
+        ) is not None
         report["phases"]["promote"] = {
             "killed_router": leader.name,
             "promoted_router": standby.name,
@@ -862,49 +920,16 @@ async def _run_router_ha_phases(
         gates["router_failover_served"] = served
 
         # -- phase G: graceful drain under load ------------------------
-        torus = {"kind": "torus", "width": 4}
-        open_pairs = [[i, (i + 3) % 16] for i in range(8)]
-        report["attempted"] += 1
-        reply = await client.amend(torus, pairs=open_pairs)
-        report["completed"] += 1
-        root = str(reply["root"])
-        chain = str(reply["digest"])
-        epoch = int(reply["epoch"])
-        lineage_ok = chain == root
-
-        async def step(e: int) -> bool:
-            """One epoch update checked against the client-side chain."""
-            nonlocal chain, epoch, lineage_ok
-            add = [[e % 16, (e + 7) % 16, 1, 2]]
-            report["attempted"] += 1
-            try:
-                reply = await client.amend(root=root, epoch=epoch, add=add)
-            except ServiceError as exc:
-                report["typed_failures"][exc.code] = (
-                    report["typed_failures"].get(exc.code, 0) + 1
-                )
-                return False
-            expect = amend_epoch_digest(
-                chain, parse_rows(add, what="add"), []
-            )
-            if str(reply["digest"]) != expect:
-                lineage_ok = False
-                report["corrupted"].append(
-                    {"request": f"ha-amend-{e}",
-                     "digest": reply.get("digest")}
-                )
-            else:
-                report["completed"] += 1
-            chain = str(reply["digest"])
-            epoch = int(reply["epoch"])
-            return True
-
+        chain = await score.open_stream(
+            client, [[i, (i + 3) % 16] for i in range(8)],
+            lambda e: [e % 16, (e + 7) % 16, 1, 2], "ha-amend",
+        )
         for e in range(4):
-            await step(e)
-        await settle_pushes()  # epoch artifacts + resume heads must land
+            await chain.step(e)
+        await ha.settle()  # epoch artifacts + resume heads must land
 
         assert ha.leader is not None
-        target = ha.leader.shard_map.owners(root)[0]
+        target = ha.leader.shard_map.owners(chain.root)[0]
         target_node = ha.nodes[target]
         live_streams = len(target_node.amends.live_roots())
 
@@ -934,7 +959,7 @@ async def _run_router_ha_phases(
                         )
                     except WrongShard:
                         continue  # not this node's shard: try the next
-                    tracked[len(all_combos) + len(tracked)] = str(
+                    tracked[len(score.combos) + len(tracked)] = str(
                         reply["digest"]
                     )
                     break
@@ -961,26 +986,9 @@ async def _run_router_ha_phases(
                 while not warm_stop.is_set():
                     which = warm_whiches[i % len(warm_whiches)]
                     i += 1
-                    if which >= len(all_combos):
+                    if which >= len(score.combos):
                         continue  # setup-only digest: no scored combo
-                    report["attempted"] += 1
-                    try:
-                        reply = await warm.request(
-                            {"op": "compile", **all_combos[which]}
-                        )
-                    except ServiceError as exc:
-                        warm_errors.append(exc.code)
-                        report["typed_failures"][exc.code] = (
-                            report["typed_failures"].get(exc.code, 0) + 1
-                        )
-                        continue
-                    if _reply_bytes(reply) == baseline[which]:
-                        report["completed"] += 1
-                    else:
-                        report["corrupted"].append(
-                            {"request": f"warm-{which}",
-                             "digest": reply.get("digest")}
-                        )
+                    await score.compile(warm, which, f"warm-{which}", warm_errors)
                     await asyncio.sleep(0)
             finally:
                 await warm.close()
@@ -992,14 +1000,14 @@ async def _run_router_ha_phases(
         # An amend racing the drain: it parks on the draining primary
         # until the handoff lands, then follows the typed redirect to
         # the *already adopted* stream -- no epoch lost, no takeover.
-        racing_ok = await step(4)
+        racing_ok = await chain.step(4)
         await drain_task
         warm_stop.set()
         await reader
 
-        post_drain_ok = await step(5)  # first clean post-drain amend
+        post_drain_ok = await chain.step(5)  # first clean post-drain amend
         for e in range(6, 8):
-            await step(e)
+            await chain.step(e)
         takeovers_after = sum(
             n.amend_takeovers for n in ha.nodes.values()
         )
@@ -1031,7 +1039,7 @@ async def _run_router_ha_phases(
             and takeovers_after == takeovers_before
         )
         gates["drain_replication_closed"] = not under_drain
-        gates["drain_lineage_unbroken"] = lineage_ok
+        gates["drain_lineage_unbroken"] = chain.lineage_ok
 
         report["replication_stats"]["drain_handoffs"] = (
             drained_node.drain_handoffs
@@ -1056,38 +1064,17 @@ async def _run_farm_ha_campaign_async(
     max_restore_sweeps: int,
     amend_steps: int,
 ) -> dict[str, Any]:
-    from repro.service.amend import amend_epoch_digest, parse_rows
-    from repro.service.errors import EpochConflict
-    from repro.service.farm import Farm
-
     combos = CAMPAIGN_REQUESTS + _farm_extra_combos(seed)
     part_combos = _farm_extra_combos(seed ^ 0x9A11, count=6)
     all_combos = combos + part_combos
-
-    # Independent baseline: compiles are deterministic, so every farm
-    # reply in every phase must be byte-identical to one plain server.
-    baseline: list[str] = []
-    single = CompileServer(workers=0)
-    await single.start()
-    try:
-        async with AsyncCompileClient(*single.address, retry=None) as clean:
-            for combo in all_combos:
-                reply = await clean.request({"op": "compile", **combo})
-                baseline.append(_reply_bytes(reply))
-    finally:
-        await single.shutdown()
 
     report: dict[str, Any] = {
         "requests": requests,
         "nodes": nodes,
         "replication": replication,
-        "attempted": 0,
-        "completed": 0,
-        "typed_failures": {},
-        "corrupted": [],
-        "untyped_failures": [],
-        "phases": {},
     }
+    score = _Score(report, all_combos, await _baseline(all_combos))
+    report["phases"] = {}
     gates: dict[str, bool] = {}
     tracked: dict[int, str] = {}  # combo index -> compile digest
 
@@ -1102,34 +1089,9 @@ async def _run_farm_ha_campaign_async(
 
     async def drive(which: int) -> None:
         """One scored compile request through the farm client."""
-        report["attempted"] += 1
-        try:
-            reply = await client.request(
-                {"op": "compile", **all_combos[which]}
-            )
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - the invariant itself
-            report["untyped_failures"].append(repr(exc))
-            return
-        if _reply_bytes(reply) == baseline[which]:
-            report["completed"] += 1
+        reply = await score.compile(client, which)
+        if reply is not None:
             tracked[which] = str(reply["digest"])
-        else:
-            report["corrupted"].append(
-                {"request": which, "digest": reply.get("digest")}
-            )
-
-    async def drain_pushes() -> None:
-        """Let in-flight replica pushes land before an audit."""
-        for node in list(farm.nodes.values()):
-            if node._repl_tasks:
-                await asyncio.gather(
-                    *node._repl_tasks, return_exceptions=True
-                )
 
     try:
         await client.connect()
@@ -1145,7 +1107,7 @@ async def _run_farm_ha_campaign_async(
             await drive(rng.randrange(len(combos)))
         for node in farm.nodes.values():
             node.drop_replica_push_rate = 0.0
-        await drain_pushes()
+        await farm.settle()
         sweeps_a, under_a = await _restore_replication(
             farm, tracked.values(), max_restore_sweeps
         )
@@ -1168,7 +1130,7 @@ async def _run_farm_ha_campaign_async(
         for j in range(len(part_combos)):
             await drive(len(combos) + j)
         farm.heal(src, dst)
-        await drain_pushes()
+        await farm.settle()
         sweeps_b, under_b = await _restore_replication(
             farm, tracked.values(), max_restore_sweeps
         )
@@ -1180,97 +1142,56 @@ async def _run_farm_ha_campaign_async(
         gates["partition_restored"] = not under_b
 
         # -- phase C: kill the primary mid-amend-stream ----------------
-        torus = {"kind": "torus", "width": 4}
-        open_pairs = [[i, (i + 1) % 16] for i in range(8)]
-        report["attempted"] += 1
-        reply = await client.amend(torus, pairs=open_pairs)
-        report["completed"] += 1
-        root = str(reply["root"])
-        chain = str(reply["digest"])
-        epoch = int(reply["epoch"])
-        lineage_ok = chain == root  # epoch 0 digest *is* the root
-
-        def rows(e: int) -> list[list[int]]:
-            return [[e % 16, (e + 5) % 16, 1, 3]]
-
-        async def step(e: int) -> bool:
-            """One epoch update, checked against the client-side chain."""
-            nonlocal chain, epoch, lineage_ok
-            add = rows(e)
-            report["attempted"] += 1
-            try:
-                reply = await client.amend(root=root, epoch=epoch, add=add)
-            except ServiceError as exc:
-                report["typed_failures"][exc.code] = (
-                    report["typed_failures"].get(exc.code, 0) + 1
-                )
-                return False
-            expect = amend_epoch_digest(
-                chain, parse_rows(add, what="add"), []
-            )
-            if str(reply["digest"]) != expect:
-                lineage_ok = False
-                report["corrupted"].append(
-                    {"request": f"amend-epoch-{e}",
-                     "digest": reply.get("digest")}
-                )
-            else:
-                report["completed"] += 1
-            chain = str(reply["digest"])
-            epoch = int(reply["epoch"])
-            return True
-
+        chain = await score.open_stream(
+            client, [[i, (i + 1) % 16] for i in range(8)],
+            lambda e: [e % 16, (e + 5) % 16, 1, 3], "amend-epoch",
+        )
         for e in range(amend_steps):
-            await step(e)
-        primary = farm.router.shard_map.owners(root)[0]
-        await drain_pushes()  # epoch artifacts + resume heads must land
+            await chain.step(e)
+        primary = farm.router.shard_map.owners(chain.root)[0]
+        await farm.settle()  # epoch artifacts + resume heads must land
         await farm.kill_node(primary)
-        # Deterministic demote: drive the probe state machine by hand
-        # (suspect -> dead takes `suspect_after` consecutive failures).
-        for _ in range(farm.suspect_after):
-            await farm.router.probe_round()
+        # Deterministic demote: drive the heartbeat by hand (suspect ->
+        # dead takes SUSPECT_AFTER consecutive missed beats).
+        for _ in range(SUSPECT_AFTER):
+            await farm.router.heartbeat()
         demoted = primary not in farm.router.shard_map.nodes
-        stale_epoch = epoch
-        continued = await step(amend_steps)  # lands on the new owner
+        stale_epoch = chain.epoch
+        continued = await chain.step(amend_steps)  # lands on the new owner
         takeovers = sum(n.amend_takeovers for n in farm.nodes.values())
         # Stale racer: replays the epoch the winner just consumed.  It
         # must get a typed EpochConflict naming the winner's head --
         # proof the stream did not fork or silently reset.
-        stale_typed = no_fork = False
-        report["attempted"] += 1
-        try:
-            await client.amend(root=root, epoch=stale_epoch, add=rows(99))
-        except EpochConflict as exc:
-            stale_typed = True
-            no_fork = (
-                exc.current_epoch == epoch and exc.current_digest == chain
-            )
-            report["completed"] += 1  # a typed refusal is the correct reply
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
+        conflict = await score.refused(
+            client.amend(root=chain.root, epoch=stale_epoch,
+                         add=[chain.row(99)]),
+            EpochConflict,
+        )
+        no_fork = conflict is not None and (
+            conflict.current_epoch == chain.epoch
+            and conflict.current_digest == chain.digest
+        )
         for e in range(amend_steps + 1, amend_steps + 3):
-            await step(e)
+            await chain.step(e)
         report["phases"]["amend_failover"] = {
-            "root": root,
+            "root": chain.root,
             "killed": primary,
-            "epoch": epoch,
+            "epoch": chain.epoch,
             "takeovers": takeovers,
         }
         gates["amend_primary_demoted"] = demoted
         gates["amend_takeover"] = continued and takeovers >= 1
-        gates["amend_lineage_unbroken"] = lineage_ok
-        gates["stale_racer_typed"] = stale_typed
+        gates["amend_lineage_unbroken"] = chain.lineage_ok
+        gates["stale_racer_typed"] = conflict is not None
         gates["no_fork"] = no_fork
 
         # -- phase D: the dead node comes back -------------------------
         # Fresh process on the original endpoint with an empty (or
-        # recovered) cache and a stale map: one probe round must
-        # rejoin it, and the targeted repair must leave it able to
-        # serve its owned digests without a router hop.
+        # recovered) cache and a stale map: one heartbeat must rejoin
+        # it, and the targeted repair must leave it able to serve its
+        # owned digests without a router hop.
         await farm.restart_node(primary)
-        await farm.router.probe_round()
+        await farm.router.heartbeat()
         rejoined = (
             primary in farm.router.shard_map.nodes
             and farm.router.rejoins >= 1
@@ -1301,7 +1222,7 @@ async def _run_farm_ha_campaign_async(
                 )
                 direct_ok = (
                     reply.get("cache") == "hit"
-                    and _reply_bytes(reply) == baseline[which]
+                    and _reply_bytes(reply) == score.baseline[which]
                 )
         report["phases"]["rejoin"] = {
             "node": primary,
@@ -1320,32 +1241,19 @@ async def _run_farm_ha_campaign_async(
         report["router"] = {
             "failovers": farm.router.failovers,
             "rejoins": farm.router.rejoins,
-            "probe_rounds": farm.router.probe_rounds,
-            "probe_demotions": farm.router.probe_demotions,
+            "heartbeats": farm.router.heartbeats,
+            "beat_demotions": farm.router.beat_demotions,
             "map_version": farm.router.shard_map.version,
         }
         await farm.kill_router()
         await farm.restart_router()
-        report["attempted"] += 1
-        router_ok = False
+        fresh = AsyncCompileClient(*farm.router_address, retry=None)
         try:
-            async with AsyncCompileClient(
-                *farm.router_address, retry=None
-            ) as fresh:
-                reply = await fresh.request({"op": "compile", **combos[0]})
-            router_ok = _reply_bytes(reply) == baseline[0]
-            if router_ok:
-                report["completed"] += 1
-            else:
-                report["corrupted"].append(
-                    {"request": "router-restart",
-                     "digest": reply.get("digest")}
-                )
-        except ServiceError as exc:
-            report["typed_failures"][exc.code] = (
-                report["typed_failures"].get(exc.code, 0) + 1
-            )
-        gates["router_restart"] = router_ok
+            gates["router_restart"] = await score.compile(
+                fresh, 0, "router-restart"
+            ) is not None
+        finally:
+            await fresh.close()
 
         report["replication_stats"] = {
             "pushed": sum(n.replicas_pushed for n in farm.nodes.values()),
@@ -1377,8 +1285,7 @@ async def _run_farm_ha_campaign_async(
     # in test time): leader kill -> standby promotion under epoch
     # fencing, then a graceful drain of a loaded primary.
     await _run_router_ha_phases(
-        report, gates, baseline, all_combos,
-        nodes=nodes, replication=replication, seed=seed,
+        score, gates, nodes=nodes, replication=replication, seed=seed,
     )
 
     gates["no_corruption"] = not report["corrupted"]

@@ -39,8 +39,10 @@ Pieces
     integrity checks (``idem`` echo, ``payload_sha256``) survive the
     extra hop byte-for-byte.  A node that dies mid-request is demoted
     -- removed from the map, version bumped, survivors reshard -- and
-    the request retries on the new owner.  Its ``stats``/``health`` verbs aggregate every node
-    (per-node breakdown plus numeric farm-wide totals).
+    the request retries on the new owner.  One heartbeat per router
+    holds the leadership lease and tracks membership.  Its
+    ``stats``/``health`` verbs aggregate every node (per-node breakdown
+    plus numeric farm-wide totals).
 
 :class:`AsyncFarmClient`
     Carries a shard map so warm requests go straight to an owning node,
@@ -52,23 +54,27 @@ Pieces
     In-process supervisor for tests, chaos campaigns and benchmarks:
     N nodes (each with its *own* cache tier and its own worker pool,
     so a 4-node farm really cold-compiles 4 patterns in parallel) plus
-    one router, with abrupt ``kill_node`` for node-level chaos.
+    one router or an HA pair, with abrupt ``kill_node`` for node-level
+    chaos.
 
 Failure semantics
 -----------------
 Compiles are deterministic functions of their digest, so *losing every
 replica of an artifact is not a correctness event* -- the next request
 recompiles byte-identical content; replication only buys locality and
-latency.  Three self-healing loops keep the farm at full replication
-and membership without waiting for a request to trip over a failure:
+latency.  Three mechanisms keep the farm at full replication and
+membership without waiting for a request to trip over a failure:
 
-* the router's **health-probe loop** demotes a node that fails
-  ``suspect_after`` consecutive probes and *rejoins* a departed node
-  that answers alive-and-ready again (map bump + targeted ``repair``);
-* each node's **anti-entropy sweep** pulls peer digest inventories and
-  adopts -- hash + semantically re-verified, exactly like read repair
-  -- replicas of owned digests it is missing, so a lost
-  fire-and-forget push only leaves R unmet until the next sweep;
+* the router's **heartbeat** -- one round per beat, lease claims to
+  members and health probes to departed nodes -- demotes a member that
+  misses :data:`SUSPECT_AFTER` beats in a row and *rejoins* a departed
+  node that answers alive-and-ready again (map bump + targeted
+  ``repair``);
+* a node's **anti-entropy sweep** (the ``repair`` verb) pulls peer
+  digest inventories and adopts -- hash + semantically re-verified,
+  exactly like read repair -- replicas of owned digests it is missing,
+  so a lost fire-and-forget push only leaves R unmet until the next
+  sweep;
 * every **amend epoch is replicated with resume metadata** to the
   root's co-owners: when a stream's primary dies, the new owner
   rebuilds the live engine from the latest replicated epoch artifact
@@ -85,10 +91,11 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
+import logging
 import random
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from repro.service import wire
 from repro.service.amend import AmendStream, amend_root_digest
@@ -133,6 +140,12 @@ __all__ = [
 #: arc within a few percent of fair share at farm sizes that fit one
 #: router, while a membership change still only re-hashes 64 points.
 DEFAULT_VNODES = 64
+
+#: Consecutive missed heartbeats after which a router declares a member
+#: dead: one dropped beat is tolerated without churning the map.
+SUSPECT_AFTER = 2
+
+log = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -225,24 +238,29 @@ class ShardMap:
         ep = self.nodes[name]
         return str(ep["host"]), int(ep["port"])
 
-    def without(self, name: str) -> "ShardMap":
-        """A successor map (version + 1, same epoch) with ``name`` removed."""
-        nodes = {k: v for k, v in self.nodes.items() if k != name}
+    def successor(
+        self,
+        *,
+        drop: Collection[str] = (),
+        add: dict[str, dict[str, Any]] | None = None,
+    ) -> "ShardMap":
+        """A successor map (version + 1, same epoch): ``drop`` removed,
+        ``add`` (name -> endpoint) admitted."""
+        nodes = {k: dict(v) for k, v in self.nodes.items() if k not in drop}
+        for name, endpoint in (add or {}).items():
+            nodes[str(name)] = {
+                "host": str(endpoint["host"]), "port": int(endpoint["port"]),
+            }
         return ShardMap(
             nodes, replication=self.replication,
             version=self.version + 1, epoch=self.epoch, vnodes=self.vnodes,
         )
 
+    def without(self, name: str) -> "ShardMap":
+        return self.successor(drop=(name,))
+
     def with_node(self, name: str, endpoint: dict[str, Any]) -> "ShardMap":
-        """A successor map (version + 1, same epoch) with ``name`` admitted."""
-        nodes = {k: dict(v) for k, v in self.nodes.items()}
-        nodes[str(name)] = {
-            "host": str(endpoint["host"]), "port": int(endpoint["port"]),
-        }
-        return ShardMap(
-            nodes, replication=self.replication,
-            version=self.version + 1, epoch=self.epoch, vnodes=self.vnodes,
-        )
+        return self.successor(add={name: endpoint})
 
     def with_epoch(self, epoch: int) -> "ShardMap":
         """A successor map under a new leader incarnation.
@@ -356,10 +374,19 @@ def _decode_reply(frame: bytes, who: str) -> dict[str, Any]:
     return reply
 
 
+def _left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic()`` instant)."""
+    return max(0.0, deadline - time.monotonic())
+
+
 async def _call(
-    host: str, port: int, data: bytes, *, timeout: float | None, who: str
+    host: str, port: int, data: bytes, *, timeout: float, who: str
 ) -> dict[str, Any]:
-    """One request frame on a fresh connection; the decoded reply."""
+    """One request frame on a fresh connection; the decoded reply.
+
+    ``timeout`` bounds the whole exchange, connect included.
+    """
+    deadline = time.monotonic() + timeout
     try:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port, limit=MAX_LINE_BYTES), timeout
@@ -369,7 +396,7 @@ async def _call(
     try:
         writer.write(data)
         await writer.drain()
-        frame = await asyncio.wait_for(wire.read_frame(reader), timeout)
+        frame = await asyncio.wait_for(wire.read_frame(reader), _left(deadline))
     except (asyncio.TimeoutError, TimeoutError):
         raise ServiceTimeout(f"{who} gave no reply within {timeout}s") from None
     except (asyncio.LimitOverrunError, OSError) as exc:
@@ -402,12 +429,14 @@ class FarmNodeServer(CompileServer):
     :class:`WrongShard` so a stale client or router can never populate
     the wrong shard.
 
-    Self-healing: with ``anti_entropy_interval`` set the node
-    periodically pulls peer inventories and adopts replicas of the
-    digests *it* owns that it is missing -- closing the window a lost
-    fire-and-forget push leaves open.  Every epoch of an amend stream
-    is replicated to the root's other owners with resume metadata, so
-    a new primary can take the stream over after its old primary died
+    Self-healing: a ``repair`` sweep pulls peer inventories and adopts
+    replicas of the digests *it* owns that it is missing -- closing the
+    window a lost fire-and-forget push leaves open.  The leader router
+    sends ``repair`` to every node that rejoins; the chaos campaigns
+    call it directly.  The node runs no background task besides its
+    replica pushes.  Every epoch of an amend stream is replicated to
+    the root's other owners with resume metadata, so a new primary can
+    take the stream over after its old primary died
     (:meth:`_maybe_takeover`).
 
     Chaos hooks (injected by the harness, inert by default):
@@ -419,7 +448,6 @@ class FarmNodeServer(CompileServer):
     def __init__(
         self, *args: Any, name: str, shard_map: ShardMap,
         peer_timeout: float = 10.0,
-        anti_entropy_interval: float | None = None,
         push_retry_delay: float = 0.05,
         peer_filter: Callable[[str, str], bool] | None = None,
         drop_replica_push_rate: float = 0.0,
@@ -430,15 +458,11 @@ class FarmNodeServer(CompileServer):
         self.name = str(name)
         self.shard_map = shard_map
         self.peer_timeout = float(peer_timeout)
-        self.anti_entropy_interval = (
-            float(anti_entropy_interval) if anti_entropy_interval else None
-        )
         self.push_retry_delay = float(push_retry_delay)
         self.peer_filter = peer_filter
         self.drop_replica_push_rate = float(drop_replica_push_rate)
         self._rng = random.Random(chaos_seed)
         self._repl_tasks: set[asyncio.Task] = set()
-        self._ae_task: asyncio.Task | None = None
         self._sweep_lock = asyncio.Lock()
         #: router lease this node granted: {"router", "epoch", "expires"}.
         self._lease: dict[str, Any] | None = None
@@ -486,30 +510,19 @@ class FarmNodeServer(CompileServer):
         self._key_memo: dict[int, Any] = {}
 
     # -- lifecycle ------------------------------------------------------
-    async def start(self) -> "FarmNodeServer":
-        await super().start()
-        if self.anti_entropy_interval:
-            self._ae_task = asyncio.ensure_future(self._anti_entropy_loop())
-        return self
-
-    async def _cancel_background(self, *, drain: bool) -> None:
-        if self._ae_task is not None:
-            self._ae_task.cancel()
-            await asyncio.gather(self._ae_task, return_exceptions=True)
-            self._ae_task = None
-        if not drain:
-            for task in list(self._repl_tasks):
-                task.cancel()
+    async def settle(self) -> None:
+        """Wait for every in-flight replica push to land (or fail)."""
         if self._repl_tasks:
             await asyncio.gather(*self._repl_tasks, return_exceptions=True)
-            self._repl_tasks.clear()
 
     async def kill(self) -> None:
-        await self._cancel_background(drain=False)
+        for task in list(self._repl_tasks):
+            task.cancel()
+        await self.settle()
         await super().kill()
 
     async def shutdown(self) -> None:
-        await self._cancel_background(drain=True)
+        await self.settle()
         await super().shutdown()
 
     # -- verbs ----------------------------------------------------------
@@ -1011,7 +1024,7 @@ class FarmNodeServer(CompileServer):
     async def _push_replica(self, peer: str, data: bytes) -> None:
         """One replica push: a single bounded retry (with jitter) before
         giving up, so one transient peer hiccup does not leave R unmet
-        until the next anti-entropy sweep."""
+        until the next ``repair`` sweep."""
         if (
             self.drop_replica_push_rate
             and self._rng.random() < self.drop_replica_push_rate
@@ -1076,18 +1089,6 @@ class FarmNodeServer(CompileServer):
         return None
 
     # -- anti-entropy ---------------------------------------------------
-    async def _anti_entropy_loop(self) -> None:
-        assert self.anti_entropy_interval is not None
-        try:
-            while True:
-                await asyncio.sleep(self.anti_entropy_interval)
-                try:
-                    await self._anti_entropy_sweep()
-                except Exception:  # noqa: BLE001 - the loop must survive
-                    pass
-        except asyncio.CancelledError:
-            pass
-
     async def _anti_entropy_sweep(self) -> dict[str, Any]:
         """One pull round: adopt owned-but-missing replicas from peers.
 
@@ -1256,35 +1257,32 @@ class ShardRouter:
     re-serialization in between.
 
     A forward that dies on transport (or times out) demotes the node:
-    it is removed from the map, the version is bumped, survivors get a
-    ``reshard`` push, and the request retries against the digest's new
-    owner.  A ``wrong_shard`` reply from a node with an *older* map
-    gets the router's map pushed and one retry -- the router is the
-    authority, nodes converge to it.
+    it is removed from the map, the version is bumped, the new map is
+    pushed to every member at once, and the request retries against
+    the digest's new owner.  A ``wrong_shard`` reply from a node with
+    an *older* map gets the router's map pushed and one retry -- the
+    router is the authority, nodes converge to it.
 
-    With ``probe_interval`` set the router also probes **actively**: a
-    background loop sends ``health`` to every member; ``suspect_after``
-    consecutive probe failures demote the node (dead nodes are detected
-    even when no request happens to hit them).  Demoted and departed
-    nodes keep being probed at their last known endpoint, and a node
-    that answers alive-and-ready again is **rejoined**: re-admitted
-    under a bumped map that is pushed farm-wide, then told to ``repair``
-    -- one targeted anti-entropy sweep that pulls every artifact the
-    new map assigns to it.
-
-    **Leadership.**  Routers come in active/standby pairs with no
-    external coordinator: the *nodes* arbitrate.  Each router runs
-    :meth:`lease_round`, asking every node to grant (or renew) a
-    leadership lease under its incarnation ``epoch``; grants from a
-    majority of reachable members make (or keep) it the leader.  Only
-    the leader mutates membership -- demote, rejoin, drain, map pushes
-    -- while a standby probes passively and syncs its map off the
-    lease replies.  When the leader's lease lapses (crash, partition),
-    the standby's next claim -- under ``observed epoch + 1`` -- wins,
-    it bumps the map epoch (:meth:`ShardMap.with_epoch`) and re-pushes
-    the authoritative map farm-wide.  The deposed leader's later
-    pushes are fenced: every node (and the standby, via its own
-    ``reshard`` verb) answers a typed ``stale_epoch``.
+    **The heartbeat.**  Every router -- a solo router is an HA pair of
+    one -- runs :meth:`heartbeat` once per beat (``lease_ttl / 4``).
+    One round asks every map member for a leadership lease under the
+    router's incarnation ``epoch`` and, on the leader, probes every
+    departed node, all at once and each call bounded by one beat.  Any
+    reply proves its sender alive; a member that misses
+    :data:`SUSPECT_AFTER` beats in a row is dead.  Grants from a
+    majority of members make (or keep) the router leader, so the
+    *nodes* arbitrate leadership with no external coordinator.  Only
+    the leader mutates membership -- demote, rejoin, drain, map pushes:
+    dead members leave and departed nodes that answer alive and ready
+    rejoin in one map change, and each rejoiner is told to ``repair``
+    (one targeted anti-entropy sweep pulling every artifact the new map
+    assigns it).  A standby syncs its map off the lease replies.  When
+    the leader's lease lapses (crash, partition), the standby's next
+    claim -- under ``observed epoch + 1`` -- wins, it bumps the map
+    epoch (:meth:`ShardMap.with_epoch`) and re-pushes the authoritative
+    map farm-wide.  The deposed leader's later pushes are fenced: every
+    node (and the standby, via its own ``reshard`` verb) answers a
+    typed ``stale_epoch``.
     """
 
     def __init__(
@@ -1299,12 +1297,7 @@ class ShardRouter:
         node_timeout: float = 120.0,
         max_attempts: int = 6,
         pool_idle: int = 8,
-        probe_interval: float | None = None,
-        probe_timeout: float = 1.0,
-        suspect_after: int = 2,
-        rejoin: bool = True,
         peers: list[tuple[str, int]] | None = None,
-        lease_interval: float | None = None,
         lease_ttl: float = 2.0,
     ) -> None:
         if role not in ("leader", "standby"):
@@ -1317,22 +1310,14 @@ class ShardRouter:
         self.node_timeout = float(node_timeout)
         self.max_attempts = int(max_attempts)
         self.pool_idle = int(pool_idle)
-        self.probe_interval = float(probe_interval) if probe_interval else None
-        self.probe_timeout = float(probe_timeout)
-        self.suspect_after = max(1, int(suspect_after))
-        self.rejoin = bool(rejoin)
         #: peer router endpoints (the other half of the HA pair) --
         #: best-effort reshard pushes keep their maps converged.
         self.peers: list[tuple[str, int]] = [
             (str(h), int(p)) for h, p in (peers or [])
         ]
-        self.lease_interval = (
-            float(lease_interval) if lease_interval else None
-        )
         self.lease_ttl = float(lease_ttl)
-        #: this router's leadership incarnation.  A solo router (no
-        #: lease machinery configured) is born leader at the map epoch;
-        #: a standby has no incarnation until it promotes.
+        #: this router's leadership incarnation: a leader is born at the
+        #: map epoch, a standby has none until it promotes.
         self.epoch = shard_map.epoch if role == "leader" else 0
         #: highest incarnation epoch observed anywhere (lease replies,
         #: adopted maps) -- a promotion claims one above this.
@@ -1347,12 +1332,11 @@ class ShardRouter:
         #: see a reset, never a half-alive zombie that keeps routing.
         self._conns: set[asyncio.StreamWriter] = set()
         self._demote_lock = asyncio.Lock()
-        self._probe_task: asyncio.Task | None = None
-        self._lease_task: asyncio.Task | None = None
-        #: set by stop(); both loops exit at their next check even if
-        #: the cancel that stop() sends them is lost.
+        self._heartbeat_task: asyncio.Task | None = None
+        #: set by stop(); the heartbeat loop exits at its next check
+        #: even if the cancel that stop() sends it is lost.
         self._stopping = False
-        #: name -> consecutive probe-failure count (the suspect state).
+        #: name -> consecutive missed beats (the suspect state).
         self._suspect: dict[str, int] = {}
         #: name -> last known endpoint of nodes no longer in the map --
         #: fed by every demotion and skew adoption, drained by rejoin.
@@ -1364,14 +1348,13 @@ class ShardRouter:
         self.forwarded = 0
         self.rerouted = 0
         self.failovers = 0
-        self.probe_rounds = 0
-        self.probes_sent = 0
-        self.probe_failures = 0
-        self.probe_demotions = 0
+        self.heartbeats = 0
+        self.beats_sent = 0
+        self.beats_missed = 0
+        self.beat_demotions = 0
         self.rejoins = 0
         self.promotions = 0
         self.stepdowns = 0
-        self.lease_rounds = 0
         self.drains = 0
         self.stale_epoch_rejections = 0
         self.drain_repush_retries = 0
@@ -1379,6 +1362,11 @@ class ShardRouter:
     @property
     def is_leader(self) -> bool:
         return self.role == "leader"
+
+    @property
+    def beat(self) -> float:
+        """Heartbeat period, and the bound on every heartbeat call."""
+        return self.lease_ttl / 4
 
     @property
     def lease_age_seconds(self) -> float | None:
@@ -1396,18 +1384,13 @@ class ShardRouter:
             self._handle_client, host=self.host, port=self.port,
             limit=MAX_LINE_BYTES,
         )
-        if self.probe_interval:
-            self._probe_task = asyncio.ensure_future(self._probe_loop())
-        if self.lease_interval:
-            self._lease_task = asyncio.ensure_future(self._lease_loop())
+        self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
         return self
 
     async def stop(self) -> None:
         self._stopping = True
-        for attr in ("_probe_task", "_lease_task"):
-            task = getattr(self, attr)
-            if task is None:
-                continue
+        task, self._heartbeat_task = self._heartbeat_task, None
+        if task is not None:
             # A cancel racing a completed read inside asyncio.wait_for
             # can be swallowed (CPython gh-86296), so cancel again until
             # the loop has ended; the stop flag ends it at its next turn.
@@ -1415,7 +1398,6 @@ class ShardRouter:
                 task.cancel()
                 await asyncio.wait({task}, timeout=0.1)
             await asyncio.gather(task, return_exceptions=True)
-            setattr(self, attr, None)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1551,16 +1533,8 @@ class ShardRouter:
                 # Map skew: the node is behind (or we are).  Adopt the
                 # newer map, push ours if the node's is older, retry.
                 self.rerouted += 1
-                node_map = reply.get("shard_map")
-                if isinstance(node_map, dict):
-                    try:
-                        new = ShardMap.from_dict(node_map)
-                    except ProtocolError:
-                        new = None
-                    if new is not None and new.dominates(self.shard_map):
-                        self._adopt_map(new)
-                        continue
-                await self._push_map(target)
+                if not self._adopt_if_newer(reply.get("shard_map")):
+                    await self._push_map(target)
                 continue
             return reply_frame
         raise last_error
@@ -1573,7 +1547,7 @@ class ShardRouter:
         adoption in :meth:`_forward` -- so a node leaving the map can
         never leave idle pooled connections open until process exit.
         Removed nodes keep their last known endpoint in ``_departed``
-        so the probe loop can offer them rejoin.
+        so the heartbeat can offer them rejoin.
         """
         removed = set(self.shard_map.nodes) - set(new.nodes)
         for name in removed:
@@ -1587,183 +1561,194 @@ class ShardRouter:
             # The map we just adopted was published under a higher
             # leader incarnation: we were deposed and only now found
             # out.  Stop mutating membership immediately.
-            self._step_down()
+            self._step_down(f"saw map epoch {new.epoch}")
 
-    async def _demote(self, name: str) -> None:
-        """A node died on us: remove it, bump the map, reshard the rest."""
-        if not self.is_leader:
-            return  # standbys never mutate membership
-        async with self._demote_lock:
-            if name not in self.shard_map.nodes:
-                return  # a concurrent request already demoted it
-            self._adopt_map(self.shard_map.without(name))
-            self.failovers += 1
-            for peer in list(self.shard_map.nodes):
-                await self._push_map(peer)
+    def _adopt_if_newer(self, doc: Any) -> bool:
+        """Adopt a node's map document if it dominates ours."""
+        if not isinstance(doc, dict):
+            return False
+        try:
+            new = ShardMap.from_dict(doc)
+        except ProtocolError:
+            return False
+        if not new.dominates(self.shard_map):
+            return False
+        self._adopt_map(new)
+        return True
 
-    async def _rejoin(self, name: str, endpoint: dict[str, Any]) -> None:
-        """Re-admit a probed-alive departed node.
-
-        Map bump first (pushed farm-wide, including to the rejoined
-        node, whose own stale map loses the version race), then one
-        targeted ``repair``: the node pulls every artifact the new map
-        assigns to it, restoring replication factor for its key ranges
-        without waiting for a periodic sweep.
-        """
-        if not self.is_leader:
-            return
-        async with self._demote_lock:
-            if name in self.shard_map.nodes:
-                return
-            self._adopt_map(self.shard_map.with_node(name, endpoint))
+    def _change_members(
+        self,
+        *,
+        drop: Collection[str] = (),
+        add: dict[str, dict[str, Any]] | None = None,
+        cause: str,
+    ) -> None:
+        """One map change: ``drop`` leaves, ``add`` rejoins."""
+        add = add or {}
+        self._adopt_map(self.shard_map.successor(drop=drop, add=add))
+        for name in add:
             self._departed.pop(name, None)
             self._suspect.pop(name, None)
-            self.rejoins += 1
-        for peer in list(self.shard_map.nodes):
-            await self._push_map(peer)
-        try:
-            await self._node_call(name, {"op": "repair"})
-        except ServiceError:
-            pass  # the node's own anti-entropy loop will catch it up
+        if drop:
+            self.failovers += len(drop)
+            self._log("demote", drop, cause)
+        if add:
+            self.rejoins += len(add)
+            self._log("rejoin", add, cause)
 
-    # -- active health probing ------------------------------------------
-    async def _probe_loop(self) -> None:
-        assert self.probe_interval is not None
+    def _log(self, event: str, nodes: Collection[str], cause: str) -> None:
+        """One INFO record per membership or leadership event."""
+        names = sorted(nodes)
+        log.info(
+            "router %s: %s %s (%s), map token %s", self.name, event,
+            ",".join(names) or "-", cause, self.shard_map.token,
+            extra={"event": event, "router": self.name, "nodes": names,
+                   "cause": cause, "token": self.shard_map.token},
+        )
+
+    async def _demote(self, name: str) -> None:
+        """A forward died on ``name``: remove it and push the new map."""
+        async with self._demote_lock:
+            # Standbys never mutate membership, and a concurrent
+            # request may already have demoted the node.
+            if not self.is_leader or name not in self.shard_map.nodes:
+                return
+            self._change_members(drop=[name], cause="forward")
+            await self._broadcast_map()
+
+    # -- the heartbeat --------------------------------------------------
+    async def _heartbeat_loop(self) -> None:
         try:
             while not self._stopping:
-                await asyncio.sleep(self.probe_interval)
+                await asyncio.sleep(self.beat)
                 try:
-                    await self.probe_round()
+                    await self.heartbeat()
                 except Exception:  # noqa: BLE001 - the loop must survive
-                    pass
+                    log.exception("router %s: heartbeat failed", self.name)
         except asyncio.CancelledError:
             pass
 
-    async def probe_round(self) -> dict[str, Any]:
-        """One membership pass: probe members, then offer rejoins.
+    async def heartbeat(self) -> dict[str, Any]:
+        """One beat: renew or claim the lease, track liveness, heal.
 
-        A member failing ``suspect_after`` consecutive probes is
-        demoted -- the suspect state tolerates one dropped probe
-        without churning the map.  Departed nodes are probed at their
-        last known endpoint; alive **and ready** gets them rejoined
-        (a draining node answers health ok but not ready, and must not
-        be re-admitted).
+        1. One gather sends a ``lease`` claim to every member -- the
+           leader claims under its own epoch, a standby one above the
+           highest epoch it has observed, so its claim beats every
+           node's epoch floor the moment the old lease lapses -- and,
+           on the leader, a ``health`` probe to every departed node.
+        2. Any decoded reply (grant, refusal or typed error) proves the
+           member alive; a transport failure or a timeout is a missed
+           beat, and :data:`SUSPECT_AFTER` misses in a row mean dead.
+        3. A majority of grants keeps (or wins) leadership: a leader
+           that loses it steps down, a standby that wins it promotes.
+           Lease replies carry each node's map, so a standby converges
+           on membership with no leader-to-standby channel.
+        4. On a router that led the whole round, dead members leave and
+           departed nodes that answer alive **and ready** rejoin (a
+           draining node is alive but not ready) in one map change,
+           pushed once; each rejoiner is told to ``repair`` within the
+           same beat.
+
+        Every call is bounded by one beat and runs concurrently, and
+        the round never waits on a drain holding ``_demote_lock``: that
+        change, like one due in the round that promoted, is left to the
+        next round.  So a round takes at most two beats whatever hangs,
+        and a healthy member's lease is renewed at most three beats --
+        3/4 of ``lease_ttl`` -- apart.
         """
-        self.probe_rounds += 1
-        for name in list(self.shard_map.nodes):
-            try:
-                host, port = self.shard_map.endpoint(name)
-            except KeyError:
-                continue  # demoted by a concurrent request mid-round
-            self.probes_sent += 1
-            alive, _ready = await self._probe_endpoint(host, port)
-            if alive:
-                self._suspect.pop(name, None)
-                continue
-            self.probe_failures += 1
-            count = self._suspect.get(name, 0) + 1
-            self._suspect[name] = count
-            if count >= self.suspect_after and self.is_leader:
-                self.probe_demotions += 1
-                await self._demote(name)
-        if self.rejoin and self.is_leader:
-            for name, endpoint in list(self._departed.items()):
-                if name in self.shard_map.nodes or name in self._drained:
-                    self._departed.pop(name, None)
-                    continue
-                self.probes_sent += 1
-                alive, ready = await self._probe_endpoint(
-                    str(endpoint["host"]), int(endpoint["port"])
-                )
-                if alive and ready:
-                    await self._rejoin(name, endpoint)
-        return {
-            "suspect": dict(self._suspect),
-            "departed": sorted(self._departed),
-        }
-
-    async def _probe_endpoint(self, host: str, port: int) -> tuple[bool, bool]:
-        """One ``health`` probe -> ``(alive, ready)``.  Never raises."""
-        try:
-            reply = await _call(
-                host, port, wire.encode({"op": "health"}),
-                timeout=self.probe_timeout, who=f"node at {host}:{port}",
-            )
-        except ServiceError:
-            return False, False
-        return True, bool(reply.get("ready"))
-
-    # -- leadership (node-arbitrated leases) ----------------------------
-    async def _lease_loop(self) -> None:
-        assert self.lease_interval is not None
-        try:
-            while not self._stopping:
-                await asyncio.sleep(self.lease_interval)
-                try:
-                    await self.lease_round()
-                except Exception:  # noqa: BLE001 - the loop must survive
-                    pass
-        except asyncio.CancelledError:
-            pass
-
-    async def lease_round(self) -> dict[str, Any]:
-        """One leadership pass: renew (leader) or claim (standby).
-
-        Asks every map member for a lease under this router's epoch --
-        a standby claims one above the highest epoch it has observed,
-        so its claim beats every node's epoch floor the moment the old
-        lease lapses.  Grants from a majority of members keep (or win)
-        leadership; a leader that loses the majority steps down, a
-        standby that wins it promotes -- bumping the map epoch and
-        re-pushing the authoritative map farm-wide.  Lease replies
-        carry each node's map, so a standby converges on membership
-        without any leader-to-standby channel.
-        """
-        self.lease_rounds += 1
-        claim = self.epoch if self.is_leader else self._observed_epoch + 1
-        claim_msg = {
+        self.heartbeats += 1
+        leading = self.is_leader
+        for name in list(self._departed):
+            if name in self.shard_map.nodes or name in self._drained:
+                self._departed.pop(name, None)
+        claim = self.epoch if leading else self._observed_epoch + 1
+        lease = wire.encode({
             "op": "lease", "router": self.name,
             "epoch": claim, "ttl": self.lease_ttl,
-        }
-        grants = 0
+        })
         members = list(self.shard_map.nodes)
-        for node in members:
-            try:
-                reply = await self._node_call(node, claim_msg)
-            except ServiceError:
+        departed = dict(self._departed) if leading else {}
+        replies = await asyncio.gather(
+            *(self._claim(name, lease) for name in members),
+            *(self._probe(endpoint) for endpoint in departed.values()),
+        )
+        self.beats_sent += len(replies)
+        grants = 0
+        for name, reply in zip(members, replies):
+            if reply is None:
+                self.beats_missed += 1
+                if name in self.shard_map.nodes:
+                    self._suspect[name] = self._suspect.get(name, 0) + 1
                 continue
+            self._suspect.pop(name, None)
+            if not reply.get("ok"):
+                continue  # a typed error: alive, but no grant
             self._observed_epoch = max(
                 self._observed_epoch, int(reply.get("holder_epoch") or 0)
             )
-            node_map = reply.get("shard_map")
-            if isinstance(node_map, dict):
-                try:
-                    new = ShardMap.from_dict(node_map)
-                except ProtocolError:
-                    new = None
-                if new is not None and new.dominates(self.shard_map):
-                    self._adopt_map(new)
-            if reply.get("granted"):
-                grants += 1
-        majority = len(members) // 2 + 1 if members else 1
+            self._adopt_if_newer(reply.get("shard_map"))
+            grants += bool(reply.get("granted"))
+        majority = len(members) // 2 + 1
         held = grants >= majority
         if self.is_leader and not held:
-            self._step_down()
+            self._step_down(f"lost the lease: {grants}/{len(members)} grants")
         elif held and not self.is_leader:
             await self._promote(claim)
         elif held and self._lease_acquired is None:
             self._lease_acquired = time.monotonic()
+        if leading and self.is_leader and not self._demote_lock.locked():
+            dead = [
+                name for name, misses in self._suspect.items()
+                if misses >= SUSPECT_AFTER and name in self.shard_map.nodes
+            ]
+            back = {
+                name: endpoint
+                for (name, endpoint), ready in zip(
+                    departed.items(), replies[len(members):]
+                )
+                if ready and name in self._departed
+                and name not in self.shard_map.nodes
+            }
+            if dead or back:
+                async with self._demote_lock:
+                    self.beat_demotions += len(dead)
+                    self._change_members(drop=dead, add=back, cause="heartbeat")
+                    await self._broadcast_map(repair=back)
         return {
             "role": self.role, "epoch": self.epoch, "claimed": claim,
             "grants": grants, "members": len(members), "held": held,
+            "suspect": dict(self._suspect),
+            "departed": sorted(self._departed),
         }
 
-    def _step_down(self) -> None:
+    async def _claim(self, name: str, frame: bytes) -> dict[str, Any] | None:
+        """One lease claim: the reply header, ``None`` for a missed beat."""
+        try:
+            _, reply = await self._node_request_raw(name, frame, self.beat)
+        except (TransportError, ServiceTimeout):
+            return None
+        return reply
+
+    async def _probe(self, endpoint: dict[str, Any]) -> bool:
+        """One ``health`` probe of a departed node: alive and ready?"""
+        host, port = str(endpoint["host"]), int(endpoint["port"])
+        try:
+            reply = await _call(
+                host, port, wire.encode({"op": "health"}),
+                timeout=self.beat, who=f"node at {host}:{port}",
+            )
+        except ServiceError:
+            return False
+        return bool(reply.get("ready"))
+
+    # -- leadership -----------------------------------------------------
+    def _step_down(self, cause: str) -> None:
         if self.role != "leader":
             return
         self.role = "standby"
         self.stepdowns += 1
         self._lease_acquired = None
+        self._log("stepdown", (), cause)
 
     async def _promote(self, epoch: int) -> None:
         """Won a majority as standby: take over under a fresh epoch.
@@ -1783,27 +1768,53 @@ class ShardRouter:
         self.role = "leader"
         self.promotions += 1
         self._lease_acquired = time.monotonic()
+        self._log("promote", (), f"heartbeat, epoch {self.epoch}")
 
-    async def _broadcast_map(self) -> None:
-        """Best-effort reshard push to every node and peer router."""
-        for peer in list(self.shard_map.nodes):
-            await self._push_map(peer)
-        for host, port in self.peers:
-            try:
-                await self.push_map_peer(host, port)
-            except (ServiceError, OSError):
-                pass
+    async def _broadcast_map(self, repair: Collection[str] = ()) -> None:
+        """Push the map to every member and peer router at once.
+
+        Best effort, and every push is bounded by one beat, so a hung
+        target costs one beat, never the sum of all pushes.  Each node
+        in ``repair`` is then sent ``repair`` inside the same beat; it
+        finishes the sweep whether or not the reply arrives in time.
+        """
+        await asyncio.gather(
+            *(self._push_map(name, repair=name in repair)
+              for name in list(self.shard_map.nodes)),
+            *(self._push_peer(host, port) for host, port in self.peers),
+        )
+
+    async def _push_map(self, name: str, *, repair: bool = False) -> None:
+        """Best-effort ``reshard`` push (then ``repair``) within one beat."""
+        deadline = time.monotonic() + self.beat
+        try:
+            await self._node_call(name, self._reshard_msg(), self.beat)
+            if repair:
+                await self._node_call(name, {"op": "repair"}, _left(deadline))
+        except ServiceError:
+            pass
+
+    def _reshard_msg(self) -> dict[str, Any]:
+        return {"op": "reshard", "shard_map": self.shard_map.as_dict()}
+
+    async def _push_peer(self, host: str, port: int) -> None:
+        try:
+            await _call(
+                host, port, wire.encode(self._reshard_msg()),
+                timeout=self.beat, who=f"peer router {host}:{port}",
+            )
+        except (ServiceError, OSError):
+            pass
 
     async def push_map_peer(self, host: str, port: int) -> dict[str, Any]:
         """Push this router's map to a peer router.
 
-        Unlike the fire-and-forget node pushes this *raises* the typed
-        reply error -- a deposed leader pushing to the promoted peer
-        gets the :class:`StaleEpoch` it needs to learn its fate.
+        Unlike the best-effort broadcast this *raises* the typed reply
+        error -- a deposed leader pushing to the promoted peer gets the
+        :class:`StaleEpoch` it needs to learn its fate.
         """
         return await _call(
-            host, port,
-            wire.encode({"op": "reshard", "shard_map": self.shard_map.as_dict()}),
+            host, port, wire.encode(self._reshard_msg()),
             timeout=self.node_timeout, who=f"peer router {host}:{port}",
         )
 
@@ -1855,6 +1866,7 @@ class ShardRouter:
             self._departed.pop(name, None)
             self.drains += 1
             self.drain_repush_retries += int(reply.get("repush_retries") or 0)
+            self._log("drain", [name], "drain verb")
         await self._broadcast_map()
         return {
             "node": name,
@@ -1865,40 +1877,38 @@ class ShardRouter:
             "version": self.shard_map.version,
         }
 
-    async def _push_map(self, name: str) -> None:
-        """Best-effort ``reshard`` push; a dead target demotes on use."""
-        try:
-            await self._node_call(
-                name, {"op": "reshard", "shard_map": self.shard_map.as_dict()}
-            )
-        except ServiceError:
-            pass
-
     # -- node connections (pooled, one in-flight request each) ---------
     async def _node_request_raw(
-        self, name: str, frame: bytes
+        self, name: str, frame: bytes, timeout: float | None = None
     ) -> tuple[bytes, dict[str, Any] | None]:
         """One raw request frame to a node -> its raw reply frame and
         parsed header (``None`` when the frame does not decode; that
         connection is then dropped, never pooled, so no leftover line
-        can pass for the next reply)."""
-        conn = await self._acquire(name)
+        can pass for the next reply).  ``timeout`` bounds the whole
+        exchange, connect included (default ``node_timeout``)."""
+        if timeout is None:
+            timeout = self.node_timeout
+        deadline = time.monotonic() + timeout
+        conn = await self._acquire(name, timeout)
         reader, writer = conn
         try:
             writer.write(frame)
             await writer.drain()
             # Header and payload in one await: one task per frame.
             reply = await asyncio.wait_for(
-                wire.read_frame(reader), timeout=self.node_timeout
+                wire.read_frame(reader), _left(deadline)
             )
         except (asyncio.TimeoutError, TimeoutError):
             writer.close()
             raise ServiceTimeout(
-                f"node {name!r} gave no reply within {self.node_timeout}s"
+                f"node {name!r} gave no reply within {timeout}s"
             ) from None
         except (asyncio.LimitOverrunError, OSError) as exc:
             writer.close()
             raise TransportError(f"node {name!r} died mid-request: {exc}") from exc
+        except asyncio.CancelledError:
+            writer.close()
+            raise
         if not reply.endswith(b"\n"):
             writer.close()
             raise TransportError(f"node {name!r} cut mid-reply")
@@ -1910,9 +1920,11 @@ class ShardRouter:
         self._release(name, conn)
         return reply, header
 
-    async def _node_call(self, name: str, msg: dict[str, Any]) -> dict[str, Any]:
+    async def _node_call(
+        self, name: str, msg: dict[str, Any], timeout: float | None = None
+    ) -> dict[str, Any]:
         """One router-originated request to a node -> its reply header."""
-        _, reply = await self._node_request_raw(name, wire.encode(msg))
+        _, reply = await self._node_request_raw(name, wire.encode(msg), timeout)
         if reply is None:
             raise TransportError(f"node {name!r} sent a bad reply frame")
         if not reply.get("ok"):
@@ -1920,7 +1932,7 @@ class ShardRouter:
         return reply
 
     async def _acquire(
-        self, name: str
+        self, name: str, timeout: float | None = None
     ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         pool = self._pools.setdefault(name, [])
         while pool:
@@ -1933,11 +1945,12 @@ class ShardRouter:
         except KeyError:
             raise TransportError(f"node {name!r} is not in the shard map") from None
         try:
-            return await asyncio.open_connection(
-                host, port, limit=MAX_LINE_BYTES
+            return await asyncio.wait_for(
+                asyncio.open_connection(host, port, limit=MAX_LINE_BYTES),
+                timeout,
             )
-        except OSError as exc:
-            raise TransportError(f"node {name!r} unreachable: {exc}") from exc
+        except (OSError, asyncio.TimeoutError, TimeoutError) as exc:
+            raise TransportError(f"node {name!r} unreachable: {exc!r}") from exc
 
     def _release(
         self,
@@ -1988,12 +2001,11 @@ class ShardRouter:
                 "map_version": self.shard_map.version,
                 "map_epoch": self.shard_map.epoch,
                 "live_nodes": len(self.shard_map.nodes),
-                "probe_rounds": self.probe_rounds,
-                "probes_sent": self.probes_sent,
-                "probe_failures": self.probe_failures,
-                "probe_demotions": self.probe_demotions,
+                "heartbeats": self.heartbeats,
+                "beats_sent": self.beats_sent,
+                "beats_missed": self.beats_missed,
+                "beat_demotions": self.beat_demotions,
                 "rejoins": self.rejoins,
-                "lease_rounds": self.lease_rounds,
                 "lease_age_seconds": self.lease_age_seconds,
                 "promotions": self.promotions,
                 "stepdowns": self.stepdowns,
@@ -2260,13 +2272,16 @@ class AsyncFarmClient:
 # ----------------------------------------------------------------------
 
 class Farm:
-    """N farm nodes + one router in this process, for tests and benches.
+    """N farm nodes + their routers in this process, for tests and benches.
 
     ``workers`` is *per node*: the default of 1 worker process per node
     means an N-node farm runs N cold compiles truly in parallel (each
     node owns a single-process pool), which is the scaling the farm
     benchmark measures.  ``workers=0`` keeps each node single-process
     (worker thread), the fully deterministic mode chaos tests use.
+    ``routers`` routers share the map; ``router0`` starts as leader,
+    the rest as standbys.  Every router heartbeats once per
+    ``lease_ttl / 4``.
     """
 
     def __init__(
@@ -2281,12 +2296,7 @@ class Farm:
         amend_streams: int | None = None,
         host: str = "127.0.0.1",
         node_timeout: float = 120.0,
-        anti_entropy_interval: float | None = None,
-        probe_interval: float | None = None,
-        probe_timeout: float = 1.0,
-        suspect_after: int = 2,
         routers: int = 1,
-        lease_interval: float | None = None,
         lease_ttl: float = 2.0,
         chaos_seed: int | None = None,
     ) -> None:
@@ -2303,12 +2313,7 @@ class Farm:
         self.amend_streams = amend_streams
         self.host = host
         self.node_timeout = float(node_timeout)
-        self.anti_entropy_interval = anti_entropy_interval
-        self.probe_interval = probe_interval
-        self.probe_timeout = float(probe_timeout)
-        self.suspect_after = int(suspect_after)
         self.num_routers = int(routers)
-        self.lease_interval = lease_interval
         self.lease_ttl = float(lease_ttl)
         self.chaos_seed = chaos_seed
         self.nodes: dict[str, FarmNodeServer] = {}
@@ -2364,12 +2369,34 @@ class Farm:
             scheduler=self.scheduler,
             policy=self.policy,
             amend_streams=self.amend_streams,
-            anti_entropy_interval=self.anti_entropy_interval,
             peer_filter=self._peer_allowed,
             chaos_seed=(
                 None if self.chaos_seed is None else self.chaos_seed + index
             ),
         )
+
+    async def _make_router(
+        self, name: str, shard_map: ShardMap, *, role: str, port: int = 0
+    ) -> ShardRouter:
+        """Start one router and point every router at its peers."""
+        router = ShardRouter(
+            shard_map,
+            name=name,
+            role=role,
+            host=self.host,
+            port=port,
+            default_scheduler=self.scheduler,
+            node_timeout=self.node_timeout,
+            lease_ttl=self.lease_ttl,
+        )
+        await router.start()
+        self.routers[name] = router
+        for peer in self.routers.values():
+            peer.peers = [
+                tuple(other.address) for other in self.routers.values()
+                if other is not peer
+            ]
+        return router
 
     async def start(self) -> "Farm":
         # Two-phase: bind every node on an ephemeral port first, then
@@ -2390,39 +2417,16 @@ class Farm:
         shard_map = ShardMap(endpoints, replication=self.replication)
         for node in self.nodes.values():
             node.shard_map = shard_map
-        lease_interval = self.lease_interval
-        if self.num_routers > 1 and lease_interval is None:
-            lease_interval = self.lease_ttl / 3
         for i in range(self.num_routers):
-            router = ShardRouter(
-                shard_map,
-                name=f"router{i}",
-                role="leader" if i == 0 else "standby",
-                host=self.host,
-                default_scheduler=self.scheduler,
-                node_timeout=self.node_timeout,
-                probe_interval=self.probe_interval,
-                probe_timeout=self.probe_timeout,
-                suspect_after=self.suspect_after,
-                lease_interval=(
-                    lease_interval if self.num_routers > 1 else None
-                ),
-                lease_ttl=self.lease_ttl,
+            await self._make_router(
+                f"router{i}", shard_map, role="leader" if i == 0 else "standby"
             )
-            await router.start()
-            self.routers[router.name] = router
-        for router in self.routers.values():
-            router.peers = [
-                tuple(peer.address) for peer in self.routers.values()
-                if peer is not router
-            ]
         self.router = self.routers["router0"]
         self._router_endpoint = tuple(self.router.address)
-        if self.num_routers > 1:
-            # Establish the initial lease so the leader's authority is
-            # held, not just assumed -- a standby can only promote once
-            # this lease actually lapses.
-            await self.router.lease_round()
+        # Establish the initial lease so the leader's authority is held,
+        # not just assumed -- a standby can only promote once this lease
+        # actually lapses.
+        await self.router.heartbeat()
         return self
 
     @property
@@ -2451,6 +2455,11 @@ class Farm:
             **kwargs,
         )
 
+    async def settle(self) -> None:
+        """Wait for every node's in-flight replica pushes to land."""
+        for node in list(self.nodes.values()):
+            await node.settle()
+
     async def kill_node(self, name: str) -> FarmNodeServer:
         """Abruptly crash one node (chaos): no drain, no goodbye."""
         node = self.nodes.pop(name)
@@ -2465,7 +2474,7 @@ class Farm:
         reopened (crash recovery runs), a memory-only cache comes back
         *empty*, and the node carries the stale map it died with.
         Nothing tells the router -- re-admission happens through the
-        probe loop's rejoin path, which is exactly what this method
+        heartbeat's rejoin path, which is exactly what this method
         exists to exercise.
         """
         old = self.dead.pop(name)
@@ -2499,7 +2508,7 @@ class Farm:
         With an HA pair this kills the router ``self.router`` points at
         (the original leader unless re-pointed) and re-aims the handle
         at a survivor -- whose promotion still has to be *earned*
-        through :meth:`ShardRouter.lease_round` once the dead leader's
+        through :meth:`ShardRouter.heartbeat` once the dead leader's
         lease lapses.
         """
         assert self.router is not None, "farm not started"
@@ -2516,7 +2525,9 @@ class Farm:
         the given map (default: the v1 map over every *original* node)
         and converges through the usual skew machinery -- nodes with a
         newer map hand it over on the first ``wrong_shard``, dead nodes
-        are re-demoted on first use or probe.
+        are re-demoted on first use or heartbeat.  Next to a live peer
+        it comes back as a standby: leadership has to be re-won through
+        the lease.
         """
         assert self._router_endpoint is not None, "farm not started"
         if shard_map is None:
@@ -2528,34 +2539,12 @@ class Farm:
                 replication=self.replication,
             )
         self.dead_routers.pop("router0", None)
-        router = ShardRouter(
-            shard_map,
-            name="router0",
-            # Coming back next to a live peer means coming back as a
-            # standby: leadership has to be re-won through the lease.
+        self.router = await self._make_router(
+            "router0", shard_map,
             role="standby" if self.routers else "leader",
-            host=self.host,
             port=self._router_endpoint[1],
-            default_scheduler=self.scheduler,
-            node_timeout=self.node_timeout,
-            probe_interval=self.probe_interval,
-            probe_timeout=self.probe_timeout,
-            suspect_after=self.suspect_after,
-            lease_interval=(
-                (self.lease_interval or self.lease_ttl / 3)
-                if self.num_routers > 1 else None
-            ),
-            lease_ttl=self.lease_ttl,
         )
-        await router.start()
-        self.routers["router0"] = router
-        for peer in self.routers.values():
-            peer.peers = [
-                tuple(other.address) for other in self.routers.values()
-                if other is not peer
-            ]
-        self.router = router
-        return router
+        return self.router
 
     async def shutdown(self) -> None:
         for router in list(self.routers.values()):

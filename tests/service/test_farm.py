@@ -19,30 +19,21 @@ from repro.service.errors import (
 )
 from repro.service.farm import (
     AsyncFarmClient,
-    Farm,
     HashRing,
     ShardMap,
     route_digest,
     sum_stats,
 )
 from repro.service.specs import topology_from_spec
+from tests.service.farm_helpers import (
+    hung_endpoint,
+    run,
+    with_farm,
+    with_members,
+)
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def with_farm(fn, **farm_kwargs):
-    farm_kwargs.setdefault("workers", 0)
-    farm = Farm(**farm_kwargs)
-    await farm.start()
-    try:
-        return await fn(farm)
-    finally:
-        await farm.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +181,7 @@ class TestSharding:
             owners = farm.router.shard_map.owners(digest)
             assert len(owners) == 2
             # replication is fire-and-forget: wait for the push tasks.
-            for node in farm.nodes.values():
-                if node._repl_tasks:
-                    await asyncio.gather(
-                        *node._repl_tasks, return_exceptions=True
-                    )
+            await farm.settle()
             for name in owners:
                 assert digest in farm.nodes[name].cache
             pushed = sum(n.replicas_pushed for n in farm.nodes.values())
@@ -214,11 +201,7 @@ class TestSharding:
             async with AsyncCompileClient(h2, p2, retry=None) as c:
                 seeded = await c.request(dict(req))
             assert seeded["cache"] == "miss"
-            for node in farm.nodes.values():
-                if node._repl_tasks:
-                    await asyncio.gather(
-                        *node._repl_tasks, return_exceptions=True
-                    )
+            await farm.settle()
             farm.nodes[first].cache._memory.clear()
             # The first owner misses locally and must repair from its
             # peer instead of recompiling.
@@ -239,11 +222,7 @@ class TestSharding:
         async def go(farm):
             async with farm.client() as c:
                 assert (await c.compile(TORUS4, pattern=RING16))["cache"] == "miss"
-                for node in farm.nodes.values():
-                    if node._repl_tasks:
-                        await asyncio.gather(
-                            *node._repl_tasks, return_exceptions=True
-                        )
+                await farm.settle()
                 assert (await c.compile(TORUS4, pattern=RING16))["cache"] == "hit"
             stats = [n.cache.stats for n in farm.nodes.values()]
             assert sum(s.hits for s in stats) == 1
@@ -274,6 +253,34 @@ class TestFailover:
             # Survivors adopted the new map via the reshard push.
             for node in farm.nodes.values():
                 assert node.shard_map.version == 2
+        run(with_farm(go, nodes=3, replication=2))
+
+    def test_failover_is_not_held_up_by_a_hung_member(self):
+        """The demote's map push reaches every member at once, each push
+        bounded by one beat: a member that never answers delays the
+        failover by one beat, not by ``node_timeout``."""
+        async def go(farm):
+            router = farm.router
+            async with hung_endpoint() as hung:
+                smap = router.shard_map = with_members(
+                    router.shard_map, last={"hung0": hung}
+                )
+                # A request owned by real nodes before and after its
+                # primary's demotion: only the push can meet the hang.
+                for i in range(16):
+                    req = {"op": "compile", "topology": TORUS4,
+                           "pairs": [[i, (i + 5) % 16]]}
+                    primary = smap.owners(route_digest(req))[0]
+                    after = smap.without(primary).owners(route_digest(req))
+                    if "hung0" not in (primary, after[0]):
+                        break
+                assert "hung0" not in (primary, after[0])
+                await farm.kill_node(primary)
+                t0 = asyncio.get_running_loop().time()
+                async with AsyncCompileClient(*farm.router_address) as c:
+                    reply = await asyncio.wait_for(c.request(req), 2.0)
+                assert reply["ok"]
+                assert asyncio.get_running_loop().time() - t0 < 2.0
         run(with_farm(go, nodes=3, replication=2))
 
     def test_farm_client_falls_back_and_refreshes_map(self):

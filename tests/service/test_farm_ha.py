@@ -1,7 +1,8 @@
-"""Tests for the farm's self-healing layer: probe-loop membership,
+"""Tests for the farm's self-healing layer: heartbeat membership,
 anti-entropy repair, amend-stream failover, and chaos partitions."""
 
 import asyncio
+import logging
 
 import pytest
 
@@ -9,30 +10,10 @@ from repro.service.amend import amend_epoch_digest, parse_rows
 from repro.service.client import AsyncCompileClient
 from repro.service.errors import EpochConflict
 from repro.service.farm import Farm, ShardMap, route_digest
+from tests.service.farm_helpers import run, with_farm
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def with_farm(fn, **farm_kwargs):
-    farm_kwargs.setdefault("workers", 0)
-    farm = Farm(**farm_kwargs)
-    await farm.start()
-    try:
-        return await fn(farm)
-    finally:
-        await farm.shutdown()
-
-
-async def drain_pushes(farm):
-    """Fire-and-forget replica pushes must land before any audit."""
-    for node in list(farm.nodes.values()):
-        if node._repl_tasks:
-            await asyncio.gather(*node._repl_tasks, return_exceptions=True)
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +116,7 @@ class TestPushRetry:
             ) as c:
                 reply = await c.request(dict(req))
             assert reply["cache"] == "miss"
-            await drain_pushes(farm)
+            await farm.settle()
             node = farm.nodes[first]
             assert node.replica_push_retries == 1
             assert node.replica_push_failures == 1
@@ -190,34 +171,34 @@ class TestDemotePoolCleanup:
 
 
 # ----------------------------------------------------------------------
-# active health probing: suspect -> dead -> rejoin
+# the heartbeat: suspect -> dead -> rejoin
 # ----------------------------------------------------------------------
 
 class TestProbeMembership:
     def test_probe_demotes_after_suspect_threshold(self):
         async def go(farm):
             await farm.kill_node("node1")
-            state = await farm.router.probe_round()
-            # One failed probe: suspect, not yet dead.
+            state = await farm.router.heartbeat()
+            # One missed beat: suspect, not yet dead.
             assert state["suspect"].get("node1") == 1
             assert "node1" in farm.router.shard_map.nodes
-            await farm.router.probe_round()
+            await farm.router.heartbeat()
             assert "node1" not in farm.router.shard_map.nodes
-            assert farm.router.probe_demotions == 1
+            assert farm.router.beat_demotions == 1
             assert farm.router.shard_map.version == 2
             # Survivors were pushed the demoted map.
             for node in farm.nodes.values():
                 assert node.shard_map.version == 2
-        run(with_farm(go, nodes=3, replication=2, probe_timeout=0.2))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
     def test_alive_node_recovers_from_suspicion(self):
         async def go(farm):
             router = farm.router
             router._suspect["node0"] = 1  # one historic dropped probe
-            await router.probe_round()
+            await router.heartbeat()
             assert router._suspect == {}
             assert "node0" in router.shard_map.nodes
-        run(with_farm(go, nodes=3, replication=2, probe_timeout=0.2))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
     def test_restarted_node_rejoins_and_repairs(self):
         async def go(farm):
@@ -225,19 +206,19 @@ class TestProbeMembership:
             async with farm.client() as c:
                 reply = await c.compile(TORUS4, pattern=RING16)
             digest = reply["digest"]
-            await drain_pushes(farm)
+            await farm.settle()
             victim = farm.router.shard_map.owners(digest)[0]
             await farm.kill_node(victim)
             for _ in range(2):
-                await farm.router.probe_round()
+                await farm.router.heartbeat()
             assert victim not in farm.router.shard_map.nodes
 
-            # Fresh process, empty cache, stale map: one probe round
+            # Fresh process, empty cache, stale map: one heartbeat
             # must rejoin it and its targeted repair must restore the
             # artifact it owns, without any client traffic.
             await farm.restart_node(victim)
             assert digest not in farm.nodes[victim].cache
-            await farm.router.probe_round()
+            await farm.router.heartbeat()
             assert victim in farm.router.shard_map.nodes
             assert farm.router.rejoins == 1
             assert farm.router.shard_map.version == 3
@@ -255,7 +236,26 @@ class TestProbeMembership:
                 served = await c.request(dict(req))
             assert served["cache"] == "hit"
             assert served["digest"] == digest
-        run(with_farm(go, nodes=3, replication=2, probe_timeout=0.2))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_membership_events_are_logged(self, caplog):
+        async def go(farm):
+            await farm.kill_node("node1")
+            for _ in range(2):
+                await farm.router.heartbeat()
+            await farm.restart_node("node1")
+            await farm.router.heartbeat()
+
+        caplog.set_level(logging.INFO, logger="repro.service.farm")
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+        events = [
+            (r.event, r.router, r.cause, r.token) for r in caplog.records
+            if r.name == "repro.service.farm" and "node1" in r.nodes
+        ]
+        assert events == [
+            ("demote", "router0", "heartbeat", (1, 2)),
+            ("rejoin", "router0", "heartbeat", (1, 3)),
+        ]
 
     def test_draining_node_is_not_rejoined(self):
         async def go(farm):
@@ -265,11 +265,11 @@ class TestProbeMembership:
             # then make it unready: alive-but-draining must stay out.
             await router._demote("node2")
             node._shutdown.set()
-            await router.probe_round()
+            await router.heartbeat()
             assert "node2" not in router.shard_map.nodes
             assert router.rejoins == 0
             assert "node2" in router._departed
-        run(with_farm(go, nodes=3, replication=2, probe_timeout=0.2))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +302,7 @@ class TestAntiEntropy:
             async with farm.client() as c:
                 reply = await c.compile(TORUS4, pattern=RING16)
             digest = reply["digest"]
-            await drain_pushes(farm)
+            await farm.settle()
             for node in farm.nodes.values():
                 node.drop_replica_push_rate = 0.0
             owners = farm.router.shard_map.owners(digest)
@@ -336,7 +336,7 @@ class TestAntiEntropy:
                 *farm.nodes[first].address, retry=None
             ) as c:
                 await c.request(dict(req))
-            await drain_pushes(farm)
+            await farm.settle()
             farm.nodes[second].cache._memory.pop(digest, None)
             farm.nodes[first]._specs.pop(digest, None)
             farm.nodes[second]._specs.pop(digest, None)
@@ -375,10 +375,10 @@ class TestAmendFailover:
                     chain, epoch = reply["digest"], reply["epoch"]
 
                 primary = farm.router.shard_map.owners(root)[0]
-                await drain_pushes(farm)  # heads must reach the replicas
+                await farm.settle()  # heads must reach the replicas
                 await farm.kill_node(primary)
                 for _ in range(2):
-                    await farm.router.probe_round()
+                    await farm.router.heartbeat()
                 assert primary not in farm.router.shard_map.nodes
 
                 # The next amend lands on the new owner, which resumes
@@ -412,7 +412,7 @@ class TestAmendFailover:
                 assert reply["epoch"] == epoch + 1
             finally:
                 await client.close()
-        run(with_farm(go, nodes=3, replication=2, probe_timeout=0.2))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
 
 # ----------------------------------------------------------------------

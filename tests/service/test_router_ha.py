@@ -19,38 +19,17 @@ from repro.service.errors import (
     error_fields,
     reply_error,
 )
-from repro.service.farm import Farm, ShardMap, ShardRouter
+from repro.service.farm import ShardMap, ShardRouter
+from tests.service.farm_helpers import (
+    hung_endpoint,
+    run,
+    with_farm,
+    with_ha_farm,
+    with_members,
+)
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def with_farm(fn, **farm_kwargs):
-    farm_kwargs.setdefault("workers", 0)
-    farm = Farm(**farm_kwargs)
-    await farm.start()
-    try:
-        return await fn(farm)
-    finally:
-        await farm.shutdown()
-
-
-async def with_ha_farm(fn, **farm_kwargs):
-    """A two-router farm with a short lease, so promotion is fast."""
-    farm_kwargs.setdefault("routers", 2)
-    farm_kwargs.setdefault("lease_ttl", 0.5)
-    farm_kwargs.setdefault("lease_interval", 0.1)
-    return await with_farm(fn, **farm_kwargs)
-
-
-async def settle_pushes(farm):
-    for node in list(farm.nodes.values()):
-        if node._repl_tasks:
-            await asyncio.gather(*node._repl_tasks, return_exceptions=True)
 
 
 def dead_endpoint():
@@ -197,6 +176,8 @@ class TestLeaseVerb:
     def test_grant_renew_refuse_and_floor(self):
         async def scenario(farm):
             node = next(iter(farm.nodes.values()))
+            # Farm start already took router0's first grant.
+            grants, refusals = node.lease_grants, node.lease_refusals
 
             def lease(router, epoch, ttl=5.0):
                 return node._lease_verb(
@@ -214,8 +195,8 @@ class TestLeaseVerb:
             assert refused["holder"] == "router0"
             # The holder itself may re-claim under a higher epoch.
             assert lease("router0", 3)["granted"] is True
-            assert node.lease_grants == 3
-            assert node.lease_refusals == 1
+            assert node.lease_grants - grants == 3
+            assert node.lease_refusals - refusals == 1
             assert node._lease_epoch_floor == 3
 
         run(with_farm(scenario, nodes=1))
@@ -346,14 +327,14 @@ class TestPromotion:
 
     def test_stats_report_role_lease_and_token(self):
         async def scenario(farm):
-            await asyncio.sleep(0.25)  # a few lease rounds
+            await asyncio.sleep(0.25)  # a few heartbeats
             async with farm.client() as client:
                 stats = await client.stats()
             router = stats["router"]
             assert router["role"] == "leader"
             assert router["epoch"] == 1
             assert router["map_epoch"] == 1
-            assert router["lease_rounds"] >= 1
+            assert router["heartbeats"] >= 1
             assert router["lease_age_seconds"] is not None
             assert router["lease_age_seconds"] < 10.0
             async with farm.client() as client:
@@ -368,16 +349,43 @@ class TestPromotion:
         run(with_ha_farm(scenario, nodes=2))
 
 
+class TestHungEndpoints:
+    def test_hung_members_cannot_depose_a_healthy_leader(self):
+        """Endpoints that accept connections and never answer cost the
+        leader one beat per round, never its lease: the healthy
+        majority keeps being renewed while the hung members are
+        demoted and the hung departed node is never rejoined."""
+        async def scenario(farm):
+            leader = farm.leader
+            standby = next(
+                r for r in farm.routers.values() if r is not leader
+            )
+            async with hung_endpoint() as h0, hung_endpoint() as h1, \
+                    hung_endpoint() as h2:
+                leader.shard_map = with_members(
+                    leader.shard_map, first={"hung0": h0, "hung1": h1}
+                )
+                leader._departed["hung2"] = h2
+                await asyncio.sleep(2.0)  # background beats only
+                assert leader.is_leader
+                assert standby.promotions == 0
+                assert "hung0" not in leader.shard_map.nodes
+                assert "hung1" not in leader.shard_map.nodes
+                assert "hung2" not in leader.shard_map.nodes
+
+        run(with_ha_farm(scenario, nodes=3))
+
+
 class TestStop:
     def test_stop_ends_a_loop_that_swallowed_its_cancel(self):
         """A cancel racing a completed read inside ``asyncio.wait_for``
-        can be lost; stop() must still end the lease loop."""
+        can be lost; stop() must still end the heartbeat loop."""
         async def scenario():
-            router = ShardRouter(two_node_map(), lease_interval=0.01)
+            router = ShardRouter(two_node_map(), lease_ttl=0.04)
             entered = asyncio.Event()
             swallowed = []
 
-            async def lease_round():
+            async def heartbeat():
                 entered.set()
                 try:
                     await asyncio.sleep(0.05)
@@ -387,12 +395,12 @@ class TestStop:
                     swallowed.append(True)  # the lost cancel
                 return {}
 
-            router.lease_round = lease_round
+            router.heartbeat = heartbeat
             await router.start()
             await entered.wait()
             await asyncio.wait_for(router.stop(), timeout=5.0)
             assert swallowed
-            assert router._lease_task is None
+            assert router._heartbeat_task is None
 
         run(scenario())
 
@@ -483,7 +491,7 @@ class TestGracefulDrain:
                     )
                     assert reply["digest"] == chain
                     epoch = int(reply["epoch"])
-                await settle_pushes(farm)
+                await farm.settle()
                 target = farm.router.shard_map.owners(root)[0]
                 target_node = farm.nodes[target]
                 assert root in target_node.amends.live_roots()
@@ -541,7 +549,7 @@ class TestGracefulDrain:
                     digests.append(str(reply["digest"]))
             for node in farm.nodes.values():
                 node.drop_replica_push_rate = 0.0
-            await settle_pushes(farm)
+            await farm.settle()
             target = next(
                 name for name, node in farm.nodes.items()
                 if set(digests) & node.cache.digests()
@@ -598,7 +606,7 @@ class TestGracefulDrain:
             client = farm.client()
             async with client:
                 root, chain, epoch = await open_stream(client)
-                await settle_pushes(farm)
+                await farm.settle()
                 target = farm.router.shard_map.owners(root)[0]
 
                 drain_task = asyncio.create_task(farm.drain_node(target))
@@ -659,7 +667,7 @@ class TestDrainChurnProperty:
 
                 for e in range(before):
                     await step(e)
-                await settle_pushes(farm)
+                await farm.settle()
                 target = farm.router.shard_map.owners(root)[0]
                 takeovers_before = sum(
                     n.amend_takeovers for n in farm.nodes.values()
