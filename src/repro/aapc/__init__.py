@@ -17,7 +17,7 @@ decompositions for arbitrary topologies:
 
 :mod:`repro.aapc.bounds` derives the matching lower bounds (injection
 bound ``N - 1``; link-load bound, which evaluates to ``N^3/8`` on even
-tori with balanced half-ring routing) so tests and benches can certify
+tori with balanced half-ring routing) so tests can certify
 how close the construction lands.  On the paper's 8x8 torus the builder
 reaches the optimal 64 phases (asserted in the test suite).
 """

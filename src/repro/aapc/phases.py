@@ -17,7 +17,7 @@ phase's long segments before short fillers arrive -- the same
 
 Decompositions are cached per topology signature: they depend only on
 the topology and routing policy, and the ordered-AAPC scheduler
-(called hundreds of times by the table benches) reuses them.
+(called hundreds of times by the table drivers) reuses them.
 """
 
 from __future__ import annotations

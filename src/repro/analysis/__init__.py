@@ -2,8 +2,8 @@
 
 :mod:`repro.analysis.experiments` contains one driver per paper table/
 figure, returning plain data structures; :mod:`repro.analysis.tables`
-renders them as aligned text tables.  The pytest benches, the CLI and
-EXPERIMENTS.md are all generated from these drivers, so the numbers in
+renders them as aligned text tables.  The paper-shape tests, the CLI
+and EXPERIMENTS.md are all generated from these drivers, so the numbers in
 the documentation are exactly what the code produces.
 """
 

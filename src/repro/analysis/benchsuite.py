@@ -1,4 +1,4 @@
-"""Declarative benchmark suites with committed regression baselines.
+"""Declarative benchmark suites gated on absolute limits.
 
 One **declarative harness** for the repo's performance surfaces: a
 suite is a JSON file of parameterized cases (topology size x pattern x
@@ -16,9 +16,9 @@ The case kinds:
     same case syntax scales from the paper's 8x8 (generic schedulers
     over routed connections) to the 64x64 structural fast path; other
     patterns route and run the requested scheduler directly.  Metrics:
-    best/mean/stddev seconds over ``repeats``, throughput
-    (connections/s), degree, optimality ratio vs the closed-form
-    lower bound.
+    best/mean/stddev seconds over ``repeats`` plus the first repeat's
+    time (cold build cost included), throughput (connections/s),
+    degree, optimality ratio vs the closed-form lower bound.
 
 ``cache``
     :func:`run_cache_case` -- cold/warm/translated compile latency
@@ -36,63 +36,33 @@ The case kinds:
     cost must be ~O(update size), not O(pattern size)), per-epoch
     validation errors and degree-bound violations.
 
-``farm``
-    :func:`~repro.analysis.experiments.farm_campaign` -- sustained-QPS
-    mixed cold/warm throughput of the sharded compile farm across farm
-    sizes.  Metrics: per-size QPS, the largest-to-smallest scaling
-    ratio (gated ``min_scaling``), typed failures (gated zero).  Cold
-    compiles are padded to a fixed service-time floor in the worker so
-    the ratio measures the farm's request-level parallelism, not the
-    harness host's core count.
-
 Assertion rules (``assert`` maps rule name to a number, or to
-``{"value": x, "severity": "error" | "warning"}``):
+``{"value": x, "severity": "error" | "warning"}``); every rule is an
+absolute limit on one metric:
 
-======================  ==================  =========================
-rule                    metric              passes when
-======================  ==================  =========================
-``max_seconds``         ``seconds``         value <= limit
-``min_throughput``      ``throughput``      value >= limit
-``max_degree``          ``degree``          value <= limit
-``max_optimality_ratio`` ``optimality_ratio`` value <= limit
-``min_speedup``         ``speedup``         value >= limit
-``max_ttr_slots``       ``ttr``             value <= limit
-``max_lost``            ``lost``            value <= limit
-``max_amend_us``        ``amend_us``        value <= limit
-``max_flatness``        ``flatness``        value <= limit
+========================= ===================== ===============
+rule                      metric                passes when
+========================= ===================== ===============
+``max_seconds``           ``seconds``           value <= limit
+``min_throughput``        ``throughput``        value >= limit
+``max_degree``            ``degree``            value <= limit
+``max_optimality_ratio``  ``optimality_ratio``  value <= limit
+``min_speedup``           ``speedup``           value >= limit
+``max_ttr_slots``         ``ttr``               value <= limit
+``max_lost``              ``lost``              value <= limit
+``max_amend_us``          ``amend_us``          value <= limit
+``max_flatness``          ``flatness``          value <= limit
 ``max_validation_errors`` ``validation_errors`` value <= limit
-``max_bound_violations`` ``bound_violations`` value <= limit
-``min_scaling``         ``scaling``         value >= limit
-``min_qps``             ``qps``             value >= limit
-``max_failed``          ``failed``          value <= limit
-``max_regression_pct``  kind-specific       worst drift vs baseline
-                                            <= limit percent
-======================  ==================  =========================
+``max_bound_violations``  ``bound_violations``  value <= limit
+========================= ===================== ===============
 
-``max_regression_pct`` compares against the **committed baselines**
-(``BENCH_kernel.json`` / ``BENCH_cache.json`` / ``BENCH_faults.json``
-/ ``BENCH_churn.json`` / ``BENCH_farm.json``, one file per kind,
-``{"schema", "header", "cases": {name: metrics}}``) using each kind's
-regression metrics -- kernel: ``seconds`` down / ``throughput`` up is
-good; cache: ``warm_seconds`` down / ``speedup`` up; faults: ``ttr``
-down; churn: ``amend_us`` down / ``flatness`` down; farm: ``scaling``
-up / ``qps`` up.  A case with no baseline entry *passes with a
-warning* so new cases can land before their baseline does.
-
-The workflow the CLI (``repro-tdm bench``) wraps:
-
-1. ``bench run --suite s.json --report out.json`` -- run, assert,
-   exit 70 on any error-severity failure;
-2. ``bench compare --report out.json`` -- re-evaluate a saved report
-   against the current baselines (no benchmarks re-run);
-3. ``bench update-baseline --report out.json`` -- merge the report's
-   metrics into the committed baseline files.
-
+The CLI wraps it as ``repro-tdm bench run --suite s.json [--report
+out.json]``: run, assert, exit 70 on any error-severity failure.
 Reports carry :func:`report_header` -- schema version, package version,
-git commit + dirty flag, python/numpy versions -- and a baseline keeps
-the header of the report it was taken from, so a number can always be
-traced to the code that produced it.  ``update-baseline`` refuses a
-report measured on a dirty (or unknown) tree.
+git commit + dirty flag, python/numpy versions -- so a number can
+always be traced to the code that produced it.  Speed regressions
+against the parent commit are the end-to-end benchmark's job
+(``e2ebench/``), not this harness's.
 """
 
 from __future__ import annotations
@@ -113,20 +83,6 @@ from repro.core import perf
 SUITE_SCHEMA = "repro-bench/1"
 #: Schema stamped on run reports.
 REPORT_SCHEMA = "repro-bench-report/1"
-#: Schema stamped on committed baseline files.
-BASELINE_SCHEMA = "repro-bench-baseline/1"
-
-#: Committed baseline file per case kind (relative to the baseline dir).
-BASELINE_FILES = {
-    "kernel": "BENCH_kernel.json",
-    "cache": "BENCH_cache.json",
-    "faults": "BENCH_faults.json",
-    "churn": "BENCH_churn.json",
-    "farm": "BENCH_farm.json",
-    "ha": "BENCH_ha.json",
-}
-
-KINDS = tuple(BASELINE_FILES)
 SEVERITIES = ("error", "warning")
 
 #: rule name -> (metric key, comparator); comparator(value, limit).
@@ -142,40 +98,16 @@ RULES: dict[str, tuple[str, Callable[[float, float], bool]]] = {
     "max_flatness": ("flatness", lambda v, lim: v <= lim),
     "max_validation_errors": ("validation_errors", lambda v, lim: v <= lim),
     "max_bound_violations": ("bound_violations", lambda v, lim: v <= lim),
-    "min_scaling": ("scaling", lambda v, lim: v >= lim),
-    "min_qps": ("qps", lambda v, lim: v >= lim),
-    "max_failed": ("failed", lambda v, lim: v <= lim),
-    "min_availability": ("availability", lambda v, lim: v >= lim),
-    "max_restore_sweeps": ("restore_sweeps", lambda v, lim: v <= lim),
-    "max_promote_seconds": ("promote_seconds", lambda v, lim: v <= lim),
-    "max_corrupt": ("corrupt", lambda v, lim: v <= lim),
-    "max_gates_failed": ("gates_failed", lambda v, lim: v <= lim),
 }
 
 #: Every parameter some case runner reads.  A ``defaults`` key must be
 #: one of these (or ``assert``); a case key one of these (or ``name``,
 #: ``kind``, ``assert``).
 PARAM_KEYS = frozenset({
-    "amend_steps", "cold_frac", "concurrency", "degree", "drop_rate",
-    "failover_latency", "farms", "faults", "max_sweeps", "nodes", "pairs",
-    "pattern", "protocol", "recompile_latency", "recovery", "registers",
-    "repair_after", "repeats", "replication", "requests", "scheduler",
-    "seed", "service_floor", "size", "sizes", "steps", "torus",
-    "update_size", "warm_patterns", "workers",
+    "degree", "failover_latency", "faults", "pattern", "protocol",
+    "recompile_latency", "recovery", "repair_after", "repeats",
+    "scheduler", "seed", "size", "sizes", "steps", "torus", "update_size",
 })
-
-#: Per kind: the metrics the regression gate watches, and whether
-#: lower is better for each.
-REGRESSION_METRICS: dict[str, tuple[tuple[str, bool], ...]] = {
-    "kernel": (("seconds", True), ("throughput", False)),
-    "cache": (("warm_seconds", True), ("speedup", False)),
-    "faults": (("ttr", True),),
-    "churn": (("amend_us", True), ("flatness", True)),
-    "farm": (("scaling", False), ("qps", False)),
-    # restore_sweeps is a small integer, useless as a percentage gate;
-    # availability is the one continuously-valued HA metric.
-    "ha": (("availability", False),),
-}
 
 
 class SuiteError(ValueError):
@@ -207,7 +139,7 @@ def _git_metadata() -> dict[str, object]:
 
 
 def report_header() -> dict[str, object]:
-    """Provenance block stamped on every report and baseline."""
+    """Provenance block stamped on every report."""
     import repro
 
     return {
@@ -228,9 +160,10 @@ def _check_assert_block(block: Any, where: str) -> None:
     if not isinstance(block, dict):
         raise SuiteError(f"{where}: 'assert' must be an object, got {block!r}")
     for rule, spec in block.items():
-        if rule != "max_regression_pct" and rule not in RULES:
-            known = (*RULES, "max_regression_pct")
-            raise SuiteError(f"{where}: unknown rule {rule!r}; known: {known}")
+        if rule not in RULES:
+            raise SuiteError(
+                f"{where}: unknown rule {rule!r}; known: {tuple(RULES)}"
+            )
         if isinstance(spec, dict):
             extra = set(spec) - {"value", "severity"}
             if extra:
@@ -292,9 +225,10 @@ def validate_suite(doc: Any) -> dict:
             case, PARAM_KEYS | {"name", "kind", "assert"}, f"{where} ({name})"
         )
         kind = case.get("kind", "kernel")
-        if kind not in KINDS:
+        if kind not in _RUNNERS:
             raise SuiteError(
-                f"{where} ({name}): kind must be one of {KINDS}, got {kind!r}"
+                f"{where} ({name}): kind must be one of {tuple(_RUNNERS)}, "
+                f"got {kind!r}"
             )
         if "assert" in case:
             _check_assert_block(case["assert"], f"{where} ({name})")
@@ -345,7 +279,6 @@ class AssertionResult:
     limit: float
     severity: str
     passed: bool
-    skipped: bool = False
     detail: str = ""
 
     def as_dict(self) -> dict[str, object]:
@@ -356,55 +289,14 @@ class AssertionResult:
             "limit": self.limit,
             "severity": self.severity,
             "passed": self.passed,
-            "skipped": self.skipped,
             "detail": self.detail,
         }
 
 
-def _regression(
-    kind: str, metrics: dict, baseline: dict | None, spec: dict
-) -> AssertionResult:
-    limit, severity = spec["value"], spec["severity"]
-    if baseline is None:
-        return AssertionResult(
-            "max_regression_pct", "-", None, limit, "warning", True,
-            skipped=True, detail="no baseline entry for this case",
-        )
-    worst = None
-    worst_metric = "-"
-    details = []
-    for metric, lower_is_better in REGRESSION_METRICS[kind]:
-        cur, base = metrics.get(metric), baseline.get(metric)
-        if cur is None or base is None or not base:
-            continue
-        # Drift in the *bad* direction, as a percentage of the baseline.
-        pct = 100.0 * ((cur - base) if lower_is_better else (base - cur)) / base
-        details.append(f"{metric}: {base:.6g} -> {cur:.6g} ({pct:+.1f}%)")
-        if worst is None or pct > worst:
-            worst, worst_metric = pct, metric
-    if worst is None:
-        return AssertionResult(
-            "max_regression_pct", "-", None, limit, "warning", True,
-            skipped=True, detail="baseline shares no regression metrics",
-        )
-    return AssertionResult(
-        "max_regression_pct", worst_metric, round(worst, 3), limit, severity,
-        passed=worst <= limit, detail="; ".join(details),
-    )
-
-
-def evaluate_case(
-    kind: str,
-    metrics: dict,
-    rules: dict[str, dict],
-    baseline: dict | None,
-) -> dict[str, object]:
+def evaluate_case(metrics: dict, rules: dict[str, dict]) -> dict[str, object]:
     """The ``validation`` block: every rule evaluated against metrics."""
     results: list[AssertionResult] = []
     for rule, spec in sorted(rules.items()):
-        if rule == "max_regression_pct":
-            results.append(_regression(kind, metrics, baseline, spec))
-            continue
         metric, cmp = RULES[rule]
         value = metrics.get(metric)
         if value is None:
@@ -420,8 +312,7 @@ def evaluate_case(
         ))
     errors = sum(1 for r in results if not r.passed and r.severity == "error")
     warnings = sum(
-        1 for r in results
-        if (not r.passed and r.severity == "warning") or r.skipped
+        1 for r in results if not r.passed and r.severity == "warning"
     )
     return {
         "assertions": [r.as_dict() for r in results],
@@ -451,6 +342,8 @@ def _timing_stats(times: list[float]) -> dict[str, float]:
     var = sum((t - mean) ** 2 for t in times) / len(times)
     return {
         "seconds": best,
+        # the cold run: best-of-N alone hides one-off build costs
+        "first_seconds": times[0],
         "mean_seconds": mean,
         "stddev_seconds": math.sqrt(var),
         "repeats": len(times),
@@ -691,112 +584,11 @@ def run_churn_case(params: dict) -> dict[str, object]:
     }
 
 
-def run_farm_case(params: dict) -> dict[str, object]:
-    """Compile-farm throughput scaling: sustained mixed cold/warm QPS.
-
-    ``scaling`` is qps(largest farm) / qps(smallest) over the same
-    seeded workload (gated ``min_scaling``: the tentpole claim is
-    near-linear 1 -> 4 worker scaling); ``qps`` the largest farm's
-    throughput; ``failed`` the typed-error count across every size
-    (gates at zero -- shedding or timeouts mean the sizing is wrong
-    for the harness).
-    """
-    from repro.analysis.experiments import farm_campaign
-
-    t0 = perf.perf_timer()
-    out = farm_campaign(
-        farms=tuple(params.get("farms", [1, 2, 4])),
-        requests=max(1, int(params.get("requests", 128))),
-        concurrency=max(1, int(params.get("concurrency", 12))),
-        replication=int(params.get("replication", 2)),
-        torus=int(params.get("torus", 8)),
-        pairs=int(params.get("pairs", 48)),
-        cold_frac=float(params.get("cold_frac", 0.5)),
-        warm_patterns=int(params.get("warm_patterns", 6)),
-        workers=int(params.get("workers", 1)),
-        scheduler=params.get("scheduler", "combined"),
-        registers=bool(params.get("registers", False)),
-        service_floor=float(params.get("service_floor", 0.15)),
-        seed=int(params.get("seed", 0)),
-    )
-    elapsed = perf.perf_timer() - t0
-    rows, summary = out["rows"], out["summary"]
-    return {
-        "farms": [r["nodes"] for r in rows],
-        "workers": summary["workers"],
-        "requests": rows[0]["requests"],
-        "service_floor": out["service_floor"],
-        "scaling": round(summary["scaling"], 3),
-        "qps": round(rows[-1]["qps"], 2),
-        "qps_per_size": [round(q, 2) for q in summary["qps"]],
-        "completed": summary["completed"],
-        "failed": int(summary["failed"]),
-        "direct": int(sum(r["direct"] for r in rows)),
-        "via_router": int(sum(r["via_router"] for r in rows)),
-        "replicas_pushed": int(sum(r["replicas_pushed"] for r in rows)),
-        "seconds": elapsed,
-    }
-
-
-def run_ha_case(params: dict) -> dict[str, object]:
-    """Farm self-healing under a scripted kill/rejoin schedule.
-
-    Runs the seven-phase HA chaos campaign (replica-push loss, one-way
-    partition, kill-primary-mid-amend-stream, rejoin, router restart,
-    leader-router kill against an HA pair, graceful drain under load)
-    and reports ``availability`` (fraction of scored requests answered
-    correctly -- a typed refusal of a stale amend counts as correct
-    service), ``restore_sweeps`` (worst-case anti-entropy sweeps to
-    return every tracked digest to replication factor R), ``corrupt``
-    (gates at zero: a wrong-bytes reply is never acceptable),
-    ``promote_seconds`` (measured standby-promotion time after the
-    leader kill) and ``gates_failed`` (the campaign's own pass/fail
-    conjuncts).
-    """
-    from repro.service.chaos import run_farm_ha_campaign
-
-    t0 = perf.perf_timer()
-    report = run_farm_ha_campaign(
-        max(1, int(params.get("requests", 48))),
-        nodes=int(params.get("nodes", 3)),
-        replication=int(params.get("replication", 2)),
-        seed=int(params.get("seed", 0)),
-        cache_dir=None,
-        drop_rate=float(params.get("drop_rate", 0.5)),
-        max_restore_sweeps=int(params.get("max_sweeps", 3)),
-        amend_steps=int(params.get("amend_steps", 6)),
-    )
-    elapsed = perf.perf_timer() - t0
-    return {
-        "attempted": report["attempted"],
-        "completed": report["completed"],
-        "availability": round(report["availability"], 4),
-        "restore_sweeps": int(report["restore_sweeps"]),
-        "corrupt": len(report["corrupted"]),
-        "untyped": len(report["untyped_failures"]),
-        "gates_failed": sum(
-            1 for ok in report["gates"].values() if not ok
-        ),
-        "repaired": report["replication_stats"]["repaired"],
-        "amend_takeovers": report["replication_stats"]["amend_takeovers"],
-        "rejoins": report["router"]["rejoins"],
-        "promote_seconds": report["promote_seconds"],
-        "drain_handoffs": report["replication_stats"]["drain_handoffs"],
-        "drain_adoptions": report["replication_stats"]["drain_adoptions"],
-        "drain_repush_retries": (
-            report["replication_stats"]["drain_repush_retries"]
-        ),
-        "seconds": elapsed,
-    }
-
-
 _RUNNERS = {
     "kernel": run_kernel_case,
     "cache": run_cache_case,
     "faults": run_faults_case,
     "churn": run_churn_case,
-    "farm": run_farm_case,
-    "ha": run_ha_case,
 }
 
 
@@ -815,19 +607,14 @@ def _merged_params(defaults: dict, case: dict) -> dict:
 def run_suite(
     suite: dict,
     *,
-    baselines: dict[str, dict] | None = None,
     only: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
     """Run every case of a validated suite and assert on the results.
 
-    ``baselines`` maps kind to ``{case_name: metrics}`` (see
-    :func:`load_baselines`); ``only`` restricts to the named cases.
-    Returns the full report document, with the merged assertion rules
-    embedded per case so :func:`reevaluate` can re-gate it later
-    without the suite file.
+    ``only`` restricts to the named cases.  Returns the full report
+    document, with the merged assertion rules embedded per case.
     """
-    baselines = baselines or {}
     defaults = suite.get("defaults", {})
     selected = [
         c for c in suite["cases"] if only is None or c["name"] in only
@@ -845,9 +632,7 @@ def run_suite(
         if progress:
             progress(f"[{kind}] {name} ...")
         metrics = _RUNNERS[kind](params)
-        validation = evaluate_case(
-            kind, metrics, rules, baselines.get(kind, {}).get(name)
-        )
+        validation = evaluate_case(metrics, rules)
         if progress:
             status = "ok" if validation["passed"] else "FAIL"
             progress(
@@ -880,115 +665,3 @@ def run_suite(
             "gate_ok": not failed,
         },
     }
-
-
-def reevaluate(
-    report: dict, baselines: dict[str, dict] | None = None
-) -> dict[str, object]:
-    """Re-run the assertions of a saved report against fresh baselines.
-
-    The benchmarks themselves are *not* re-run -- this is the
-    ``bench compare`` path: same metrics, current baseline files.
-    """
-    if report.get("schema") != REPORT_SCHEMA:
-        raise SuiteError(
-            f"report schema must be {REPORT_SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    baselines = baselines or {}
-    case_docs = []
-    for case in report["cases"]:
-        kind = case["kind"]
-        validation = evaluate_case(
-            kind, case["metrics"], case.get("assert", {}),
-            baselines.get(kind, {}).get(case["name"]),
-        )
-        case_docs.append({**case, "validation": validation})
-    failed = [c for c in case_docs if not c["validation"]["passed"]]
-    return {
-        **report,
-        "cases": case_docs,
-        "summary": {
-            "cases": len(case_docs),
-            "passed": len(case_docs) - len(failed),
-            "failed": len(failed),
-            "errors": sum(c["validation"]["errors"] for c in case_docs),
-            "warnings": sum(c["validation"]["warnings"] for c in case_docs),
-            "gate_ok": not failed,
-        },
-    }
-
-
-# ----------------------------------------------------------------------
-# baselines
-# ----------------------------------------------------------------------
-
-def load_baselines(directory: str = ".") -> dict[str, dict]:
-    """Load the committed per-kind baseline files that exist.
-
-    Returns ``{kind: {case_name: metrics}}``; kinds with no file (or
-    an unreadable one) are simply absent, which downgrades their
-    regression gates to warnings.
-    """
-    out: dict[str, dict] = {}
-    for kind, filename in BASELINE_FILES.items():
-        path = os.path.join(directory, filename)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
-        cases = doc.get("cases")
-        if isinstance(cases, dict):
-            out[kind] = cases
-    return out
-
-
-def update_baselines(report: dict, directory: str = ".") -> list[str]:
-    """Merge a report's metrics into the committed baseline files.
-
-    Existing entries for other cases are preserved; the touched files
-    take the report's own header, so a baseline names the tree that
-    measured its numbers.  A report from a dirty or unknown tree is
-    refused.  Returns the paths written.
-    """
-    if report.get("schema") != REPORT_SCHEMA:
-        raise SuiteError(
-            f"report schema must be {REPORT_SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    header = report.get("header")
-    git = header.get("git") if isinstance(header, dict) else None
-    if not isinstance(git, dict) or git.get("dirty") is not False:
-        raise SuiteError(
-            "report was not measured on a clean git tree "
-            f"(header.git = {git!r}); re-run the suite from a clean checkout"
-        )
-    by_kind: dict[str, dict] = {}
-    for case in report["cases"]:
-        by_kind.setdefault(case["kind"], {})[case["name"]] = case["metrics"]
-    written = []
-    for kind, cases in sorted(by_kind.items()):
-        path = os.path.join(directory, BASELINE_FILES[kind])
-        existing: dict = {}
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if isinstance(doc.get("cases"), dict):
-                existing = doc["cases"]
-        except (OSError, json.JSONDecodeError):
-            pass
-        existing.update(cases)
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "header": header,
-                    "suite": report.get("suite"),
-                    "cases": existing,
-                },
-                fh, indent=1, sort_keys=True,
-            )
-            fh.write("\n")
-        written.append(path)
-    return written

@@ -1,13 +1,13 @@
 """One driver per paper table/figure.
 
 Every driver returns plain dict/list data plus knows the paper's
-reference values, so benches can assert *shape* properties (who wins,
+reference values, so tests can assert *shape* properties (who wins,
 monotonicity, saturation at the AAPC bound) and EXPERIMENTS.md can
 tabulate paper-vs-measured side by side.
 
 The paper averages Table 1 over 100 random patterns per row and Table 2
 over 500 redistributions; the drivers take ``seeds``/``samples``
-arguments so benches run quickly by default while
+arguments so tests run quickly by default while
 ``python -m repro.cli`` reproduces the full protocol.
 """
 
@@ -739,191 +739,6 @@ def churn_campaign(
     return {
         "pattern": pattern,
         "update_size": update_size,
-        "summary": summary,
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
-# Farm campaign: sustained-QPS throughput scaling of the compile farm
-# ----------------------------------------------------------------------
-
-
-def _farm_workload(
-    rng, *, nodes: int, cold: int, warm: int, pairs: int
-) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
-    """Seeded (cold, warm) pattern sets: random pair lists on ``nodes``."""
-    def one() -> list[list[int]]:
-        rows = []
-        for _ in range(pairs):
-            src = rng.randrange(nodes)
-            dst = rng.randrange(nodes - 1)
-            if dst >= src:
-                dst += 1
-            rows.append([src, dst])
-        return rows
-
-    return [one() for _ in range(cold)], [one() for _ in range(warm)]
-
-
-def farm_campaign(
-    *,
-    farms: tuple[int, ...] = (1, 2, 4),
-    requests: int = 128,
-    concurrency: int = 12,
-    replication: int = 2,
-    torus: int = 8,
-    pairs: int = 48,
-    cold_frac: float = 0.5,
-    warm_patterns: int = 6,
-    workers: int = 1,
-    scheduler: str = "combined",
-    registers: bool = False,
-    service_floor: float = 0.15,
-    seed: int = 0,
-) -> dict[str, object]:
-    """Sustained-QPS mixed cold/warm throughput of the compile farm.
-
-    For each farm size in ``farms`` the campaign starts a fresh
-    in-process farm (:class:`repro.service.farm.Farm`, ``workers``
-    compile processes *per node*), prewarms a small warm set, then
-    drives the same seeded schedule of ``requests`` compile requests --
-    a ``cold_frac`` mix of unique patterns (cold compiles that must fan
-    out across the nodes' worker pools) and repeats from the warm set
-    (served from the sharded cache) -- through ``concurrency``
-    independent shard-map-carrying clients.
-
-    The claim under test is the farm tentpole: cold compiles are the
-    bottleneck of one box, and digest sharding spreads them across
-    nodes with near-linear throughput scaling.  ``service_floor`` pads
-    each cold compile to a fixed service time in the *worker*
-    (:attr:`ServerPolicy.simulated_cost`), so the benchmark measures
-    the farm's request-level parallelism -- routing, shard ownership,
-    worker-pool dispatch -- at a calibrated per-compile cost instead of
-    the harness host's core count (CI runners often expose a single
-    core, where genuinely CPU-bound work cannot scale no matter how the
-    farm behaves).  ``summary.scaling`` is ``qps(largest farm) /
-    qps(smallest)``; the committed baseline gates it at >= 2.5x for
-    1 -> 4 workers.  Deterministic in ``seed`` (timings aside).
-    """
-    import asyncio
-    import random
-    from time import perf_counter
-
-    from repro.service.errors import ServiceError
-    from repro.service.farm import Farm
-    from repro.service.policy import ServerPolicy
-
-    rng = random.Random(seed)
-    n_cold = max(1, int(requests * cold_frac))
-    cold, warm = _farm_workload(
-        rng, nodes=torus * torus, cold=n_cold, warm=warm_patterns, pairs=pairs
-    )
-    topology = {"kind": "torus", "width": torus}
-    # One shared schedule: every farm size compiles the same work.
-    schedule = [("cold", i) for i in range(n_cold)] + [
-        ("warm", rng.randrange(len(warm))) for _ in range(requests - n_cold)
-    ]
-    rng.shuffle(schedule)
-
-    async def drive(nodes: int) -> dict[str, object]:
-        farm = Farm(
-            nodes,
-            replication=min(replication, nodes),
-            workers=workers,
-            scheduler=scheduler,
-            policy=ServerPolicy(
-                max_pending=max(64, 4 * concurrency),
-                simulated_cost=service_floor,
-            ),
-        )
-        await farm.start()
-        clients = [farm.client() for _ in range(concurrency)]
-        row: dict[str, object] = {
-            "nodes": nodes,
-            "workers": nodes * max(1, workers),
-            "requests": len(schedule),
-        }
-        try:
-            loop = asyncio.get_running_loop()
-            # Fork the worker pools *before* timing starts: pool spawn
-            # is a one-time cost, not farm throughput.
-            await asyncio.gather(*(
-                loop.run_in_executor(node._executor, abs, 1)
-                for node in farm.nodes.values()
-            ))
-            for client in clients:
-                await client.connect()
-            for pattern in warm:
-                await clients[0].compile(
-                    topology, pairs=pattern, scheduler=scheduler,
-                    registers=registers,
-                )
-            await farm.settle()
-
-            queue = list(schedule)
-            outcomes = {"hit": 0, "miss": 0, "inflight": 0}
-            typed_failures: dict[str, int] = {}
-
-            async def worker(client) -> None:
-                while queue:
-                    kind, idx = queue.pop()
-                    pattern = cold[idx] if kind == "cold" else warm[idx]
-                    try:
-                        reply = await client.compile(
-                            topology, pairs=pattern, scheduler=scheduler,
-                            registers=registers,
-                        )
-                    except ServiceError as exc:
-                        typed_failures[exc.code] = (
-                            typed_failures.get(exc.code, 0) + 1
-                        )
-                        continue
-                    outcome = reply.get("cache", "?")
-                    outcomes[outcome] = outcomes.get(outcome, 0) + 1
-
-            t0 = perf_counter()
-            await asyncio.gather(*(worker(c) for c in clients))
-            elapsed = perf_counter() - t0
-
-            completed = sum(outcomes.values())
-            row.update({
-                "elapsed_seconds": elapsed,
-                "completed": completed,
-                "qps": completed / elapsed if elapsed > 0 else 0.0,
-                "outcomes": outcomes,
-                "typed_failures": typed_failures,
-                "direct": sum(c.direct for c in clients),
-                "via_router": sum(c.via_router for c in clients),
-                "replicas_pushed": sum(
-                    n.replicas_pushed for n in farm.nodes.values()
-                ),
-            })
-        finally:
-            for client in clients:
-                await client.close()
-            await farm.shutdown()
-        return row
-
-    async def main() -> list[dict[str, object]]:
-        return [await drive(n) for n in farms]
-
-    rows = asyncio.run(main())
-    first, last = rows[0], rows[-1]
-    summary = {
-        "scaling": (last["qps"] / first["qps"]) if first["qps"] else 0.0,
-        "workers": [r["workers"] for r in rows],
-        "qps": [r["qps"] for r in rows],
-        "completed": sum(r["completed"] for r in rows),
-        "failed": sum(sum(r["typed_failures"].values()) for r in rows),
-    }
-    return {
-        "torus": torus,
-        "pairs": pairs,
-        "scheduler": scheduler,
-        "cold_frac": cold_frac,
-        "concurrency": concurrency,
-        "service_floor": service_floor,
         "summary": summary,
         "rows": rows,
     }

@@ -3,7 +3,7 @@
 The paper reports plain means (e.g. "the average of 100 random
 patterns").  For judging reproduction quality we additionally want
 dispersion and simple uncertainty estimates; these helpers are used by
-the experiment drivers and the benches.
+the experiment drivers.
 """
 
 from __future__ import annotations

@@ -806,35 +806,14 @@ def _print_bench(args) -> None:
     from repro.analysis import benchsuite as bs
 
     try:
-        if args.action == "run":
-            if not args.suite:
-                raise bs.SuiteError("bench run needs --suite")
-            suite = bs.load_suite(args.suite)
-            baselines = bs.load_baselines(args.baseline_dir)
-            report = bs.run_suite(
-                suite,
-                baselines=baselines,
-                only=args.only or None,
-                progress=lambda msg: print(msg, flush=True),
-            )
-        elif args.action == "compare":
-            if not args.report:
-                raise bs.SuiteError("bench compare needs --report")
-            with open(args.report) as fh:
-                saved = json.load(fh)
-            baselines = bs.load_baselines(args.baseline_dir)
-            report = bs.reevaluate(saved, baselines)
-        else:  # update-baseline
-            if not args.report:
-                raise bs.SuiteError("bench update-baseline needs --report")
-            with open(args.report) as fh:
-                saved = json.load(fh)
-            for path in bs.update_baselines(saved, args.baseline_dir):
-                print(f"wrote {path}")
-            return
+        report = bs.run_suite(
+            bs.load_suite(args.suite),
+            only=args.only or None,
+            progress=lambda msg: print(msg, flush=True),
+        )
     except bs.SuiteError as exc:
         print(f"repro-tdm bench: {exc}", file=sys.stderr)
-        raise SystemExit(65)  # EX_DATAERR: malformed suite/report
+        raise SystemExit(65)  # EX_DATAERR: malformed suite
 
     data = []
     for case in report["cases"]:
@@ -842,6 +821,7 @@ def _print_bench(args) -> None:
         data.append((
             case["name"], case["kind"],
             f"{m.get('seconds', 0.0):.3f}s",
+            f"{m['first_seconds']:.3f}s" if "first_seconds" in m else "-",
             f"{m['throughput']:,.0f}" if "throughput" in m else "-",
             int(m["degree"]) if "degree" in m else "-",
             v["errors"], v["warnings"],
@@ -849,14 +829,15 @@ def _print_bench(args) -> None:
         ))
     s = report["summary"]
     print(format_table(
-        ["case", "kind", "best", "conns/s", "K", "err", "warn", "result"],
+        ["case", "kind", "best", "first", "conns/s", "K", "err", "warn",
+         "result"],
         data,
         title=(
             f"Bench suite {report['suite']!r}: {s['passed']}/{s['cases']} "
             f"cases passed ({s['errors']} errors, {s['warnings']} warnings)"
         ),
     ))
-    if args.action == "run" and args.report:
+    if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
         print(f"\nwrote {args.report}")
@@ -1090,20 +1071,13 @@ def main(argv: list[str] | None = None) -> int:
 
     pb = sub.add_parser(
         "bench",
-        help="declarative benchmark suites with committed baselines",
+        help="run a declarative benchmark suite gated on absolute limits",
     )
-    pb.add_argument(
-        "action", choices=["run", "compare", "update-baseline"],
-        help="run a suite, re-gate a saved report, or commit its "
-        "metrics as the new baselines",
-    )
-    pb.add_argument("--suite", default=None,
+    pb.add_argument("action", choices=["run"], help="run a suite")
+    pb.add_argument("--suite", required=True,
                     help="suite JSON (see benchmarks/suites/)")
     pb.add_argument("--report", default=None,
-                    help="report JSON: written by run, read by "
-                    "compare/update-baseline")
-    pb.add_argument("--baseline-dir", default=".",
-                    help="directory of the committed BENCH_*.json baselines")
+                    help="write the run report as JSON")
     pb.add_argument("--only", action="append", default=None, metavar="CASE",
                     help="restrict to the named case (repeatable)")
     pb.add_argument("--no-gate", action="store_true",

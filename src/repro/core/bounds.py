@@ -16,8 +16,7 @@ clique search (networkx) for small instances as an optional sharper
 certificate.
 
 Property tests assert ``bound <= scheduler degree`` for every scheduler
-and ``scheduler degree <= |R|`` (trivial upper bound); table benches
-report the bound next to the measured degrees.
+and ``scheduler degree <= |R|`` (trivial upper bound).
 """
 
 from __future__ import annotations

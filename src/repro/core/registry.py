@@ -4,9 +4,9 @@ Every scheduler is normalised to the uniform signature
 
     ``schedule(connections, topology=None) -> ConfigurationSet``
 
-so benches, the CLI and the compiler front-end can select algorithms by
-name (``"greedy"``, ``"coloring"``, ``"aapc"``, ``"combined"``, plus the
-ablation schedulers).
+so the table drivers, the CLI and the compiler front-end can select
+algorithms by name (``"greedy"``, ``"coloring"``, ``"aapc"``,
+``"combined"``, plus the ablation schedulers).
 """
 
 from __future__ import annotations

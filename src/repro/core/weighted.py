@@ -20,10 +20,11 @@ stays within ``max_frame``.  Slots are laid out by deficit round-robin
 so a configuration's ``r_i`` slots spread evenly through the frame
 (bunched slots would recreate the long-gap problem).
 
-``benchmarks/bench_extensions.py`` quantifies the win on skewed
-redistributions; for uniform sizes the optimiser leaves the schedule
-untouched (multiplicities all 1), so this strictly generalises the
-paper's model.
+On a heavy-tailed random pattern the replicated frame beats the flat
+one (EXPERIMENTS.md, asserted in ``tests/core/test_weighted.py``); for
+uniform sizes the optimiser leaves the schedule untouched
+(multiplicities all 1), so this strictly generalises the paper's
+model.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ determined multiplexed sequences:
     per-hop buffering (electronic, at the PEs, not in the optical
     switches) for a much shorter frame.
 
-:mod:`repro.dynamic_patterns.workload` generates online traffic, and
-``benchmarks/bench_extensions.py`` compares both mechanisms against the
-full run-time reservation protocol of section 4.1.
+:mod:`repro.dynamic_patterns.workload` generates online traffic;
+EXPERIMENTS.md compares both mechanisms against the full run-time
+reservation protocol of section 4.1.
 """
 
 from repro.dynamic_patterns.workload import OnlineRequest, random_online_workload

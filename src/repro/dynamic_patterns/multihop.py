@@ -13,8 +13,8 @@ least significant up), deadlock-free with per-channel FIFO queues.  A
 ``z``-element message crossing ``h`` logical hops costs roughly
 ``h * P * ceil(z / slot_payload)`` slots uncontended (``P`` = the
 logical pattern's multiplexing degree), so the mechanism wins over
-standing all-to-all exactly when ``h * P < 64`` -- the trade the bench
-measures.
+standing all-to-all exactly when ``h * P < 64`` -- the trade
+EXPERIMENTS.md measures.
 """
 
 from __future__ import annotations

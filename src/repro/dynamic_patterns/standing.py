@@ -8,9 +8,9 @@ control traffic, no buffering inside the optical switches.
 
 The price is the frame length ``P`` (64 on the paper's 8x8 torus): a
 ``z``-element message takes about ``P * ceil(z / slot_payload)`` slots,
-and messages between the *same* pair queue behind each other.  The
-bench compares this against multihop emulation and full run-time
-reservation.
+and messages between the *same* pair queue behind each other.
+EXPERIMENTS.md compares this against multihop emulation and full
+run-time reservation.
 """
 
 from __future__ import annotations

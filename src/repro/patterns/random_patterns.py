@@ -39,7 +39,7 @@ def random_pattern(
         Seed or generator; patterns are deterministic given it.
     size:
         Message size attached to every request (irrelevant to the
-        schedulers; the simulator benches use it).
+        schedulers; the simulators use it).
     """
     total = num_nodes * (num_nodes - 1)
     if not 0 <= num_connections <= total:

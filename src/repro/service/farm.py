@@ -2276,9 +2276,9 @@ class Farm:
 
     ``workers`` is *per node*: the default of 1 worker process per node
     means an N-node farm runs N cold compiles truly in parallel (each
-    node owns a single-process pool), which is the scaling the farm
-    benchmark measures.  ``workers=0`` keeps each node single-process
-    (worker thread), the fully deterministic mode chaos tests use.
+    node owns a single-process pool).  ``workers=0`` keeps each node
+    single-process (one worker thread), the fully deterministic mode
+    chaos tests use.
     ``routers`` routers share the map; ``router0`` starts as leader,
     the rest as standbys.  Every router heartbeats once per
     ``lease_ttl / 4``.

@@ -185,9 +185,3 @@ class ServerPolicy:
     retry_after: float = 0.25
     #: hard per-line ceiling on request frames.
     max_frame_bytes: int = MAX_LINE_BYTES
-    #: floor on cold-compile service seconds (0 = off).  The worker pads
-    #: short compiles up to this wall-clock cost, off the event loop.
-    #: Capacity benchmarks use it to emulate heavier compile workloads
-    #: than the harness host's core count can express; it never reduces
-    #: the cost of a compile, only raises it to the floor.
-    simulated_cost: float = 0.0

@@ -113,22 +113,13 @@ _spec_memo: OrderedDict[tuple[str, str], CanonicalPattern] = OrderedDict()
 
 def _worker_compile(task: dict[str, Any]) -> dict[str, Any]:
     """Top-level (picklable) worker: cold-compile a canonical pattern."""
-    floor = float(task.get("simulated_cost") or 0.0)
-    t0 = time.perf_counter() if floor else 0.0
     topology = topology_from_spec(task["topology_spec"])
-    doc = _compile_mod.build_canonical_artifact(
+    return _compile_mod.build_canonical_artifact(
         topology,
         [tuple(r) for r in task["requests"]],
         task["scheduler"],
         include_registers=task["include_registers"],
     )
-    if floor:
-        # Pad to the policy's service-time floor in the worker, where
-        # the wait occupies a pool slot but not the event loop.
-        remaining = floor - (time.perf_counter() - t0)
-        if remaining > 0:
-            time.sleep(remaining)
-    return doc
 
 
 def _parse_pattern(
@@ -733,7 +724,6 @@ class CompileServer:
             "requests": [list(r) for r in canonical_requests],
             "scheduler": scheduler,
             "include_registers": include_registers,
-            "simulated_cost": self.policy.simulated_cost,
         }
         try:
             doc, counters = await asyncio.wait_for(

@@ -15,7 +15,7 @@ each time the frame reaches ``s``.
 
 Both an analytic evaluation and a literal slot-stepped simulation are
 provided; they agree exactly (asserted in the test suite), which
-cross-validates the closed form the benches rely on for speed.
+cross-validates the closed form the table drivers rely on for speed.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Result summarisation helpers shared by benches, CLI and examples."""
+"""Result summarisation helpers shared by tests, CLI and examples."""
 
 from __future__ import annotations
 

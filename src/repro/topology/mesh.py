@@ -1,8 +1,8 @@
 """2-D mesh (torus without wrap-around links) -- ablation topology.
 
-The paper evaluates only the torus; the mesh lets the benchmarks ask how
-much of the schedulers' behaviour depends on wrap-around bandwidth
-(``benchmarks/bench_ablation.py``).
+The paper evaluates only the torus; the mesh asks how much of the
+schedulers' behaviour depends on wrap-around bandwidth (the compile
+service accepts it as a ``{"kind": "mesh"}`` topology).
 """
 
 from __future__ import annotations

@@ -78,6 +78,11 @@ class TestOtherTopologies:
         dec.validate()
         assert dec.lower_bound() <= dec.num_phases <= dec.lower_bound() + 1
 
+    def test_torus6_within_two_of_bound(self):
+        dec = build_aapc_decomposition(Torus2D(6))
+        dec.validate()
+        assert dec.num_phases <= dec.lower_bound() + 2
+
     def test_3d_torus(self):
         topo = KAryNCube((4, 4, 4))
         dec = build_aapc_decomposition(topo)

@@ -76,7 +76,7 @@ class TestPrecomputedTables:
 
 
 class TestSolver:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_solver_finds_valid_schedule(self, n):
         phi = solve_ring_latin(n, seed=0)
         assert phi is not None

@@ -1,8 +1,7 @@
-"""The declarative bench harness: suite validation, assertion engine,
-regression-vs-baseline logic, and the end-to-end run/compare/update
-workflow on tiny cases."""
+"""The declarative bench harness: suite validation, the absolute-limit
+assertion engine, and end-to-end suite runs on tiny cases."""
 
-import json
+import time
 from pathlib import Path
 
 import pytest
@@ -71,7 +70,7 @@ def test_validate_rejects_keys_no_runner_reads(mutate, key):
 
 def test_committed_suites_load():
     paths = sorted(SUITES.glob("*.json"))
-    assert len(paths) == 5
+    assert len(paths) == 3
     for path in paths:
         assert bs.load_suite(str(path))["cases"]
 
@@ -118,7 +117,7 @@ def test_evaluate_pass_fail_and_severities():
         "min_throughput": {"value": 10.0, "severity": "error"},
         "max_degree": {"value": 4, "severity": "warning"},
     }
-    v = bs.evaluate_case("kernel", metrics, rules, baseline=None)
+    v = bs.evaluate_case(metrics, rules)
     by_rule = {a["rule"]: a for a in v["assertions"]}
     assert not by_rule["max_seconds"]["passed"]
     assert by_rule["min_throughput"]["passed"]
@@ -129,63 +128,14 @@ def test_evaluate_pass_fail_and_severities():
 
 def test_evaluate_missing_metric_fails_the_rule():
     v = bs.evaluate_case(
-        "kernel", {"seconds": 1.0},
-        {"min_speedup": {"value": 2.0, "severity": "error"}},
-        baseline=None,
+        {"seconds": 1.0}, {"min_speedup": {"value": 2.0, "severity": "error"}}
     )
     (a,) = v["assertions"]
     assert not a["passed"] and "no 'speedup' metric" in a["detail"]
 
 
-def test_regression_no_baseline_is_passing_warning():
-    v = bs.evaluate_case(
-        "kernel", {"seconds": 1.0},
-        {"max_regression_pct": {"value": 10.0, "severity": "error"}},
-        baseline=None,
-    )
-    (a,) = v["assertions"]
-    assert a["passed"] and a["skipped"] and v["warnings"] == 1
-    assert v["passed"]
-
-
-def test_regression_within_and_beyond_limit():
-    rules = {"max_regression_pct": {"value": 10.0, "severity": "error"}}
-    base = {"seconds": 1.0, "throughput": 100.0}
-    ok = bs.evaluate_case(
-        "kernel", {"seconds": 1.05, "throughput": 96.0}, rules, base
-    )
-    assert ok["passed"] and ok["errors"] == 0
-    slow = bs.evaluate_case(
-        "kernel", {"seconds": 1.5, "throughput": 100.0}, rules, base
-    )
-    (a,) = slow["assertions"]
-    assert not slow["passed"] and a["metric"] == "seconds"
-    assert a["value"] == pytest.approx(50.0)
-    # higher-is-better direction: a throughput drop is the regression
-    drop = bs.evaluate_case(
-        "kernel", {"seconds": 1.0, "throughput": 50.0}, rules, base
-    )
-    (a,) = drop["assertions"]
-    assert not drop["passed"] and a["metric"] == "throughput"
-
-
-def test_regression_uses_kind_specific_metrics():
-    rules = {"max_regression_pct": {"value": 10.0, "severity": "error"}}
-    # cache regression watches warm_seconds/speedup, not seconds
-    v = bs.evaluate_case(
-        "cache", {"seconds": 99.0, "warm_seconds": 1.0, "speedup": 20.0},
-        rules, {"seconds": 1.0, "warm_seconds": 1.0, "speedup": 20.0},
-    )
-    assert v["passed"]
-    v = bs.evaluate_case(
-        "cache", {"warm_seconds": 2.0, "speedup": 20.0},
-        rules, {"warm_seconds": 1.0, "speedup": 20.0},
-    )
-    assert not v["passed"]
-
-
 # ----------------------------------------------------------------------
-# end-to-end: run, baseline round trip, compare
+# end-to-end suite runs
 # ----------------------------------------------------------------------
 
 def tiny_suite():
@@ -198,15 +148,8 @@ def tiny_suite():
              "scheduler": "fastpath",
              "assert": {"max_optimality_ratio": 2.0}},
         ],
-        defaults={"repeats": 1, "assert": {"max_regression_pct": 50.0}},
+        defaults={"repeats": 1},
     ))
-
-
-def measured_on_clean_tree(report):
-    """``report`` as if run from a clean checkout (the test tree may
-    have uncommitted edits, which ``update_baselines`` refuses)."""
-    report["header"]["git"] = {"commit": "c" * 40, "dirty": False}
-    return report
 
 
 def test_run_suite_produces_metrics_and_validation():
@@ -219,8 +162,7 @@ def test_run_suite_produces_metrics_and_validation():
     assert m["connections"] == 240
     assert m["repeats"] == 1 and m["seconds"] > 0
     assert m["throughput"] == pytest.approx(240 / m["seconds"])
-    # no baseline yet: the regression rule warns but passes
-    assert by_name["4x4-greedy"]["validation"]["warnings"] == 1
+    assert by_name["4x4-greedy"]["validation"]["warnings"] == 0
     # header provenance rides along
     assert report["header"]["generator"] == "repro-tdm bench"
     assert "python" in report["header"] and "git" in report["header"]
@@ -233,87 +175,37 @@ def test_run_suite_only_filter_and_unknown_name():
         bs.run_suite(tiny_suite(), only=["nope"])
 
 
-def test_baseline_roundtrip_and_compare(tmp_path):
-    report = measured_on_clean_tree(bs.run_suite(tiny_suite()))
-    written = bs.update_baselines(report, str(tmp_path))
-    assert written == [str(tmp_path / "BENCH_kernel.json")]
-    doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-    assert doc["schema"] == bs.BASELINE_SCHEMA
-    assert set(doc["cases"]) == {"4x4-greedy", "4x4-fastpath"}
-
-    baselines = bs.load_baselines(str(tmp_path))
-    again = bs.reevaluate(report, baselines)
-    assert again["summary"]["gate_ok"]
-    # self-comparison drifts 0%: no warnings left on the kernel cases
-    assert again["summary"]["warnings"] == 0
-
-    # a 10x slowdown against the committed baseline breaches the gate
-    doc["cases"]["4x4-greedy"]["seconds"] /= 10.0
-    (tmp_path / "BENCH_kernel.json").write_text(json.dumps(doc))
-    regressed = bs.reevaluate(report, bs.load_baselines(str(tmp_path)))
-    assert not regressed["summary"]["gate_ok"]
-
-
-def test_update_baselines_merges_instead_of_clobbering(tmp_path):
-    path = tmp_path / "BENCH_kernel.json"
-    path.write_text(json.dumps({
-        "schema": bs.BASELINE_SCHEMA,
-        "cases": {"other-case": {"seconds": 1.0}},
-    }))
-    report = measured_on_clean_tree(
-        bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
-    )
-    bs.update_baselines(report, str(tmp_path))
-    cases = json.loads(path.read_text())["cases"]
-    assert set(cases) == {"other-case", "4x4-fastpath"}
-
-
-def test_update_baselines_keeps_the_reports_header(tmp_path):
-    # the baseline names the tree that measured it, not the tree that
-    # ran the update
-    report = measured_on_clean_tree(
-        bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
-    )
-    report["header"]["python"] = "measured-elsewhere"
-    bs.update_baselines(report, str(tmp_path))
-    doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-    assert doc["header"] == report["header"]
-
-
-@pytest.mark.parametrize("git", [
-    {"commit": "c" * 40, "dirty": True},
-    {"commit": None, "dirty": None},
-    None,
-])
-def test_update_baselines_refuses_dirty_or_unknown_tree(tmp_path, git):
-    report = bs.run_suite(tiny_suite(), only=["4x4-fastpath"])
-    if git is None:
-        del report["header"]
-    else:
-        report["header"]["git"] = git
-    with pytest.raises(bs.SuiteError, match="clean git tree"):
-        bs.update_baselines(report, str(tmp_path))
-    assert not (tmp_path / "BENCH_kernel.json").exists()
-
-
-def test_reevaluate_rejects_foreign_documents():
-    with pytest.raises(bs.SuiteError, match="schema"):
-        bs.reevaluate({"schema": "nope", "cases": []})
-    with pytest.raises(bs.SuiteError, match="schema"):
-        bs.update_baselines({"schema": "nope", "cases": []})
-
-
 # ----------------------------------------------------------------------
 # case runners
 # ----------------------------------------------------------------------
 
-def test_kernel_case_generic_pattern():
+def test_kernel_case_generic_pattern(monkeypatch):
+    # a slow first repeat: first_seconds must report that sample, which
+    # best-of-N alone would hide
+    from repro.core import greedy
+
+    real, calls = greedy.greedy_schedule, []
+
+    def cold_then_warm(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "greedy_schedule", cold_then_warm)
     m = bs.run_kernel_case({
         "torus": 4, "pattern": "ring", "scheduler": "greedy", "repeats": 2,
     })
     assert m["connections"] == 32 and m["degree"] >= 1  # bidirectional ring
     assert m["repeats"] == 2 and m["stddev_seconds"] >= 0.0
     assert "optimality_ratio" not in m  # lower bound is all-to-all only
+    assert len(calls) == 2
+    assert m["first_seconds"] >= 0.05
+    assert m["first_seconds"] >= m["seconds"]
+    # two samples: first + best = 2 * mean, so first is the slow sample
+    assert m["first_seconds"] == pytest.approx(
+        2 * m["mean_seconds"] - m["seconds"]
+    )
 
 
 def test_kernel_case_alltoall_optimality():
@@ -343,28 +235,6 @@ def test_faults_case_protected_metrics():
     })
     assert m["fault_counts"] == [0, 1]
     assert m["ttr"] >= 0 and m["lost"] >= 0 and m["seconds"] > 0
-
-
-def test_farm_case_metrics():
-    m = bs.run_farm_case({
-        "farms": [1, 2], "requests": 8, "concurrency": 2,
-        "replication": 1, "torus": 4, "pairs": 4, "warm_patterns": 1,
-        "workers": 0, "scheduler": "greedy", "service_floor": 0.0,
-    })
-    assert m["farms"] == [1, 2]
-    assert m["completed"] == 16 and m["failed"] == 0
-    assert m["scaling"] > 0 and m["qps"] > 0 and m["seconds"] > 0
-    assert len(m["qps_per_size"]) == 2
-    # farm rules wire into the generic assertion engine
-    v = bs.evaluate_case(
-        "farm", m,
-        {"min_scaling": {"value": 1e9, "severity": "error"},
-         "max_failed": {"value": 0, "severity": "error"}},
-        None,
-    )
-    by_rule = {a["rule"]: a for a in v["assertions"]}
-    assert not by_rule["min_scaling"]["passed"]
-    assert by_rule["max_failed"]["passed"]
 
 
 def test_report_header_git_block():

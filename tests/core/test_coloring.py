@@ -13,6 +13,7 @@ from repro.patterns.classic import (
     shuffle_exchange_pattern,
 )
 from repro.patterns.random_patterns import random_pattern
+from repro.topology.torus import TieBreak, Torus2D
 
 
 class TestBasics:
@@ -72,6 +73,11 @@ class TestPaperBehaviour:
         conns = route_requests(torus8, all_to_all_pattern(64))
         degree = coloring_schedule(conns).degree
         assert 75 <= degree <= 90  # paper: 83
+        # Balanced half-ring routing (the default) never colors worse
+        # than always routing ties the positive way.
+        positive = Torus2D(8, tie_break=TieBreak.POSITIVE)
+        conns = route_requests(positive, all_to_all_pattern(64))
+        assert degree <= coloring_schedule(conns).degree
 
     @pytest.mark.parametrize("n", [100, 400, 1200])
     def test_never_worse_than_greedy_on_random(self, torus8, n):
@@ -87,8 +93,10 @@ class TestPaperRatioVariant:
 
     def test_ratio_rule_differs_from_default(self, torus8):
         """The documented discrepancy: the literal ratio rule colors
-        worse than the most-constrained default on random patterns."""
-        conns = route_requests(torus8, random_pattern(64, 800, seed=1))
-        ratio = coloring_schedule(conns, priority="paper-ratio").degree
-        default = coloring_schedule(conns).degree
-        assert default <= ratio
+        worse than the most-constrained default on random patterns,
+        sparse to dense."""
+        for n, seed in ((800, 1), (400, 400), (1600, 1600), (4000, 4000)):
+            conns = route_requests(torus8, random_pattern(64, n, seed=seed))
+            ratio = coloring_schedule(conns, priority="paper-ratio").degree
+            default = coloring_schedule(conns).degree
+            assert default <= ratio, n

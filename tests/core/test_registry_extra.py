@@ -78,7 +78,7 @@ class TestExtraSchedulers:
 
     def test_longest_vs_shortest_order(self, conns):
         """Longest-first should not lose to shortest-first by much; both
-        must be valid (the interesting comparison is in the bench)."""
+        must be valid (the zoo comparison is in ``TestAblation``)."""
         _, connections = conns
         lf = longest_first_schedule(connections)
         sf = shortest_first_schedule(connections)

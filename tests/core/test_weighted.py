@@ -1,16 +1,18 @@
 """Tests for size-aware (weighted) TDM schedules."""
 
+import numpy as np
 import pytest
 
 from repro.core.combined import combined_schedule
 from repro.core.paths import route_requests
-from repro.core.requests import RequestSet
+from repro.core.requests import Request, RequestSet
 from repro.core.weighted import (
     WeightedSchedule,
     _deficit_round_robin,
     simulate_weighted,
     weighted_schedule,
 )
+from repro.patterns.random_patterns import random_pattern
 
 
 @pytest.fixture()
@@ -57,13 +59,27 @@ class TestWeightedSchedule:
         # The configuration holding the heavy connections got extra slots.
         assert max(weighted.multiplicities) > 1
 
-    def test_skewed_makespan_improves(self, skewed):
+    def test_skewed_makespan_improves(self, skewed, torus8):
         conns, base = skewed
         flat = WeightedSchedule(base=base, frame=list(range(base.degree)))
         weighted = weighted_schedule(base)
         t_flat = simulate_weighted(flat)
         t_weighted = simulate_weighted(weighted)
         assert t_weighted < t_flat
+        # A heavy tail on a random pattern: 10% of 300 messages carry
+        # 50x the data.
+        rng = np.random.default_rng(7)
+        pattern = random_pattern(64, 300, seed=rng)
+        sizes = np.where(rng.random(300) < 0.1, 200, 4)
+        heavy = RequestSet(
+            [Request(r.src, r.dst, size=int(z)) for r, z in zip(pattern, sizes)]
+        )
+        conns = route_requests(torus8, heavy)
+        base = combined_schedule(conns, torus8)
+        flat = WeightedSchedule(base=base, frame=list(range(base.degree)))
+        weighted = weighted_schedule(base)
+        weighted.validate(conns)
+        assert simulate_weighted(weighted) < simulate_weighted(flat)
 
     def test_frame_cap_respected(self, skewed):
         _, base = skewed

@@ -146,6 +146,30 @@ class TestMechanismComparison:
         t_multihop = multihop.simulate(wl).completion_time
         assert t_multihop < t_standing
 
+    def test_latency_under_rising_load(self):
+        """200 messages at mean gaps of 8, 4, 2 and 1 slots: mean latency
+        does not fall as the load rises, and at light load the
+        multihop emulation's short frame beats the standing AAPC."""
+        from repro.simulator.metrics import summarize
+        from repro.topology.torus import Torus2D
+
+        topo = Torus2D(8)
+        standing = StandingAllToAll(topo)
+        multihop = MultihopEmulation(topo)
+        params = SimParams()
+        standing_lat, multihop_lat = [], []
+        for gap in (8.0, 4.0, 2.0, 1.0):
+            wl = random_online_workload(64, 200, mean_gap=gap, size=4, seed=17)
+            standing_lat.append(
+                summarize(standing.simulate(wl, params).messages)["latency_mean"]
+            )
+            multihop_lat.append(
+                summarize(multihop.simulate(wl, params).messages)["latency_mean"]
+            )
+        assert standing_lat[-1] >= 0.8 * standing_lat[0]
+        assert multihop_lat[-1] >= 0.8 * multihop_lat[0]
+        assert multihop_lat[0] < standing_lat[0]
+
     def test_dynamic_reservation_accepts_arrivals(self, torus8):
         from repro.core.requests import RequestSet
         from repro.simulator.dynamic import simulate_dynamic

@@ -51,6 +51,46 @@ class TestTable1Shapes:
                 assert r[key] == pytest.approx(expected, rel=0.15)
 
 
+class TestTable2Shapes:
+    def test_redistribution_needs_lower_degree_than_random(self, torus8):
+        """Paper: 'the multiplexing degree required to establish
+        connections resulting from data redistribution is less than
+        those required for random communication patterns.'
+
+        The paper compares Table 2's bin means against Table 1's rows at
+        the bin edges (the 801-1200 bin's 31.7 vs 36.3 for 1200 random
+        connections); one redistribution can be *worse* than an
+        equal-count random pattern (few source PEs concentrate injection
+        load), so this reproduces the bin-edge comparison."""
+        import numpy as np
+
+        from repro.core.coloring import coloring_schedule
+        from repro.core.paths import route_requests
+        from repro.patterns.random_patterns import random_pattern
+        from repro.patterns.redistribution import (
+            random_distribution,
+            redistribution_requests,
+        )
+
+        low, high = 801, 1200
+        rng = np.random.default_rng(3)
+        redist = []
+        while len(redist) < 6:
+            src = random_distribution((64, 64, 64), 64, seed=rng)
+            dst = random_distribution((64, 64, 64), 64, seed=rng)
+            rs = redistribution_requests(src, dst)
+            if low <= len(rs) <= high:
+                redist.append(coloring_schedule(route_requests(torus8, rs)).degree)
+        random_degrees = [
+            coloring_schedule(
+                route_requests(torus8, random_pattern(64, high, seed=rng))
+            ).degree
+            for _ in range(6)
+        ]
+        mean = lambda degrees: sum(degrees) / len(degrees)
+        assert mean(redist) < mean(random_degrees)
+
+
 class TestTable3Shapes:
     @pytest.fixture(scope="class")
     def rows(self):
@@ -64,6 +104,8 @@ class TestTable3Shapes:
         assert rows["shuffle-exchange"]["combined"] == 4
         assert rows["all-to-all"]["combined"] == 64
         assert abs(rows["hypercube"]["combined"] - 7) <= 1
+        for r in rows.values():
+            assert r["combined"] <= r["greedy"]
 
     def test_greedy_mean_near_paper(self, rows):
         for name, (_, greedy, *_rest) in exp.PAPER_TABLE3.items():
@@ -77,12 +119,8 @@ class TestTable3Shapes:
 class TestTable5Shapes:
     @pytest.fixture(scope="class")
     def rows(self):
-        return exp.table5(
-            params=SimParams(),
-            gs_grids=(64, 256),
-            p3m_grids=(32,),
-            degrees=(1, 2, 5, 10),
-        )
+        # every workload at every problem size of the paper's table
+        return exp.table5(params=SimParams())
 
     def test_compiled_always_wins(self, rows):
         for r in rows:
@@ -113,6 +151,14 @@ class TestTable5Shapes:
     def test_dense_pattern_prefers_high_degree(self, rows):
         p3m2 = next(r for r in rows if r["pattern"] == "P3M 2")
         assert p3m2["dynamic_10"] < p3m2["dynamic_1"]
+
+    def test_dynamic_gs_near_paper(self, rows):
+        """The dynamic GS columns land within 35% of the paper's."""
+        for r in rows:
+            if r["pattern"] == "GS":
+                _, *paper = exp.PAPER_TABLE5[("GS", r["problem"])]
+                for k, expected in zip((1, 2, 5, 10), paper):
+                    assert r[f"dynamic_{k}"] == pytest.approx(expected, rel=0.35)
 
     def test_compiled_degree_adapts_per_pattern(self, rows):
         degrees = {r["compiled_degree"] for r in rows}

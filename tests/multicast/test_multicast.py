@@ -93,9 +93,12 @@ class TestScheduling:
 
     def test_multicast_beats_unicast_fanout(self, torus8):
         """One broadcast tree = 1 slot; 63 unicasts from one source = 63
-        slots.  The whole point of optical multicast."""
+        slots.  The whole point of optical multicast -- and row
+        multicasts and allgather trees never need more slots than their
+        unicast emulations either."""
         from repro.core.paths import route_requests
         from repro.core.requests import RequestSet
+        from repro.patterns.classic import all_to_all_pattern
 
         tree = route_multicasts(torus8, broadcast_pattern(64))
         assert greedy_schedule(tree).degree == 1
@@ -103,6 +106,16 @@ class TestScheduling:
             torus8, RequestSet.from_pairs([(0, d) for d in range(1, 64)])
         )
         assert greedy_schedule(unicasts).degree == 63
+        # row multicasts: 8 disjoint trees vs their 56 unicasts
+        rows = greedy_schedule(route_multicasts(torus8, row_multicast_pattern(8, 8)))
+        row_unicasts = route_requests(torus8, RequestSet.from_pairs(
+            [(8 * y, x + 8 * y) for y in range(8) for x in range(1, 8)]
+        ))
+        assert rows.degree <= coloring_schedule(row_unicasts).degree
+        # allgather: 64 spanning trees vs the 4032-pair all-to-all
+        trees = coloring_schedule(route_multicasts(torus8, all_broadcast_pattern(64)))
+        everyone = route_requests(torus8, all_to_all_pattern(64))
+        assert trees.degree <= coloring_schedule(everyone).degree
 
 
 class TestCodegen:

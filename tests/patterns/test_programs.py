@@ -58,3 +58,12 @@ class TestCompiledPrograms:
         for r in rows:
             assert r["compiled"] < r["dynamic_1"]
             assert r["compiled"] < r["dynamic_10"]
+        # GS at 256 x 256 against every dynamic degree of Table 5
+        rows = table5_programs(
+            params=SimParams(), gs_grid=256, p3m_grid=32, topology=torus8
+        )
+        for r in rows:
+            for k in (1, 2, 5, 10):
+                assert r["compiled"] < r[f"dynamic_{k}"]
+        p3m = next(r for r in rows if r["program"] == "P3M")
+        assert len(set(p3m["degrees"])) >= 3  # per-phase degree adaptation

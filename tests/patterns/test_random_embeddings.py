@@ -92,6 +92,13 @@ class TestGrayEmbedding:
         gray = hypercube_pattern(64, embedding=gray_embedding(8, 8))
         dist = lambda rs: sum(torus8.distance(s, d) for s, d in rs.pairs)
         assert dist(gray) <= dist(ident)
+        # ... and the schedulers turn the shorter paths into a degree
+        # no higher than the identity placement's
+        from repro.core.combined import combined_schedule
+        from repro.core.paths import route_requests
+
+        degree = lambda rs: combined_schedule(route_requests(torus8, rs), torus8).degree
+        assert degree(gray) <= degree(ident)
 
 
 class TestEmbedPairs:

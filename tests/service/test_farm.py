@@ -2,6 +2,9 @@
 failover, and the shard-map-carrying client)."""
 
 import asyncio
+import random
+import threading
+import time
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.service.cache import ArtifactCache
 from repro.service.canonical import canonicalize
 from repro.service.client import AsyncCompileClient
 from repro.service.compile import build_canonical_artifact, compile_digest
+from repro.service import server
 from repro.service.errors import (
     EpochConflict,
     ProtocolError,
@@ -320,6 +324,72 @@ class TestFailover:
             finally:
                 await client.close()
         run(with_farm(go, nodes=3, replication=2))
+
+
+# ----------------------------------------------------------------------
+# throughput scaling
+# ----------------------------------------------------------------------
+
+class TestThroughputScaling:
+    def test_four_nodes_at_least_1_8x_faster_than_one(self, monkeypatch):
+        """Digest sharding spreads cold compiles over the nodes' worker
+        pools.  A test fake adds a fixed 0.2 s to every cold compile in
+        the worker, so the elapsed time measures the farm's request-level
+        parallelism, not this host's core count."""
+        real = server._worker_compile
+        lock = threading.Lock()
+        inflight = {"now": 0, "peak": 0}
+
+        def costly_compile(task):
+            with lock:
+                inflight["now"] += 1
+                inflight["peak"] = max(inflight["peak"], inflight["now"])
+            try:
+                time.sleep(0.2)
+                return real(task)
+            finally:
+                with lock:
+                    inflight["now"] -= 1
+
+        monkeypatch.setattr(server, "_worker_compile", costly_compile)
+        # 8 distinct seeded 8-pair patterns on the 4x4 torus: all cold
+        rng = random.Random(0)
+        patterns = []
+        for _ in range(8):
+            rows = []
+            for _ in range(8):
+                src, dst = rng.randrange(16), rng.randrange(15)
+                rows.append([src, dst + (dst >= src)])
+            patterns.append(rows)
+
+        async def go(farm):
+            clients = [farm.client() for _ in patterns]
+            for client in clients:
+                await client.connect()
+            try:
+                t0 = time.perf_counter()
+                replies = await asyncio.gather(
+                    *(c.compile(TORUS4, pairs=p)
+                      for c, p in zip(clients, patterns)),
+                    return_exceptions=True,
+                )
+                elapsed = time.perf_counter() - t0
+            finally:
+                for client in clients:
+                    await client.close()
+            return elapsed, replies
+
+        elapsed = {}
+        for nodes in (1, 4):
+            inflight["peak"] = 0
+            elapsed[nodes], replies = run(
+                with_farm(go, nodes=nodes, replication=2)
+            )
+            failures = [r for r in replies if isinstance(r, BaseException)]
+            assert not failures
+            assert [r["cache"] for r in replies] == ["miss"] * len(patterns)
+        assert inflight["peak"] >= 2  # the 4-node farm overlapped compiles
+        assert elapsed[4] <= elapsed[1] / 1.8, elapsed
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.requests import RequestSet
-from repro.patterns.applications import tscf_pattern
+from repro.patterns.applications import p3m_pattern, tscf_pattern
 from repro.patterns.classic import nearest_neighbour_2d
 from repro.simulator.dynamic import simulate_dynamic
 from repro.simulator.dynamic.trace import ProtocolTrace
@@ -44,6 +44,15 @@ class TestHoldingVsDropping:
         drop = simulate_dynamic(torus8, requests, 2, params)
         hold = simulate_dynamic(torus8, requests, 2, params, protocol="holding")
         assert hold.total_retries < drop.total_retries
+        # ... and stays competitive on TSCF and P3M 5 at K = 1 and 5
+        for requests in (tscf_pattern().requests, p3m_pattern(5, 32).requests):
+            for k in (1, 5):
+                drop = simulate_dynamic(torus8, requests, k, params)
+                hold = simulate_dynamic(
+                    torus8, requests, k, params, protocol="holding"
+                )
+                assert hold.total_retries <= drop.total_retries
+                assert hold.completion_time <= 1.2 * drop.completion_time
 
     def test_faster_on_contended_fine_grained_traffic(self, torus8, params):
         requests = tscf_pattern().requests

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.requests import RequestSet
-from repro.patterns.classic import nearest_neighbour_2d, ring_pattern
+from repro.patterns.classic import (
+    all_to_all_pattern,
+    nearest_neighbour_2d,
+    ring_pattern,
+)
 from repro.simulator.compiled import compiled_completion_time
 from repro.simulator.params import SimParams
 from repro.simulator.wdm import (
@@ -28,6 +32,16 @@ class TestCompiledWDM:
         tdm = compiled_completion_time(torus8, requests, params)
         wdm = wdm_compiled_completion_time(torus8, requests, params)
         assert wdm.completion_time < tdm.completion_time
+        # all-to-all: parallel transmitters never lose to TDM, and one
+        # transmitter per node never beats them
+        requests = all_to_all_pattern(64, size=16)
+        tdm = compiled_completion_time(torus8, requests, params)
+        wdm = wdm_compiled_completion_time(torus8, requests, params)
+        single = wdm_compiled_completion_time(
+            torus8, requests, params, transmitters="single"
+        )
+        assert wdm.completion_time <= tdm.completion_time
+        assert single.completion_time >= wdm.completion_time
 
     def test_single_transmitter_serialises_per_source(self, torus8, params):
         requests = nearest_neighbour_2d(8, 8, size=64)  # 4 sends per node

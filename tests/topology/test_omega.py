@@ -63,6 +63,11 @@ class TestClassicMINFacts:
         rs = RequestSet.from_pairs([(i, (i + 1) % 16) for i in range(16)])
         conns = route_requests(om, rs)
         assert greedy_schedule(conns).degree == 1
+        # the bidirectional ring on 64 ports needs very few slots
+        from repro.patterns.classic import ring_pattern
+
+        ring = route_requests(OmegaNetwork(64), ring_pattern(64))
+        assert coloring_schedule(ring).degree <= 4
 
     def test_bit_reversal_conflicts(self):
         """Bit reversal is a classic omega worst case: some center-stage
@@ -105,6 +110,13 @@ class TestClassicMINFacts:
         schedule = coloring_schedule(conns)
         schedule.validate(conns)
         assert schedule.degree >= 15  # injection bound
+        # The uniform stages make the all-to-all conflict graph easy:
+        # on 64 ports coloring lands on the N - 1 = 63 injection bound
+        # exactly (the 8x8 torus needs 82 against its optimum of 64).
+        from repro.patterns.classic import all_to_all_pattern
+
+        everyone = route_requests(OmegaNetwork(64), all_to_all_pattern(64))
+        assert coloring_schedule(everyone).degree == 63
 
     def test_codegen_not_applicable_but_simulator_is(self):
         """The compiled simulator (which only needs routes + schedules)
