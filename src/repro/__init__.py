@@ -62,7 +62,6 @@ from repro.core import (
 )
 from repro.simulator import (
     SimParams,
-    simulate_compiled,
     compiled_completion_time,
     simulate_dynamic,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "get_scheduler",
     "scheduler_names",
     "SimParams",
-    "simulate_compiled",
     "compiled_completion_time",
     "simulate_dynamic",
     "__version__",

@@ -157,17 +157,14 @@ def schedule_from_dict(topology: Topology, data: dict[str, Any]) -> tuple[Config
     connections = route_requests(topology, requests)
     configs = []
     i = 0
+    for slot in data["slots"]:
+        configs.append(Configuration._trusted(connections[i:i + len(slot)]))
+        i += len(slot)
+    schedule = ConfigurationSet(configs, scheduler=data.get("scheduler", "loaded"))
     try:
-        for slot in data["slots"]:
-            cfg = Configuration()
-            for _ in slot:
-                cfg.add(connections[i])  # raises if the file lies
-                i += 1
-            configs.append(cfg)
+        schedule.validate(connections)  # the one check: raises if the file lies
     except AssertionError as exc:
         raise ArtifactError(f"schedule file is not conflict-free here: {exc}") from exc
-    schedule = ConfigurationSet(configs, scheduler=data.get("scheduler", "loaded"))
-    schedule.validate(connections)
     if schedule.degree != data["degree"]:
         raise ArtifactError(
             f"declared degree {data['degree']} != actual {schedule.degree}"

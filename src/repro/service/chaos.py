@@ -1048,6 +1048,9 @@ async def _run_router_ha_phases(
         report["replication_stats"]["drain_repush_retries"] = (
             ha.leader.drain_repush_retries
         )
+        report["replication_stats"]["refused"] += sum(
+            n.replicas_refused for n in (*ha.nodes.values(), drained_node)
+        )
     finally:
         await client.close()
         await ha.shutdown()
@@ -1257,6 +1260,7 @@ async def _run_farm_ha_campaign_async(
 
         report["replication_stats"] = {
             "pushed": sum(n.replicas_pushed for n in farm.nodes.values()),
+            "refused": sum(n.replicas_refused for n in farm.nodes.values()),
             "dropped": sum(
                 n.replica_pushes_dropped for n in farm.nodes.values()
             ),

@@ -421,13 +421,13 @@ class FarmNodeServer(CompileServer):
 
     Extends the verb set with ``shardmap`` (read the node's map),
     ``reshard`` (adopt a newer map), ``fetch`` (read one artifact for a
-    peer), ``store`` (accept one replica, hash + semantically
-    verified), ``digests`` (advertise the local inventory for
-    anti-entropy) and ``repair`` (force one anti-entropy sweep).  The
-    inherited ``compile``/``amend`` verbs gain an ownership gate: a
-    request whose route digest this node does not own is refused with
-    :class:`WrongShard` so a stale client or router can never populate
-    the wrong shard.
+    peer), ``store`` (accept one replica that names its topology spec,
+    hash + semantically verified), ``digests`` (advertise the local
+    inventory for anti-entropy) and ``repair`` (force one anti-entropy
+    sweep).  The inherited ``compile``/``amend`` verbs gain an
+    ownership gate: a request whose route digest this node does not
+    own is refused with :class:`WrongShard` so a stale client or router
+    can never populate the wrong shard.
 
     Self-healing: a ``repair`` sweep pulls peer inventories and adopts
     replicas of the digests *it* owns that it is missing -- closing the
@@ -487,6 +487,9 @@ class FarmNodeServer(CompileServer):
         self.drain_repush_retries = 0
         self.replicas_pushed = 0
         self.replicas_received = 0
+        #: ``store`` pushes refused: no spec, a bad spec, or failed
+        #: verification.  Honest peers never trip it.
+        self.replicas_refused = 0
         self.replica_push_failures = 0
         self.replica_push_retries = 0
         self.replica_pushes_dropped = 0
@@ -799,9 +802,10 @@ class FarmNodeServer(CompileServer):
             targets = [
                 peer for peer in successor.owners(key) if peer != self.name
             ]
-            if not targets:
-                continue
-            data = self._store_frame(digest, entry)
+            spec = self._specs.get(digest)
+            if not targets or spec is None:
+                continue  # a receiver refuses what it cannot verify
+            data = self._store_frame(digest, entry, spec)
             for peer in targets:
                 await self._push_replica(peer, data)
                 self.drain_repushes += 1
@@ -829,19 +833,23 @@ class FarmNodeServer(CompileServer):
                 "store request needs 'digest' and an artifact payload"
             )
         spec = req.get("topology_spec")
-        if isinstance(spec, dict):
-            # Same bar as read repair: hash proves transport integrity,
-            # the semantic check proves the artifact is a valid
-            # conflict-free schedule *for the topology it claims*.  A
-            # lying spec fails the signature cross-check inside
-            # verify_artifact.
-            try:
-                artifact_verifier(topology_from_spec(spec))(doc)
-            except Exception as exc:
-                raise ProtocolError(
-                    f"replica failed semantic verification: {exc}"
-                ) from None
-            self._specs[digest] = dict(spec)
+        if not isinstance(spec, dict):
+            # Without a spec there is nothing to verify against, and the
+            # sender's hash alone never vouches for an artifact.
+            self.replicas_refused += 1
+            raise ProtocolError("store request needs a 'topology_spec'")
+        # Same bar as read repair: hash proves transport integrity, the
+        # semantic check proves the artifact is a valid conflict-free
+        # schedule *for the topology it claims*.  A lying spec fails the
+        # signature cross-check inside verify_artifact.
+        try:
+            artifact_verifier(self._topology(spec))(doc)
+        except Exception as exc:
+            self.replicas_refused += 1
+            raise ProtocolError(
+                f"replica failed semantic verification: {exc}"
+            ) from None
+        self._specs[digest] = dict(spec)
         self.cache.put(digest, doc)
         self.replicas_received += 1
         head = req.get("amend_head")
@@ -935,7 +943,7 @@ class FarmNodeServer(CompileServer):
             return False
         try:
             stream = AmendStream.resume(
-                topology_from_spec(spec), doc,
+                self._topology(spec), doc,
                 scheduler=head["scheduler"], cache=self.cache,
             )
         except Exception:
@@ -992,8 +1000,10 @@ class FarmNodeServer(CompileServer):
         amend epochs -- the resume metadata a takeover needs.
         """
         entry = self.cache.encoded(digest)
-        if entry is None:
-            return
+        if spec is None:
+            spec = self._specs.get(digest)
+        if entry is None or spec is None:
+            return  # a receiver refuses what it cannot verify
         extra = {} if amend_head is None else {"amend_head": amend_head}
         data = self._store_frame(digest, entry, spec, **extra)
         for peer in owners:
@@ -1007,19 +1017,15 @@ class FarmNodeServer(CompileServer):
         self,
         digest: str,
         entry: CachedArtifact,
-        spec: dict[str, Any] | None = None,
+        spec: dict[str, Any],
         **extra: Any,
     ) -> bytes:
         """One ``store`` push of a cached artifact: the cache's bytes and
         sha256, plus the topology spec a receiver verifies against."""
-        msg: dict[str, Any] = {
-            "op": "store", "digest": digest, **extra, "payload": entry.whole(),
-        }
-        if spec is None:
-            spec = self._specs.get(digest)
-        if spec is not None:
-            msg["topology_spec"] = spec
-        return wire.encode(msg)
+        return wire.encode({
+            "op": "store", "digest": digest, **extra, "topology_spec": spec,
+            "payload": entry.whole(),
+        })
 
     async def _push_replica(self, peer: str, data: bytes) -> None:
         """One replica push: a single bounded retry (with jitter) before
@@ -1167,7 +1173,7 @@ class FarmNodeServer(CompileServer):
         if not isinstance(doc, dict):
             return None  # the peer lost it between inventory and fetch
         try:
-            artifact_verifier(topology_from_spec(spec))(doc)
+            artifact_verifier(self._topology(spec))(doc)
         except Exception:
             return False
         if local is not None and not (
@@ -1215,6 +1221,7 @@ class FarmNodeServer(CompileServer):
             "lease_epoch": int(lease.get("epoch", 0)),
             "replicas_pushed": self.replicas_pushed,
             "replicas_received": self.replicas_received,
+            "replicas_refused": self.replicas_refused,
             "replica_push_failures": self.replica_push_failures,
             "replica_push_retries": self.replica_push_retries,
             "replica_pushes_dropped": self.replica_pushes_dropped,
@@ -2021,6 +2028,7 @@ class ShardRouter:
             "replication": {
                 "pushed": _total("replicas_pushed"),
                 "received": _total("replicas_received"),
+                "refused": _total("replicas_refused"),
                 "push_failures": _total("replica_push_failures"),
                 "push_retries": _total("replica_push_retries"),
                 "pushes_dropped": _total("replica_pushes_dropped"),

@@ -73,6 +73,7 @@ finish and are answered, then the pool is torn down.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -102,6 +103,7 @@ from repro.service.errors import (
 )
 from repro.service.policy import ServerPolicy, request_digest
 from repro.service.specs import topology_from_spec
+from repro.topology.base import Topology
 
 #: Named ``pattern`` specs memoized to their canonical pattern, keyed by
 #: topology signature and the spec's canonical JSON.  Every spec of
@@ -110,9 +112,18 @@ from repro.service.specs import topology_from_spec
 SPEC_MEMO_ENTRIES = 64
 _spec_memo: OrderedDict[tuple[str, str], CanonicalPattern] = OrderedDict()
 
+#: Built topologies one server keeps per spec (see
+#: :meth:`CompileServer._topology`); each holds its own route cache.
+TOPOLOGY_MEMO_ENTRIES = 8
+
 
 def _worker_compile(task: dict[str, Any]) -> dict[str, Any]:
-    """Top-level (picklable) worker: cold-compile a canonical pattern."""
+    """Top-level (picklable) worker: cold-compile a canonical pattern.
+
+    Builds its own topology from the task's spec: with ``workers=0``
+    this runs on a pool thread, and the server's memoised topologies
+    (:meth:`CompileServer._topology`) belong to the event loop.
+    """
     topology = topology_from_spec(task["topology_spec"])
     return _compile_mod.build_canonical_artifact(
         topology,
@@ -237,6 +248,7 @@ class CompileServer:
         self._shutdown = asyncio.Event()
         self._shutdown_task: asyncio.Task | None = None
         self._started_at: float | None = None
+        self._topologies: OrderedDict[str, Topology] = OrderedDict()
         self._active = 0
         self.requests_served = 0
         self.inflight_coalesced = 0
@@ -532,6 +544,31 @@ class CompileServer:
         finally:
             self._active -= 1
 
+    def _topology(self, spec: Any) -> Topology:
+        """The topology ``spec`` names, built once per spec on this server.
+
+        Routes are a fixed function of the topology, so keeping the
+        built instance keeps its route cache warm: re-verifying a
+        replica or an amend epoch re-routes on cache hits.  The memo is
+        keyed by the spec's sorted JSON, holds the
+        :data:`TOPOLOGY_MEMO_ENTRIES` most recently used, and belongs
+        to the event-loop thread: ``Topology.route``'s LRU is not
+        thread-safe, so a worker compile builds its own topology from
+        the spec (:func:`_worker_compile`).  Nothing may mutate an
+        entry -- no server path calls ``FaultyTopology.fail_link`` or
+        ``restore_link``.  A malformed spec raises as
+        :func:`~repro.service.specs.topology_from_spec` does and leaves
+        no entry.
+        """
+        key = json.dumps(spec, sort_keys=True)
+        topology = self._topologies.pop(key, None)
+        if topology is None:
+            topology = topology_from_spec(spec)
+        self._topologies[key] = topology  # most recently used last
+        if len(self._topologies) > TOPOLOGY_MEMO_ENTRIES:
+            self._topologies.popitem(last=False)
+        return topology
+
     def _compile_key(self, req: dict[str, Any]):
         """Parse + canonicalize one compile request to its cache key.
 
@@ -542,7 +579,7 @@ class CompileServer:
         """
         if "topology" not in req:
             raise ProtocolError("compile request needs 'topology'")
-        topology = topology_from_spec(req["topology"])
+        topology = self._topology(req["topology"])
         scheduler = req.get("scheduler") or self.service.default_scheduler
         canonical = canonical_pattern(topology, req)
         digest = compile_digest(topology, canonical, scheduler)
@@ -663,7 +700,7 @@ class CompileServer:
         if "root" in req:
             stream = self.amends.get(str(req["root"]))
             if "topology" in req:
-                topology = topology_from_spec(req["topology"])
+                topology = self._topology(req["topology"])
                 if topology.signature != stream.topology.signature:
                     raise ProtocolError(
                         f"amend root was opened on {stream.topology.signature!r}, "
@@ -683,7 +720,7 @@ class CompileServer:
         else:
             if "topology" not in req:
                 raise ProtocolError("amend request needs 'topology'")
-            topology = topology_from_spec(req["topology"])
+            topology = self._topology(req["topology"])
             tuples = pattern_tuples(req)
             scheduler = req.get("scheduler") or self.service.default_scheduler
             stream, created = self.amends.open(

@@ -23,7 +23,6 @@ from repro.simulator.compiled import (
     CompiledResult,
     EpochUpdate,
     compiled_completion_time,
-    simulate_compiled,
     simulate_compiled_epochs,
     simulate_compiled_faulty,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CompiledFaultResult",
     "CompiledResult",
     "EpochUpdate",
-    "simulate_compiled",
     "simulate_compiled_epochs",
     "simulate_compiled_faulty",
     "compiled_completion_time",

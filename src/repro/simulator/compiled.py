@@ -13,9 +13,9 @@ the makespan over its messages:
 where a message owning slot ``s`` transmits ``slot_payload`` elements
 each time the frame reaches ``s``.
 
-Both an analytic evaluation and a literal slot-stepped simulation are
-provided; they agree exactly (asserted in the test suite), which
-cross-validates the closed form the table drivers rely on for speed.
+The evaluation is analytic; the test suite cross-validates the closed
+form the table drivers rely on for speed against a literal slot-stepped
+simulation (``tests/compiled_reference.py``), and the two agree exactly.
 """
 
 from __future__ import annotations
@@ -745,53 +745,3 @@ def simulate_compiled_epochs(
         params=params,
     )
 
-
-def simulate_compiled(
-    topology: Topology,
-    requests: RequestSet,
-    params: SimParams = SimParams(),
-    *,
-    scheduler: str = "combined",
-) -> CompiledResult:
-    """Slot-stepped simulation of the same model (cross-validation).
-
-    Walks time slot by slot, streaming ``slot_payload`` elements for
-    every connection whose slot matches the frame position.  Slower but
-    makes no closed-form assumptions.
-    """
-    connections = route_requests(topology, requests)
-    schedule = get_scheduler(scheduler)(connections, topology)
-    slot_map = schedule.slot_map()
-    messages = messages_from_requests(requests)
-    degree = max(schedule.degree, 1)
-
-    remaining = {m.mid: m.size for m in messages}
-    for m in messages:
-        m.first_attempt = 0
-        m.established = params.compiled_startup
-        m.slot = slot_map[m.mid]
-    t = params.compiled_startup
-    completion = t
-    while remaining:
-        if t - params.compiled_startup > params.max_slots:
-            raise RuntimeError("compiled simulation exceeded max_slots")
-        active = t % degree
-        done = []
-        for mid in remaining:
-            m = messages[mid]
-            if m.slot == active:
-                remaining[mid] -= params.slot_payload
-                if remaining[mid] <= 0:
-                    m.delivered = t + 1
-                    completion = max(completion, t + 1)
-                    done.append(mid)
-        for mid in done:
-            del remaining[mid]
-        t += 1
-    return CompiledResult(
-        completion_time=completion,
-        degree=schedule.degree,
-        schedule=schedule,
-        messages=messages,
-        params=params,
-    )

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.requests import RequestSet
 from repro.simulator.compiled import (
     compiled_completion_time,
-    simulate_compiled,
     transfer_chunks,
     transfer_finish,
 )
 from repro.simulator.dynamic import simulate_dynamic
 from repro.simulator.params import SimParams
 from repro.topology.torus import Torus2D
+from tests.compiled_reference import simulate_compiled
 
 TORUS = Torus2D(4)
 

@@ -2,6 +2,7 @@
 failover, and the shard-map-carrying client)."""
 
 import asyncio
+import copy
 import random
 import threading
 import time
@@ -9,11 +10,13 @@ import time
 import pytest
 
 from repro.compiler.serialize import artifact_digest
+from repro.core import perf
 from repro.patterns.classic import ring_pattern
 from repro.service.cache import ArtifactCache
 from repro.service.canonical import canonicalize
 from repro.service.client import AsyncCompileClient
 from repro.service.compile import build_canonical_artifact, compile_digest
+from repro.service import compile as compile_mod
 from repro.service import server
 from repro.service.errors import (
     EpochConflict,
@@ -489,7 +492,116 @@ class TestFarmAmend:
 # byte-transparency of the router hop
 # ----------------------------------------------------------------------
 
+TORUS4_POSITIVE = {"kind": "torus", "width": 4, "tie_break": "positive"}
+
+
+def _ring_artifact(spec=TORUS4):
+    """A valid canonical ring-16 artifact for ``spec`` and its digest."""
+    topology = topology_from_spec(spec)
+    canonical = canonicalize(topology, ring_pattern(16))
+    doc = build_canonical_artifact(topology, canonical.requests)
+    return doc, compile_digest(topology, canonical, "combined")
+
+
+def _store(doc, digest=None, spec=TORUS4):
+    """A hash-clean ``store`` push (``spec=None`` sends none)."""
+    msg = {
+        "op": "store", "digest": digest or artifact_digest(doc),
+        "artifact": doc, "payload_sha256": artifact_digest(doc),
+    }
+    if spec is not None:
+        msg["topology_spec"] = spec
+    return msg
+
+
 class TestStoreVerification:
+    def test_store_without_a_spec_is_refused(self):
+        doc, digest = _ring_artifact()
+
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                with pytest.raises(ProtocolError, match="topology_spec"):
+                    await c.request(_store(doc, digest, spec=None))
+            assert node.cache.peek(digest) is None
+            assert node.replicas_refused == 1 and node.replicas_received == 0
+        run(with_farm(go, nodes=1))
+
+    def test_warm_memo_still_refuses_lying_stores(self):
+        """An honest store warms the node's topologies and routes; a
+        conflicting, degree-lying or foreign-signature artifact is
+        still refused and never cached."""
+        doc, digest = _ring_artifact()
+        positive, positive_digest = _ring_artifact(TORUS4_POSITIVE)
+        reuses_links = copy.deepcopy(doc)
+        slot = reuses_links["schedule"]["slots"][0]
+        slot.append(dict(slot[0]))  # a second circuit on every link of slot[0]
+        lies_degree = copy.deepcopy(doc)
+        lies_degree["schedule"]["degree"] += 1
+        bad = [
+            (reuses_links, TORUS4, "not conflict-free"),
+            (lies_degree, TORUS4, "declared degree"),
+            (doc, TORUS4_POSITIVE, "artifact built for"),
+        ]
+
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                await c.request(_store(doc, digest))
+                await c.request(
+                    _store(positive, positive_digest, spec=TORUS4_POSITIVE)
+                )
+                assert len(node._topologies) == 2
+                for artifact, spec, why in bad:
+                    with pytest.raises(ProtocolError, match=why):
+                        await c.request(_store(artifact, spec=spec))
+                    assert node.cache.peek(artifact_digest(artifact)) is None
+            assert node.replicas_refused == len(bad)
+            assert node.replicas_received == 2
+        run(with_farm(go, nodes=1))
+
+    def test_every_store_verified_once_on_warm_routes(self, monkeypatch):
+        verified = []
+        real = compile_mod.verify_artifact
+
+        def spy(topology, doc):
+            verified.append(topology)
+            return real(topology, doc)
+
+        monkeypatch.setattr(compile_mod, "verify_artifact", spy)
+        doc, digest = _ring_artifact()
+
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                await c.request(_store(doc, digest))
+                misses = perf.COUNTERS.route_cache_misses
+                hits = perf.COUNTERS.route_cache_hits
+                await c.request(_store(doc, digest))
+                assert perf.COUNTERS.route_cache_misses == misses
+                assert perf.COUNTERS.route_cache_hits > hits
+            assert node.replicas_received == 2
+            (memoised,) = node._topologies.values()
+            return memoised
+
+        memoised = run(with_farm(go, nodes=1))
+        assert len(verified) == 2
+        assert verified[0] is verified[1] is memoised
+
+    def test_refused_store_counted_in_router_stats(self):
+        doc, digest = _ring_artifact()
+
+        async def go(farm):
+            name, node = next(iter(farm.nodes.items()))
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                with pytest.raises(ProtocolError):
+                    await c.request(_store(doc, digest, spec=TORUS4_POSITIVE))
+            async with AsyncCompileClient(*farm.router_address) as c:
+                stats = await c.request({"op": "stats"})
+            assert stats["replication"]["refused"] == 1
+            assert stats["nodes"][name]["farm"]["replicas_refused"] == 1
+        run(with_farm(go, nodes=3, replication=2))
+
     def test_store_refuses_a_register_image_of_another_schedule(self):
         topology = topology_from_spec(TORUS4)
         canonical = canonicalize(topology, ring_pattern(16))

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -10,7 +11,13 @@ from repro.service.cache import ArtifactCache
 from repro.service.client import AsyncCompileClient, ServerError
 from repro.service.compile import compile_pattern
 from repro.service.errors import ProtocolError
-from repro.service.server import CompileServer, _parse_pattern
+from repro.service.server import (
+    TOPOLOGY_MEMO_ENTRIES,
+    CompileServer,
+    _parse_pattern,
+)
+from repro.service.specs import TopologySpecError
+from repro.topology.base import Topology
 from repro.topology.torus import Torus2D
 
 TORUS4 = {"kind": "torus", "width": 4}
@@ -127,6 +134,90 @@ class TestProtocol:
                 await server.shutdown()
 
         run(go())
+
+
+class TestTopologyMemo:
+    def test_same_spec_same_topology(self):
+        server = CompileServer()
+        first = server._topology(TORUS4)
+        assert server._topology(dict(TORUS4)) is first
+        # Another spelling of one topology is a second key, built once.
+        full = server._topology({"kind": "torus", "width": 4, "height": 4})
+        assert full is not first and full.signature == first.signature
+        assert len(server._topologies) == 2
+
+    def test_faulty_specs_with_different_failures_differ(self):
+        server = CompileServer()
+        a = server._topology({"kind": "faulty", "base": TORUS4, "failed": [32]})
+        b = server._topology({"kind": "faulty", "base": TORUS4, "failed": [33]})
+        assert a is not b and a.signature != b.signature
+        assert a.failed_links == {32} and b.failed_links == {33}
+
+    def test_memo_is_bounded_lru(self):
+        server = CompileServer()
+        specs = [
+            {"kind": "ring", "nodes": n}
+            for n in range(3, 5 + TOPOLOGY_MEMO_ENTRIES)
+        ]
+        oldest = server._topology(specs[0])
+        kept = server._topology(specs[1])
+        for spec in specs[2:]:
+            server._topology(spec)
+            server._topology(specs[1])  # recently used: never evicted
+        assert len(server._topologies) == TOPOLOGY_MEMO_ENTRIES
+        assert server._topology(specs[1]) is kept
+        assert server._topology(specs[0]) is not oldest  # evicted, rebuilt
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "bogus"},
+        {"kind": "torus"},
+        {"kind": "torus", "width": 4, "tie_break": "sideways"},
+        {"width": 4},
+        "torus",
+        None,
+    ])
+    def test_malformed_spec_raises_and_leaves_no_entry(self, spec):
+        server = CompileServer()
+        with pytest.raises(TopologySpecError):
+            server._topology(spec)
+        assert len(server._topologies) == 0
+
+    def test_requests_share_the_memoised_topology(self):
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port) as c:
+                await c.compile(TORUS4, pattern=TRANSPOSE4)
+                opened = await c.amend(TORUS4, pairs=[[0, 1], [2, 3]])
+                await c.amend(
+                    root=opened["root"], epoch=0, add=[[4, 5]],
+                    topology=TORUS4,
+                )
+            (memoised,) = server._topologies.values()
+            (stream,) = server.amends._streams.values()
+            assert stream.topology is memoised
+
+        run(with_server(go))
+
+    def test_worker_thread_never_routes_on_a_memo_entry(self, monkeypatch):
+        routed = []  # (thread id, topology) of every route call
+        real = Topology.route
+
+        def spy(self, src, dst):
+            routed.append((threading.get_ident(), self))
+            return real(self, src, dst)
+
+        monkeypatch.setattr(Topology, "route", spy)
+
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port) as c:
+                reply = await c.compile(TORUS4, pattern=TRANSPOSE4)
+            assert reply["cache"] == "miss"
+            return list(server._topologies.values())
+
+        memo = run(with_server(go))  # workers=0: one compile thread
+        loop_thread = threading.get_ident()
+        on_worker = [t for ident, t in routed if ident != loop_thread]
+        assert on_worker, "the cold compile routes on the pool thread"
+        assert memo and not any(t is m for t in on_worker for m in memo)
 
 
 class TestDedupAndConcurrency:

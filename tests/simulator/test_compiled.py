@@ -7,11 +7,11 @@ from repro.patterns.applications import gs_pattern, tscf_pattern
 from repro.patterns.random_patterns import random_pattern
 from repro.simulator.compiled import (
     compiled_completion_time,
-    simulate_compiled,
     transfer_chunks,
     transfer_finish,
 )
 from repro.simulator.params import SimParams
+from tests.compiled_reference import simulate_compiled
 
 
 class TestTransferModel:
