@@ -22,18 +22,26 @@ and ``scheduler degree <= |R|`` (trivial upper bound).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import networkx as nx
+import numpy as np
 
-from repro.core.conflicts import build_conflict_graph, link_load
+from repro.core.conflicts import build_conflict_graph
 from repro.core.paths import Connection
 
 
 def max_link_load_bound(connections: Sequence[Connection]) -> int:
-    """K >= the maximum number of connections sharing one link."""
+    """K >= the maximum number of connections sharing one link.
+
+    One ``bincount`` over every path's link ids: equal to
+    ``max(link_load(connections).values())``, which also counts a
+    connection once per occurrence of a link in its path.
+    """
     if not connections:
         return 0
-    return max(link_load(connections).values())
+    links = np.fromiter(chain.from_iterable(c.links for c in connections), dtype=np.int64)
+    return int(np.bincount(links).max())
 
 
 def clique_bound(connections: Sequence[Connection]) -> int:

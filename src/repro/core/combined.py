@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.core.aapc_ordered import ordered_aapc_schedule
+from repro.core.bounds import max_link_load_bound
 from repro.core.coloring import coloring_schedule
 from repro.core.configuration import ConfigurationSet
 from repro.core.paths import Connection
@@ -40,14 +41,27 @@ def combined_schedule(
     configurations tend to be front-loaded, but the choice does not
     affect the degree, which is all the evaluation measures).
 
+    When coloring's degree already equals the maximum link load L
+    (:func:`~repro.core.bounds.max_link_load_bound`), ordered AAPC is
+    not run: no conflict-free schedule has degree below L, so AAPC
+    could at best tie, and ties keep coloring.  The result is the one
+    running both passes would return.
+
     Above ``coloring_ceiling`` connections (``None`` disables the
     guard) only the ordered-AAPC pass runs -- see
     :data:`COLORING_CONNECTION_CEILING`.
+
+    Raises ``ValueError`` before scheduling when neither ``topology``
+    nor ``phase_of`` is given (ordered AAPC needs one of them).
     """
+    if topology is None and phase_of is None:
+        raise ValueError("combined_schedule needs a topology or a phase map")
     if coloring_ceiling is not None and len(connections) > coloring_ceiling:
         by_aapc = ordered_aapc_schedule(connections, topology, phase_of)
         return ConfigurationSet(list(by_aapc), scheduler=f"combined({by_aapc.scheduler})")
     by_color = coloring_schedule(connections)
+    if by_color.degree <= max_link_load_bound(connections):
+        return ConfigurationSet(list(by_color), scheduler=f"combined({by_color.scheduler})")
     by_aapc = ordered_aapc_schedule(connections, topology, phase_of)
     winner = by_aapc if by_aapc.degree < by_color.degree else by_color
     return ConfigurationSet(list(winner), scheduler=f"combined({winner.scheduler})")

@@ -80,10 +80,11 @@ def route_requests(
     """Route every request on ``topology``.
 
     Returns connections in request order with ``index`` equal to the
-    request's position.  Raises
+    request's position.  Paths come from one
+    :meth:`~repro.topology.base.Topology.route_many` call, so a batch
+    of route-cache misses is computed in one vectorized pass where the
+    topology has one.  Raises
     :class:`~repro.topology.base.RoutingError` for invalid endpoints.
     """
-    return [
-        Connection(i, r, topology.route(r.src, r.dst))
-        for i, r in enumerate(requests)
-    ]
+    paths = topology.route_many([r.pair for r in requests])
+    return [Connection(i, r, p) for i, (r, p) in enumerate(zip(requests, paths))]

@@ -10,10 +10,12 @@ stores them as one flat ``links`` array with CSR offsets:
 * ``path(i)`` / ``connections()`` reproduce the exact tuples
   ``Topology.route`` returns (the equivalence is pinned by
   ``tests/core/test_routetable.py`` across tie-break cases);
-* the builder is fully vectorized for :class:`KAryNCube` substrates
-  (signed offsets via per-dimension lookup tables, hop link ids via the
-  ragged arange trick), with a generic per-pair fallback for any other
-  topology.
+* the builder is :meth:`KAryNCube.route_arrays
+  <repro.topology.kary_ncube.KAryNCube.route_arrays>` on k-ary
+  n-cube substrates -- the same vectorized pass that computes
+  ``route_requests``' cache misses -- with
+  :meth:`~repro.topology.base.Topology.route_many` as the per-pair
+  fallback for any other topology.
 
 The table deliberately stores *routes*, not policy: it is built from
 the topology's own ``signed_offset`` tables, so a tie-break change
@@ -32,15 +34,6 @@ from repro.topology.base import Topology
 from repro.topology.kary_ncube import KAryNCube
 
 __all__ = ["RouteTable"]
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element (segment index, position within segment) for ragged data."""
-    total = int(counts.sum())
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return idx, np.arange(total, dtype=np.int64) - starts[idx]
 
 
 class RouteTable:
@@ -125,15 +118,18 @@ class RouteTable:
         src: Sequence[int] | np.ndarray,
         dst: Sequence[int] | np.ndarray,
     ) -> "RouteTable":
-        """Table of the given pairs (vectorized on k-ary n-cubes)."""
+        """Table of the given pairs (vectorized on k-ary n-cubes).
+
+        Raises :class:`~repro.topology.base.RoutingError` (a
+        ``ValueError``) for the first pair ``Topology.route`` would
+        refuse: an out-of-range node id or a self-pair.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src and dst must be equal-length flat vectors")
-        if len(src) and (src == dst).any():
-            raise ValueError("self-pairs are not routed")
         if isinstance(topology, KAryNCube):
-            indptr, links = _kary_routes(topology, src, dst)
+            indptr, links = topology.route_arrays(src, dst)
         else:
             indptr, links = _generic_routes(topology, src, dst)
         return cls(topology, src, dst, indptr, links)
@@ -142,74 +138,12 @@ class RouteTable:
 def _generic_routes(
     topology: Topology, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair fallback through ``Topology.route``."""
-    paths = [topology.route(int(s), int(d)) for s, d in zip(src, dst)]
+    """Per-pair fallback through ``Topology.route_many``."""
+    paths = topology.route_many(list(zip(src.tolist(), dst.tolist())))
     lens = np.fromiter((len(p) for p in paths), dtype=np.int64, count=len(paths))
     indptr = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
     links = np.fromiter(
         (l for p in paths for l in p), dtype=np.int32, count=int(indptr[-1])
     )
-    return indptr, links
-
-
-def _kary_routes(
-    topology: KAryNCube, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized dimension-order routing over all pairs at once.
-
-    Mirrors ``KAryNCube._transit_route`` exactly: per dimension, the
-    signed offset comes from a precomputed ``k x k`` table of the
-    topology's own ``signed_offset`` (so the tie-break policy is
-    inherited, not re-derived), and hop ``j`` of dimension ``d`` leaves
-    the node whose lower dimensions are already corrected and whose
-    higher dimensions still hold the source coordinates.
-    """
-    dims = topology.dims
-    ndims = len(dims)
-    p = len(src)
-    # per-dimension coordinates and signed offsets
-    coords_s, coords_d, offs = [], [], []
-    node_stride = 1
-    for d, k in enumerate(dims):
-        cs = (src // node_stride) % k
-        cd = (dst // node_stride) % k
-        table = np.array(
-            [[topology.signed_offset(a, b, d) for b in range(k)] for a in range(k)],
-            dtype=np.int64,
-        )
-        coords_s.append(cs)
-        coords_d.append(cd)
-        offs.append(table[cs, cd])
-        node_stride *= k
-    hop_lens = [np.abs(o) for o in offs]
-    path_lens = 2 + sum(hop_lens)
-    indptr = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(path_lens, out=indptr[1:])
-    links = np.empty(int(indptr[-1]), dtype=np.int32)
-    links[indptr[:-1]] = src  # injection fiber of the source
-    links[indptr[1:] - 1] = topology.num_nodes + dst  # ejection fiber
-    base = topology.transit_link_base
-    # hop offset of each dimension within the path (after the injection
-    # fiber and every lower dimension's hops)
-    prev = np.ones(p, dtype=np.int64)
-    node_stride = 1
-    for d, k in enumerate(dims):
-        hl = hop_lens[d]
-        if int(hl.sum()):
-            idx, j = _ragged(hl)
-            sgn = np.sign(offs[d])[idx]
-            cur = (coords_s[d][idx] + j * sgn) % k
-            # node id while travelling dimension d: lower dims corrected,
-            # higher dims still at the source
-            node = (
-                dst[idx] % node_stride
-                + cur * node_stride
-                + (src[idx] // (node_stride * k)) * (node_stride * k)
-            )
-            links[indptr[idx] + prev[idx] + j] = (
-                base + node * 2 * ndims + 2 * d + (sgn < 0)
-            )
-        prev += hl
-        node_stride *= k
     return indptr, links

@@ -503,7 +503,10 @@ class FarmNodeServer(CompileServer):
         #: not invertible), so semantic re-verification of a replica
         #: needs the spec carried out-of-band; this index feeds the
         #: ``digests`` inventory and the ``store`` push payloads.
+        #: Written only through :meth:`_record_spec`, which prunes it.
         self._specs: dict[str, dict[str, Any]] = {}
+        #: index size after the last prune (the disk tier's share).
+        self._specs_kept = 0
         #: amend root -> latest replicated head metadata (digest,
         #: epoch, scheduler, topology_spec) -- what a takeover
         #: resumes from.
@@ -589,7 +592,7 @@ class FarmNodeServer(CompileServer):
                 if reply.get("ok"):
                     spec = req.get("topology")
                     if isinstance(spec, dict):
-                        self._specs.setdefault(str(reply["digest"]), dict(spec))
+                        self._record_spec(str(reply["digest"]), spec)
                     if reply.get("cache") == "miss":
                         self._spawn_replication(str(reply["digest"]), owners)
                 return reply
@@ -849,8 +852,8 @@ class FarmNodeServer(CompileServer):
             raise ProtocolError(
                 f"replica failed semantic verification: {exc}"
             ) from None
-        self._specs[digest] = dict(spec)
         self.cache.put(digest, doc)
+        self._record_spec(digest, spec)
         self.replicas_received += 1
         head = req.get("amend_head")
         adopted = False
@@ -972,7 +975,7 @@ class FarmNodeServer(CompileServer):
         except TopologySpecError:
             return  # unspeccable topology: stream stays primary-only
         digest = str(stream.digest)
-        self._specs[digest] = spec
+        self._record_spec(digest, spec)
         head = {
             "root": root, "epoch": int(stream.epoch), "digest": digest,
             "scheduler": stream.scheduler, "topology_spec": spec,
@@ -983,6 +986,24 @@ class FarmNodeServer(CompileServer):
         )
 
     # -- replication / read-repair -------------------------------------
+    def _record_spec(self, digest: str, spec: dict[str, Any]) -> None:
+        """Index ``digest``'s topology spec, dropping specs of evicted digests.
+
+        Replica pushes, drain re-push and the anti-entropy inventory
+        read the index for artifacts the cache holds, so a spec whose
+        digest neither tier holds is dead weight.  Once the index
+        outgrows twice the memory tier -- or twice its size after the
+        last prune, while the disk tier holds more -- it keeps only the
+        digests the cache holds.
+        """
+        specs = self._specs
+        specs[digest] = dict(spec)
+        if len(specs) > 2 * max(self.cache.memory_entries, self._specs_kept, 1):
+            held = self.cache.digests()
+            for gone in [d for d in specs if d not in held]:
+                del specs[gone]
+            self._specs_kept = len(specs)
+
     def _spawn_replication(
         self,
         digest: str,
@@ -1089,7 +1110,7 @@ class FarmNodeServer(CompileServer):
                 self.read_repair_failures += 1
                 continue
             self.cache.put(digest, doc)
-            self._specs.setdefault(digest, dict(req["topology"]))
+            self._record_spec(digest, req["topology"])
             self.read_repairs += 1
             return doc
         return None
@@ -1185,7 +1206,7 @@ class FarmNodeServer(CompileServer):
             # local copy -- adopting would just flap between replicas.
             return None
         self.cache.put(digest, doc)
-        self._specs[digest] = dict(spec)
+        self._record_spec(digest, spec)
         return True
 
     async def _peer_request(self, peer: str, data: bytes) -> dict[str, Any]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.topology.links import Link, LinkKind
 
@@ -124,16 +124,60 @@ class Topology(abc.ABC):
             cache.move_to_end(key)
             return path
         counters.route_cache_misses += 1
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            raise RoutingError(f"src == dst == {src}: self-connections are not routed")
-        transit = self._transit_route(src, dst)
-        path = (self.inject_link(src), *transit, self.eject_link(dst))
+        path = self._walk(src, dst)
         cache[key] = path
         if len(cache) > self.route_cache_size:
             cache.popitem(last=False)
         return path
+
+    def route_many(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+        """``[self.route(s, d) for s, d in pairs]``, misses computed together.
+
+        One LRU lookup per pair; a hit returns the cached tuple and
+        refreshes its recency.  The distinct uncached pairs go to
+        :meth:`_route_misses` in one call (vectorized on k-ary n-cubes
+        once there are enough of them), are cached, and count one
+        ``route_cache_misses`` each; every other request counts one
+        ``route_cache_hits``.  A pair repeated within the call is
+        computed once.  The first request (in order) that :meth:`route`
+        would refuse raises the same :class:`RoutingError`.
+        """
+        cache = self._route_cache
+        if cache is None:
+            cache = self._route_cache = OrderedDict()
+        get, touch = cache.get, cache.move_to_end
+        paths = []
+        missed: dict[tuple[int, int], None] = {}
+        for key in pairs:
+            path = get(key)
+            if path is None:
+                missed[key] = None
+            else:
+                touch(key)
+            paths.append(path)
+        counters = _counters()
+        if not missed:
+            counters.route_cache_hits += len(paths)
+            return paths
+        computed = dict(zip(missed, self._route_misses(list(missed))))
+        counters.route_cache_misses += len(computed)
+        counters.route_cache_hits += len(paths) - len(computed)
+        cache.update(computed)
+        while len(cache) > self.route_cache_size:
+            cache.popitem(last=False)
+        return [
+            computed[key] if path is None else path
+            for key, path in zip(pairs, paths)
+        ]
+
+    def _route_misses(self, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+        """Uncached paths of distinct ``pairs``, validated in order."""
+        return [self._walk(src, dst) for src, dst in pairs]
+
+    def _walk(self, src: int, dst: int) -> tuple[int, ...]:
+        """One path computed from scratch (no cache)."""
+        self._check_pair(src, dst)
+        return (src, *self._transit_route(src, dst), self.num_nodes + dst)
 
     @property
     def _route_cache(self) -> OrderedDict | None:
@@ -203,6 +247,12 @@ class Topology(abc.ABC):
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise RoutingError(f"node {node} out of range [0, {self.num_nodes})")
+
+    def _check_pair(self, src: int, dst: int) -> None:
+        self._check_node(src)
+        self._check_node(dst)
+        if src == dst:
+            raise RoutingError(f"src == dst == {src}: self-pairs are not routed")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.signature}>"

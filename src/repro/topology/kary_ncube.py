@@ -47,10 +47,20 @@ import enum
 import itertools
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.topology.base import Topology
 from repro.topology.links import Link, LinkKind
 
 _DIM_NAMES = "xyzw"
+
+#: Distinct route-cache misses at which ``route_many`` on a k-ary
+#: n-cube computes them with one :meth:`KAryNCube.route_arrays` call
+#: instead of one walk each.  The vectorized call costs about as much as 6-8
+#: scalar walks on an 8x8 torus and 4-6 on 16x16 (the measured
+#: crossover, see docs/performance.md), so a few new pairs stay on the
+#: walk.
+BULK_ROUTE_MIN_MISSES = 8
 
 
 class TieBreak(enum.Enum):
@@ -85,6 +95,7 @@ class KAryNCube(Topology):
         self.num_nodes = n
         self._ndims = len(dims)
         self.num_transit_links = n * 2 * self._ndims
+        self._offset_tables: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     # coordinates
@@ -166,6 +177,81 @@ class KAryNCube(Topology):
                 links.append(self.transit_link(self.node_at(cur), dim, off > 0))
                 cur[dim] = (cur[dim] + step) % k
         return tuple(links)
+
+    def _route_misses(self, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+        if len(pairs) < BULK_ROUTE_MIN_MISSES:
+            return super()._route_misses(pairs)
+        try:
+            ends = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
+                               count=2 * len(pairs)).reshape(-1, 2)
+        except OverflowError:  # an id past int64: the walk refuses it
+            return super()._route_misses(pairs)
+        indptr, links = self.route_arrays(ends[:, 0], ends[:, 1])
+        flat, bounds = links.tolist(), indptr.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def route_arrays(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Routes of many pairs at once, as CSR ``(indptr, links)``.
+
+        Path ``i`` is ``links[indptr[i]:indptr[i + 1]]`` and equals
+        ``route(src[i], dst[i])``.  Signed offsets come from per-dimension
+        ``k x k`` tables of :meth:`signed_offset` (so the tie-break policy
+        is inherited, not re-derived), built once per instance.  Every hop
+        of every path is then computed in one pass: hop ``j`` of dimension
+        ``d`` leaves the node whose lower dimensions are already corrected
+        and whose higher dimensions still hold the source coordinates.
+        The first pair :meth:`route` would refuse raises the same
+        :class:`~repro.topology.base.RoutingError`.
+        """
+        n = self.num_nodes
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+        if bad.any():
+            i = int(bad.argmax())
+            self._check_pair(int(src[i]), int(dst[i]))
+        if self._offset_tables is None:
+            self._offset_tables = self._build_offset_tables()
+        offsets, radix, strides, dims = self._offset_tables
+        ndims = len(radix)
+        p = len(src)
+        coords = (src[:, None] // strides) % radix
+        off = offsets[dims, coords, (dst[:, None] // strides) % radix]
+        # hop counts per (pair, dimension), flattened in path order
+        hops = np.abs(off).ravel()
+        ends = np.cumsum(hops)
+        indptr = np.zeros(p + 1, dtype=np.int64)
+        indptr[1:] = ends[ndims - 1::ndims] + 2 * np.arange(1, p + 1)
+        links = np.empty(int(indptr[-1]), dtype=np.int32)
+        links[indptr[:-1]] = src  # injection fiber of the source
+        links[indptr[1:] - 1] = n + dst  # ejection fiber
+        total = int(ends[-1]) if p else 0
+        if total:
+            seg = np.repeat(np.arange(p * ndims), hops)
+            h = np.arange(total)
+            pair, d = np.divmod(seg, ndims)
+            sgn = np.sign(off.ravel())[seg]
+            k, stride = radix[d], strides[d]
+            cur = (coords.ravel()[seg] + (h - (ends - hops)[seg]) * sgn) % k
+            node = dst[pair] % stride + cur * stride + src[pair] // (stride * k) * (stride * k)
+            # hop h of the flat hop list sits after 2 * pair fibers of
+            # earlier paths and its own path's injection fiber
+            links[h + 2 * pair + 1] = (
+                self.transit_link_base + node * 2 * ndims + 2 * d + (sgn < 0)
+            )
+        return indptr, links
+
+    def _build_offset_tables(self) -> tuple[np.ndarray, ...]:
+        """``(signed offsets [d, a, b], radices, strides, dimension ids)``."""
+        kmax = max(self.dims)
+        offsets = np.zeros((self._ndims, kmax, kmax), dtype=np.int64)
+        for d, k in enumerate(self.dims):
+            offsets[d, :k, :k] = [
+                [self.signed_offset(a, b, d) for b in range(k)] for a in range(k)
+            ]
+        radix = np.array(self.dims, dtype=np.int64)
+        strides = np.cumprod(np.concatenate(([1], radix[:-1])))
+        return offsets, radix, strides, np.arange(self._ndims)
 
     def distance(self, src: int, dst: int) -> int:
         """Switch-to-switch hop distance under the routing policy."""

@@ -1,10 +1,10 @@
 """RouteTable must reproduce ``Topology.route`` byte for byte.
 
-The vectorized k-ary builder re-derives dimension-order routing from
-the topology's own ``signed_offset`` tables; these tests pin the
-equivalence across radices (odd/even half-ring tie-breaks), both
-tie-break policies, higher-dimensional cubes, and the generic
-fallback topologies.
+The vectorized k-ary builder (``KAryNCube.route_arrays``) re-derives
+dimension-order routing from the topology's own ``signed_offset``
+tables; these tests pin the equivalence across radices (odd/even
+half-ring tie-breaks), both tie-break policies, higher-dimensional
+cubes, and the topologies that only route pair by pair.
 """
 
 import numpy as np
@@ -12,8 +12,10 @@ import pytest
 
 from repro.core.requests import Request
 from repro.core.routetable import RouteTable
+from repro.topology.faults import FaultyTopology
 from repro.topology.kary_ncube import KAryNCube, TieBreak
 from repro.topology.mesh import Mesh2D
+from repro.topology.omega import OmegaNetwork
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
 
@@ -24,9 +26,14 @@ VECTORIZED = [
     Torus2D(6, 4, TieBreak.BALANCED),
     KAryNCube((3, 4, 2)),                 # three dimensions
     KAryNCube((8,)),                      # one dimension
+    Ring(12),                             # a KAryNCube too
 ]
-FALLBACK = [Mesh2D(4), Ring(12)]
-
+# Not k-ary n-cubes: routed pair by pair through Topology.route_many.
+FALLBACK = [
+    Mesh2D(4),
+    OmegaNetwork(8),
+    FaultyTopology(Torus2D(4), [Torus2D(4).route(0, 1)[1]]),
+]
 
 @pytest.mark.parametrize(
     "topo", VECTORIZED + FALLBACK, ids=lambda t: t.signature

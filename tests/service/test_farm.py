@@ -623,6 +623,45 @@ class TestStoreVerification:
         run(with_farm(go, nodes=1))
 
 
+async def _cold_compiles(node, count, seed=7):
+    """``count`` distinct random 4x4 patterns compiled on ``node``."""
+    rng = random.Random(seed)
+    pairs = [(s, d) for s in range(16) for d in range(16) if s != d]
+    digests = []
+    async with AsyncCompileClient(*node.address, retry=None) as c:
+        for _ in range(count):
+            reply = await c.compile(TORUS4, pairs=rng.sample(pairs, 6))
+            assert reply["cache"] == "miss"
+            digests.append(reply["digest"])
+    assert len(set(digests)) == count
+    return digests
+
+
+class TestSpecIndex:
+    """``FarmNodeServer._specs`` tracks the cache, not the node's uptime."""
+
+    def test_memory_only_index_stays_bounded(self):
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            node.cache.memory_entries = 8
+            await _cold_compiles(node, 40)
+            assert len(node._specs) <= 16
+            held = node.cache.digests()
+            assert len(held) == 8
+            assert all(node._specs[d] == TORUS4 for d in held)
+        run(with_farm(go, nodes=1))
+
+    def test_disk_resident_digest_keeps_its_spec(self, tmp_path):
+        async def go(farm):
+            node = next(iter(farm.nodes.values()))
+            node.cache.memory_entries = 2
+            digests = await _cold_compiles(node, 12)
+            assert digests[0] not in node.cache._memory
+            assert node.cache.digests() == set(digests)
+            assert all(node._specs[d] == TORUS4 for d in digests)
+        run(with_farm(go, nodes=1, cache_dir=tmp_path))
+
+
 class TestRouterTransparency:
     def test_idem_and_payload_hash_survive_the_hop(self):
         """The client's end-to-end integrity checks must hold across

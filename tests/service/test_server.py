@@ -199,13 +199,18 @@ class TestTopologyMemo:
 
     def test_worker_thread_never_routes_on_a_memo_entry(self, monkeypatch):
         routed = []  # (thread id, topology) of every route call
-        real = Topology.route
+        real, real_many = Topology.route, Topology.route_many
 
         def spy(self, src, dst):
             routed.append((threading.get_ident(), self))
             return real(self, src, dst)
 
+        def spy_many(self, pairs):
+            routed.append((threading.get_ident(), self))
+            return real_many(self, pairs)
+
         monkeypatch.setattr(Topology, "route", spy)
+        monkeypatch.setattr(Topology, "route_many", spy_many)
 
         async def go(server, host, port):
             async with AsyncCompileClient(host, port) as c:
