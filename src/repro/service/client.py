@@ -331,13 +331,13 @@ class AsyncCompileClient(_ResilientBase):
             await self.connect()
         assert self._reader is not None and self._writer is not None
         try:
-            self._writer.write(wire.encode(req))
-            await self._writer.drain()
-            # Header and payload in one await: one task per frame.
-            frame = await asyncio.wait_for(
-                wire.read_frame(self._reader), timeout=self.timeout
-            )
-        except (asyncio.TimeoutError, TimeoutError) as exc:
+            # A deadline on the running task, not a wait_for task: a
+            # frame costs no extra task or loop iteration.
+            async with asyncio.timeout(self.timeout):
+                self._writer.write(wire.encode(req))
+                await self._writer.drain()
+                frame = await wire.read_frame(self._reader)
+        except TimeoutError as exc:
             raise ServiceTimeout(
                 f"no reply within {self.timeout}s"
             ) from exc

@@ -32,6 +32,11 @@ Pieces
     back to a recompile.  New verbs: ``shardmap``, ``reshard``,
     ``fetch``, ``store``.
 
+:class:`ConnectionPool`
+    Idle connections per endpoint, one request in flight on each.
+    Every farm hop uses one: router to node, node to node, and the
+    router's probes and peer-router map pushes.
+
 :class:`ShardRouter`
     Thin request router: computes the route digest, forwards the **raw
     request frame** to the owning node and relays the **raw reply
@@ -128,6 +133,7 @@ from repro.service.specs import (
 __all__ = [
     "HashRing",
     "ShardMap",
+    "ConnectionPool",
     "FarmNodeServer",
     "ShardRouter",
     "AsyncFarmClient",
@@ -144,6 +150,9 @@ DEFAULT_VNODES = 64
 #: Consecutive missed heartbeats after which a router declares a member
 #: dead: one dropped beat is tolerated without churning the map.
 SUSPECT_AFTER = 2
+
+#: Idle connections a :class:`ConnectionPool` keeps per endpoint.
+POOL_IDLE = 8
 
 log = logging.getLogger(__name__)
 
@@ -359,57 +368,158 @@ def _sum_into(out: dict[str, Any], doc: dict[str, Any]) -> None:
                 out[key] = prev + value
 
 
-def _decode_reply(frame: bytes, who: str) -> dict[str, Any]:
-    """A reply frame decoded, its payload hash-checked and merged.
-
-    A frame fault is a :class:`TransportError`; an ``ok: false`` reply
-    raises the typed error it encodes.
-    """
-    try:
-        reply = wire.decode(frame)
-    except wire.FrameError as exc:
-        raise TransportError(f"{who} sent a bad reply frame: {exc}") from None
-    if not reply.get("ok"):
-        raise reply_error(reply)
-    return reply
-
-
 def _left(deadline: float) -> float:
     """Seconds until ``deadline`` (a ``time.monotonic()`` instant)."""
     return max(0.0, deadline - time.monotonic())
 
 
-async def _call(
-    host: str, port: int, data: bytes, *, timeout: float, who: str
-) -> dict[str, Any]:
-    """One request frame on a fresh connection; the decoded reply.
+# ----------------------------------------------------------------------
+# connections
+# ----------------------------------------------------------------------
 
-    ``timeout`` bounds the whole exchange, connect included.
+Endpoint = tuple[str, int]
+_Conn = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class ConnectionPool:
+    """Idle connections per ``(host, port)``, one request in flight on each.
+
+    Every farm hop goes through a pool: router to node, node to node,
+    and the router's probes of departed nodes and map pushes to its
+    peer router.  A call takes an idle connection (skipping any whose
+    writer is closing or whose reader has seen EOF) or opens one, so a
+    second concurrent call to the same endpoint gets its own
+    connection and frames never interleave.  A connection goes back
+    only after a whole reply that decoded; one that timed out, was cut
+    or sent a bad frame is closed.  At most :data:`POOL_IDLE` idle
+    connections are kept per endpoint.
     """
-    deadline = time.monotonic() + timeout
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=MAX_LINE_BYTES), timeout
+
+    def __init__(self) -> None:
+        self.idle: dict[Endpoint, list[_Conn]] = {}
+        self.closed = False
+        #: connections this pool opened.
+        self.connects = 0
+
+    async def exchange(
+        self,
+        endpoint: Endpoint,
+        frame: bytes,
+        *,
+        timeout: float,
+        who: str,
+        decode: Callable[[bytes], dict[str, Any]] = wire.decode_header,
+        retry: bool = False,
+    ) -> tuple[bytes, dict[str, Any] | None]:
+        """One request frame -> the raw reply frame and ``decode`` of it
+        (``None`` when it does not decode).
+
+        ``timeout`` bounds the whole exchange, connect included.  With
+        ``retry`` (idempotent requests only), a reused connection that
+        fails with no reply frame -- the peer restarted since it was
+        pooled -- is closed and the call runs once more on a fresh one.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            idle, conn, reused = await self._acquire(endpoint, deadline, who)
+            reader, writer = conn
+            try:
+                async with asyncio.timeout(_left(deadline)):
+                    writer.write(frame)
+                    await writer.drain()
+                    reply = await wire.read_frame(reader)
+            except TimeoutError:
+                writer.close()
+                raise ServiceTimeout(
+                    f"{who} gave no reply within {timeout}s"
+                ) from None
+            except asyncio.LimitOverrunError as exc:
+                writer.close()
+                raise TransportError(f"{who} sent an oversized frame: {exc}") from exc
+            except OSError as exc:
+                writer.close()
+                if retry and reused:
+                    retry = False
+                    continue
+                raise TransportError(f"{who} connection failed: {exc!r}") from exc
+            except BaseException:
+                writer.close()
+                raise
+            if not reply.endswith(b"\n"):
+                writer.close()
+                if not reply and retry and reused:
+                    retry = False
+                    continue
+                raise TransportError(f"{who} cut mid-reply")
+            try:
+                msg = decode(reply)
+            except wire.FrameError:
+                writer.close()
+                return reply, None
+            if not self.closed and self.idle.get(endpoint) is idle and (
+                len(idle) < POOL_IDLE
+            ):
+                idle.append(conn)
+            else:
+                writer.close()
+            return reply, msg
+
+    async def request(
+        self,
+        endpoint: Endpoint,
+        frame: bytes,
+        *,
+        timeout: float,
+        who: str,
+        retry: bool = False,
+    ) -> dict[str, Any]:
+        """One request frame -> its reply, decoded in full (payload
+        hash-checked).  A bad frame is a :class:`TransportError`; an
+        ``ok: false`` reply raises the typed error it encodes."""
+        _, reply = await self.exchange(
+            endpoint, frame, timeout=timeout, who=who, decode=wire.decode,
+            retry=retry,
         )
-    except (OSError, asyncio.TimeoutError, TimeoutError) as exc:
-        raise TransportError(f"{who} unreachable: {exc!r}") from exc
-    try:
-        writer.write(data)
-        await writer.drain()
-        frame = await asyncio.wait_for(wire.read_frame(reader), _left(deadline))
-    except (asyncio.TimeoutError, TimeoutError):
-        raise ServiceTimeout(f"{who} gave no reply within {timeout}s") from None
-    except (asyncio.LimitOverrunError, OSError) as exc:
-        raise TransportError(f"{who} connection failed: {exc!r}") from exc
-    finally:
-        writer.close()
+        if reply is None:
+            raise TransportError(f"{who} sent a bad reply frame")
+        if not reply.get("ok"):
+            raise reply_error(reply)
+        return reply
+
+    async def _acquire(
+        self, endpoint: Endpoint, deadline: float, who: str
+    ) -> tuple[list[_Conn], _Conn, bool]:
+        """The endpoint's idle list, a connection, and whether it was
+        reused.  The list is the one a release may return it to: once
+        :meth:`drop` or :meth:`close` retired it, the call's connection
+        is closed instead."""
+        idle = self.idle.setdefault(endpoint, [])
+        while idle:
+            reader, writer = idle.pop()
+            if not writer.is_closing() and not reader.at_eof():
+                return idle, (reader, writer), True
+            writer.close()
         try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-    if not frame.endswith(b"\n"):
-        raise TransportError(f"{who} cut mid-reply")
-    return _decode_reply(frame, who)
+            async with asyncio.timeout(_left(deadline)):
+                conn = await asyncio.open_connection(
+                    *endpoint, limit=MAX_LINE_BYTES
+                )
+        except (OSError, TimeoutError) as exc:
+            raise TransportError(f"{who} unreachable: {exc!r}") from exc
+        self.connects += 1
+        return idle, conn, False
+
+    def drop(self, endpoint: Endpoint) -> None:
+        """Close the endpoint's idle connections; calls in flight to it
+        close theirs when they finish."""
+        for _, writer in self.idle.pop(endpoint, ()):
+            writer.close()
+
+    def close(self) -> None:
+        """Close every idle connection and pool none from now on."""
+        self.closed = True
+        for endpoint in list(self.idle):
+            self.drop(endpoint)
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +573,8 @@ class FarmNodeServer(CompileServer):
         self.drop_replica_push_rate = float(drop_replica_push_rate)
         self._rng = random.Random(chaos_seed)
         self._repl_tasks: set[asyncio.Task] = set()
+        #: connections to peers: every store, fetch and digests call.
+        self.pool = ConnectionPool()
         self._sweep_lock = asyncio.Lock()
         #: router lease this node granted: {"router", "epoch", "expires"}.
         self._lease: dict[str, Any] | None = None
@@ -525,11 +637,26 @@ class FarmNodeServer(CompileServer):
         for task in list(self._repl_tasks):
             task.cancel()
         await self.settle()
+        self.pool.close()
         await super().kill()
 
     async def shutdown(self) -> None:
         await self.settle()
-        await super().shutdown()
+        try:
+            await super().shutdown()
+        finally:
+            self.pool.close()
+
+    @property
+    def peer_connects(self) -> int:
+        """Connections this node opened to peers."""
+        return self.pool.connects
+
+    def _adopt_map(self, new: ShardMap) -> None:
+        """Switch maps, closing idle connections to peers that left."""
+        for name in set(self.shard_map.nodes) - set(new.nodes):
+            self.pool.drop(self.shard_map.endpoint(name))
+        self.shard_map = new
 
     # -- verbs ----------------------------------------------------------
     async def _handle_op(self, op: str, req: dict[str, Any]) -> dict[str, Any]:
@@ -632,7 +759,7 @@ class FarmNodeServer(CompileServer):
             )
         adopted = new.dominates(self.shard_map)
         if adopted:
-            self.shard_map = new
+            self._adopt_map(new)
         return self._reply(
             req, op="reshard", adopted=adopted,
             version=self.shard_map.version,
@@ -733,7 +860,7 @@ class FarmNodeServer(CompileServer):
         self.drain_repush_retries += (
             self.replica_push_retries - retries_before
         )
-        self.shard_map = successor
+        self._adopt_map(successor)
         self._drain_done.set()
         return self._reply(
             req, op="drain", draining=True,
@@ -1210,14 +1337,20 @@ class FarmNodeServer(CompileServer):
         return True
 
     async def _peer_request(self, peer: str, data: bytes) -> dict[str, Any]:
-        """One request frame to a peer node (fresh connection) -> reply."""
+        """One request frame to a peer node -> its decoded reply.
+
+        Every peer verb (``store``, ``fetch``, ``digests``) is
+        idempotent, so a pooled connection the peer's restart left
+        behind is retried once on a fresh one.  A partition refuses the
+        call before the pool is touched.
+        """
         if self.peer_filter is not None and not self.peer_filter(self.name, peer):
             raise TransportError(
                 f"peer {peer!r} unreachable from {self.name!r}: partitioned"
             )
-        host, port = self.shard_map.endpoint(peer)
-        return await _call(
-            host, port, data, timeout=self.peer_timeout, who=f"peer {peer!r}"
+        return await self.pool.request(
+            self.shard_map.endpoint(peer), data, timeout=self.peer_timeout,
+            who=f"peer {peer!r}", retry=True,
         )
 
     # -- stats ----------------------------------------------------------
@@ -1256,6 +1389,7 @@ class FarmNodeServer(CompileServer):
             "drain_repush_retries": self.drain_repush_retries,
             "read_repairs": self.read_repairs,
             "read_repair_failures": self.read_repair_failures,
+            "peer_connects": self.peer_connects,
         }
         return out
 
@@ -1324,7 +1458,6 @@ class ShardRouter:
         default_scheduler: str = "combined",
         node_timeout: float = 120.0,
         max_attempts: int = 6,
-        pool_idle: int = 8,
         peers: list[tuple[str, int]] | None = None,
         lease_ttl: float = 2.0,
     ) -> None:
@@ -1337,7 +1470,6 @@ class ShardRouter:
         self.default_scheduler = default_scheduler
         self.node_timeout = float(node_timeout)
         self.max_attempts = int(max_attempts)
-        self.pool_idle = int(pool_idle)
         #: peer router endpoints (the other half of the HA pair) --
         #: best-effort reshard pushes keep their maps converged.
         self.peers: list[tuple[str, int]] = [
@@ -1352,9 +1484,8 @@ class ShardRouter:
         self._observed_epoch = max(self.epoch, shard_map.epoch)
         self._lease_acquired: float | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._pools: dict[
-            str, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
+        #: connections to nodes, departed nodes and peer routers.
+        self.pool = ConnectionPool()
         #: live inbound client connections, aborted on stop() so a
         #: "killed" router is process-death faithful: connected clients
         #: see a reset, never a half-alive zombie that keeps routing.
@@ -1419,8 +1550,8 @@ class ShardRouter:
         self._stopping = True
         task, self._heartbeat_task = self._heartbeat_task, None
         if task is not None:
-            # A cancel racing a completed read inside asyncio.wait_for
-            # can be swallowed (CPython gh-86296), so cancel again until
+            # A heartbeat can swallow a cancel (``asyncio.wait_for`` did
+            # on a racing read, CPython gh-86296), so cancel again until
             # the loop has ended; the stop flag ends it at its next turn.
             while not task.done():
                 task.cancel()
@@ -1428,17 +1559,23 @@ class ShardRouter:
             await asyncio.gather(task, return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Cut live connections before waiting on the listener: from
+        # Python 3.12.1 ``wait_closed`` waits for every connection.
         for writer in list(self._conns):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
         self._conns.clear()
-        for conns in self._pools.values():
-            for _, writer in conns:
-                writer.close()
-        self._pools.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
+        self.pool.close()
+
+    @property
+    def node_connects(self) -> int:
+        """Connections this router opened: to nodes (members and
+        departed) and to its peer routers."""
+        return self.pool.connects
 
     # -- connection handling -------------------------------------------
     async def _handle_client(
@@ -1581,8 +1718,7 @@ class ShardRouter:
         for name in removed:
             self._departed.setdefault(name, dict(self.shard_map.nodes[name]))
             self._suspect.pop(name, None)
-            for _, writer in self._pools.pop(name, []):
-                writer.close()
+            self.pool.drop(self.shard_map.endpoint(name))
         self.shard_map = new
         self._observed_epoch = max(self._observed_epoch, new.epoch)
         if new.epoch > self.epoch and self.is_leader:
@@ -1761,8 +1897,8 @@ class ShardRouter:
         """One ``health`` probe of a departed node: alive and ready?"""
         host, port = str(endpoint["host"]), int(endpoint["port"])
         try:
-            reply = await _call(
-                host, port, wire.encode({"op": "health"}),
+            reply = await self.pool.request(
+                (host, port), wire.encode({"op": "health"}),
                 timeout=self.beat, who=f"node at {host}:{port}",
             )
         except ServiceError:
@@ -1827,11 +1963,11 @@ class ShardRouter:
 
     async def _push_peer(self, host: str, port: int) -> None:
         try:
-            await _call(
-                host, port, wire.encode(self._reshard_msg()),
+            await self.pool.request(
+                (host, port), wire.encode(self._reshard_msg()),
                 timeout=self.beat, who=f"peer router {host}:{port}",
             )
-        except (ServiceError, OSError):
+        except ServiceError:
             pass
 
     async def push_map_peer(self, host: str, port: int) -> dict[str, Any]:
@@ -1841,8 +1977,8 @@ class ShardRouter:
         error -- a deposed leader pushing to the promoted peer gets the
         :class:`StaleEpoch` it needs to learn its fate.
         """
-        return await _call(
-            host, port, wire.encode(self._reshard_msg()),
+        return await self.pool.request(
+            (host, port), wire.encode(self._reshard_msg()),
             timeout=self.node_timeout, who=f"peer router {host}:{port}",
         )
 
@@ -1905,7 +2041,7 @@ class ShardRouter:
             "version": self.shard_map.version,
         }
 
-    # -- node connections (pooled, one in-flight request each) ---------
+    # -- node connections ------------------------------------------------
     async def _node_request_raw(
         self, name: str, frame: bytes, timeout: float | None = None
     ) -> tuple[bytes, dict[str, Any] | None]:
@@ -1913,40 +2049,16 @@ class ShardRouter:
         parsed header (``None`` when the frame does not decode; that
         connection is then dropped, never pooled, so no leftover line
         can pass for the next reply).  ``timeout`` bounds the whole
-        exchange, connect included (default ``node_timeout``)."""
-        if timeout is None:
-            timeout = self.node_timeout
-        deadline = time.monotonic() + timeout
-        conn = await self._acquire(name, timeout)
-        reader, writer = conn
+        exchange, connect included (default ``node_timeout``).  Never
+        retried here: a forwarded ``amend`` must not apply twice."""
         try:
-            writer.write(frame)
-            await writer.drain()
-            # Header and payload in one await: one task per frame.
-            reply = await asyncio.wait_for(
-                wire.read_frame(reader), _left(deadline)
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            writer.close()
-            raise ServiceTimeout(
-                f"node {name!r} gave no reply within {timeout}s"
-            ) from None
-        except (asyncio.LimitOverrunError, OSError) as exc:
-            writer.close()
-            raise TransportError(f"node {name!r} died mid-request: {exc}") from exc
-        except asyncio.CancelledError:
-            writer.close()
-            raise
-        if not reply.endswith(b"\n"):
-            writer.close()
-            raise TransportError(f"node {name!r} cut mid-reply")
-        try:
-            header = wire.decode_header(reply)
-        except wire.FrameError:
-            writer.close()
-            return reply, None
-        self._release(name, conn)
-        return reply, header
+            endpoint = self.shard_map.endpoint(name)
+        except KeyError:
+            raise TransportError(f"node {name!r} is not in the shard map") from None
+        return await self.pool.exchange(
+            endpoint, frame, who=f"node {name!r}",
+            timeout=self.node_timeout if timeout is None else timeout,
+        )
 
     async def _node_call(
         self, name: str, msg: dict[str, Any], timeout: float | None = None
@@ -1958,38 +2070,6 @@ class ShardRouter:
         if not reply.get("ok"):
             raise reply_error(reply)
         return reply
-
-    async def _acquire(
-        self, name: str, timeout: float | None = None
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        pool = self._pools.setdefault(name, [])
-        while pool:
-            reader, writer = pool.pop()
-            if not writer.is_closing():
-                return reader, writer
-            writer.close()
-        try:
-            host, port = self.shard_map.endpoint(name)
-        except KeyError:
-            raise TransportError(f"node {name!r} is not in the shard map") from None
-        try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=MAX_LINE_BYTES),
-                timeout,
-            )
-        except (OSError, asyncio.TimeoutError, TimeoutError) as exc:
-            raise TransportError(f"node {name!r} unreachable: {exc!r}") from exc
-
-    def _release(
-        self,
-        name: str,
-        conn: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
-        pool = self._pools.setdefault(name, [])
-        if name in self.shard_map.nodes and len(pool) < self.pool_idle:
-            pool.append(conn)
-        else:
-            conn[1].close()
 
     # -- aggregation (stats / health across the farm) -------------------
     async def _aggregate(self, req: dict[str, Any], op: str) -> bytes:
@@ -2026,6 +2106,7 @@ class ShardRouter:
                 "forwarded": self.forwarded,
                 "rerouted": self.rerouted,
                 "failovers": self.failovers,
+                "node_connects": self.node_connects,
                 "map_version": self.shard_map.version,
                 "map_epoch": self.shard_map.epoch,
                 "live_nodes": len(self.shard_map.nodes),
@@ -2056,6 +2137,7 @@ class ShardRouter:
                 "repaired": _total("replicas_repaired"),
                 "anti_entropy_rounds": _total("anti_entropy_rounds"),
                 "read_repairs": _total("read_repairs"),
+                "peer_connects": _total("peer_connects"),
                 "amend_takeovers": _total("amend_takeovers"),
                 "drain_handoffs": _total("drain_handoffs"),
                 "drain_adoptions": _total("drain_adoptions"),

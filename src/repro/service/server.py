@@ -66,8 +66,10 @@ Robustness (:class:`repro.service.policy.ServerPolicy`):
   accept loop.
 
 Shutdown drains: the listener closes *before* the shutdown verb is
-acked (no connection can be accepted-then-dropped), in-flight compiles
-finish and are answered, then the pool is torn down.
+acked (no connection can be accepted-then-dropped), connections idle
+between frames are closed, in-flight compiles finish and are answered
+(each such connection closes after its reply), then the pool is torn
+down.
 """
 
 from __future__ import annotations
@@ -243,6 +245,11 @@ class CompileServer:
         self._server: asyncio.AbstractServer | None = None
         self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
         self._conns: set[asyncio.StreamWriter] = set()
+        #: connections parked between frames, closed by shutdown().
+        self._idle: set[asyncio.StreamWriter] = set()
+        #: set by shutdown() and kill(): handlers answer the request in
+        #: hand and read no further frame.
+        self._closing = False
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: set[asyncio.Future] = set()
         self._shutdown = asyncio.Event()
@@ -309,8 +316,13 @@ class CompileServer:
         hang on a latch nobody will ever set.
         """
         try:
+            self._closing = True
             if self._server is not None:
                 self._server.close()
+                # An idle connection would otherwise stay served; from
+                # Python 3.12.1 ``wait_closed`` also waits for it.
+                for writer in list(self._idle):
+                    writer.close()
                 await self._server.wait_closed()
             if self._pending:
                 await asyncio.gather(*self._pending, return_exceptions=True)
@@ -327,14 +339,18 @@ class CompileServer:
         and peers see resets and half-finished frames, never a goodbye.
         In-flight work is abandoned, the worker pool is killed.
         """
+        self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Cut connections before waiting on the listener: from Python
+        # 3.12.1 ``wait_closed`` waits for every connection.
         for writer in list(self._conns):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -382,7 +398,8 @@ class CompileServer:
         # crashed server does not drain.
         self._conns.add(writer)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     frame = await self._read_frame(reader)
                 except ProtocolError as exc:
@@ -391,8 +408,9 @@ class CompileServer:
                     ))
                     await writer.drain()
                     break
-                if not frame:
-                    break
+                self._idle.discard(writer)
+                if not frame or writer.is_closing():
+                    break  # EOF, or shutdown() closed us while idle
                 response = await self._dispatch(frame)
                 if response.get("op") == "shutdown":
                     # Refuse new connections *before* acking, so no
@@ -417,6 +435,7 @@ class CompileServer:
             pass
         finally:
             self._conns.discard(writer)
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

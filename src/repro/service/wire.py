@@ -122,8 +122,8 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes:
     Returns what arrived: ``b""`` at end of stream, and a frame that
     does not end in a newline when the stream ended mid-frame.  Raises
     :class:`asyncio.LimitOverrunError` for a line past the reader's
-    limit.  One coroutine per frame, so a caller's ``wait_for`` costs
-    one task per frame, not one per line.
+    limit.  One coroutine per frame, so one ``asyncio.timeout`` block
+    bounds a whole frame.
     """
     frame = b""
     try:

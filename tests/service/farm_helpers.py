@@ -3,8 +3,9 @@ a started in-process farm (one router or an HA pair) and shut it down."""
 
 import asyncio
 import contextlib
+import random
 
-from repro.service.farm import Farm, ShardMap
+from repro.service.farm import Farm, ShardMap, route_digest
 
 
 def run(coro):
@@ -56,3 +57,37 @@ def with_members(shard_map, first=None, last=None):
         replication=shard_map.replication,
         version=shard_map.version + 1, epoch=shard_map.epoch,
     )
+
+
+def cold_requests(count, *, shard_map=None, owners=None, seed=0):
+    """``count`` compile requests for distinct random 4x4-torus patterns;
+    with ``owners``, only requests whose owner set is exactly those."""
+    rng = random.Random(seed)
+    out, seen = [], set()
+    while len(out) < count:
+        pairs = sorted({tuple(rng.sample(range(16), 2)) for _ in range(6)})
+        req = {"op": "compile", "topology": {"kind": "torus", "width": 4},
+               "pairs": [list(p) for p in pairs]}
+        digest = route_digest(req)
+        if digest in seen:
+            continue
+        if owners is not None and set(shard_map.owners(digest)) != set(owners):
+            continue
+        seen.add(digest)
+        out.append(req)
+    return out
+
+
+def record_opens(monkeypatch):
+    """Record every ``asyncio.open_connection`` from here on: the list
+    of ``(port, writer)`` it returns fills in the order they open."""
+    opened = []
+    real = asyncio.open_connection
+
+    async def recording(host, port, **kwargs):
+        reader, writer = await real(host, port, **kwargs)
+        opened.append((port, writer))
+        return reader, writer
+
+    monkeypatch.setattr(asyncio, "open_connection", recording)
+    return opened

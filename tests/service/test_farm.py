@@ -2,8 +2,10 @@
 failover, and the shard-map-carrying client)."""
 
 import asyncio
+import collections
 import copy
 import random
+import sys
 import threading
 import time
 
@@ -17,23 +19,31 @@ from repro.service.canonical import canonicalize
 from repro.service.client import AsyncCompileClient
 from repro.service.compile import build_canonical_artifact, compile_digest
 from repro.service import compile as compile_mod
-from repro.service import server
+from repro.service import server, wire
 from repro.service.errors import (
     EpochConflict,
     ProtocolError,
     ServiceError,
+    ServiceTimeout,
+    TransportError,
     WrongShard,
 )
 from repro.service.farm import (
     AsyncFarmClient,
+    ConnectionPool,
+    Farm,
+    FarmNodeServer,
     HashRing,
     ShardMap,
+    ShardRouter,
     route_digest,
     sum_stats,
 )
 from repro.service.specs import topology_from_spec
 from tests.service.farm_helpers import (
+    cold_requests,
     hung_endpoint,
+    record_opens,
     run,
     with_farm,
     with_members,
@@ -685,3 +695,272 @@ class TestRouterTransparency:
                 m = ShardMap.from_dict(reply["shard_map"])
                 assert set(m.nodes) == set(farm.nodes)
         run(with_farm(go, nodes=2))
+
+
+# ----------------------------------------------------------------------
+# connections: one pool for every farm hop
+# ----------------------------------------------------------------------
+
+DIGESTS = wire.encode({"op": "digests"})
+
+
+def idle_count(pool):
+    return sum(len(conns) for conns in pool.idle.values())
+
+
+class TestConnectionPool:
+    def test_cold_compiles_reuse_peer_connections(self, monkeypatch):
+        """Sequential cold compiles send one fetch and one push per
+        compile, yet each ordered node pair opens at most two
+        connections (a push can still be in flight when the next
+        compile's fetch goes out).  Every open is attributed to the
+        farm node or router whose call is on the stack."""
+        async def go(farm):
+            port_of = {port: name for name, (_, port) in farm.endpoints.items()}
+            opens = collections.Counter()
+            real = asyncio.open_connection
+
+            async def counting(host, port, **kwargs):
+                frame, opener = sys._getframe(1), "client"
+                while frame is not None:
+                    owner = frame.f_locals.get("self")
+                    if isinstance(owner, (FarmNodeServer, ShardRouter)):
+                        opener = owner.name
+                        break
+                    frame = frame.f_back
+                opens[opener, port_of.get(port, port)] += 1
+                return await real(host, port, **kwargs)
+
+            monkeypatch.setattr(asyncio, "open_connection", counting)
+            router = farm.router
+            router_before = router.node_connects  # the start-up lease round
+            assert all(n.peer_connects == 0 for n in farm.nodes.values())
+            misses = 0
+            async with farm.client() as c:
+                for req in cold_requests(50):
+                    misses += (await c.request(req))["cache"] == "miss"
+            await farm.settle()
+            assert misses >= 45
+            nodes = sorted(farm.nodes)
+            peer_opens = {
+                (a, b): opens[a, b] for a in nodes for b in nodes if a != b
+            }
+            assert max(peer_opens.values()) <= 2, peer_opens
+            for name, node in farm.nodes.items():
+                assert node.peer_connects == sum(
+                    opens[name, b] for b in nodes
+                )
+            async with AsyncCompileClient(*farm.router_address) as c:
+                stats = await c.stats()
+            assert stats["replication"]["peer_connects"] == sum(
+                peer_opens.values()
+            )
+            assert stats["router"]["node_connects"] == router.node_connects
+            assert router.node_connects - router_before == sum(
+                n for (opener, _), n in opens.items() if opener == router.name
+            )
+        run(with_farm(go, nodes=3, replication=2))
+
+    def test_concurrent_pushes_use_one_connection_each(self):
+        async def go(farm):
+            req = {"op": "compile", "topology": TORUS4, "pattern": RING16}
+            digest = route_digest(req)
+            first, second = farm.router.shard_map.owners(digest)
+            node = farm.nodes[first]
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                await c.request(dict(req))
+            await farm.settle()
+            node.pool.close()
+            node.pool = ConnectionPool()
+            entry = node.cache.encoded(digest)
+            store = node._store_frame(digest, entry, node._specs[digest])
+            stored = await asyncio.gather(
+                node._peer_request(second, store),
+                node._peer_request(second, store),
+            )
+            assert [r["stored"] for r in stored] == [True, True]
+            assert node.pool.connects == 2
+            # Both connections went back whole: two concurrent fetches
+            # reuse them, and each payload decodes against its hash.
+            fetch = wire.encode({"op": "fetch", "digest": digest})
+            fetched = await asyncio.gather(
+                node._peer_request(second, fetch),
+                node._peer_request(second, fetch),
+            )
+            assert [r["artifact"] for r in fetched] == [entry.doc, entry.doc]
+            assert node.pool.connects == 2
+            assert len(node.pool.idle[farm.endpoints[second]]) == 2
+        run(with_farm(go, nodes=3, replication=2))
+
+    def test_hung_peer_connection_is_closed_and_replaced(self, monkeypatch):
+        async def go(farm):
+            node = farm.nodes["node0"]
+            node.peer_timeout = 0.2
+            async with hung_endpoint() as hung:
+                node.shard_map = with_members(
+                    node.shard_map, last={"hung0": hung}
+                )
+                opened = record_opens(monkeypatch)
+                for attempt in (1, 2):
+                    with pytest.raises(ServiceTimeout):
+                        await node._peer_request("hung0", DIGESTS)
+                    assert len(opened) == attempt
+                    assert opened[-1][1].is_closing()
+                    assert not node.pool.idle.get((hung["host"], hung["port"]))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_partitioned_peer_is_refused_before_the_pool(self):
+        async def go(farm):
+            node = farm.nodes["node0"]
+            await node._peer_request("node1", DIGESTS)
+            idle = list(node.pool.idle[farm.endpoints["node1"]])
+            connects = node.pool.connects
+            farm.partition("node0", "node1")
+            with pytest.raises(TransportError, match="partitioned"):
+                await node._peer_request("node1", DIGESTS)
+            assert node.pool.idle[farm.endpoints["node1"]] == idle
+            assert node.pool.connects == connects
+            assert not idle[0][1].is_closing()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_peer_leaving_the_map_leaves_no_idle_connection(self):
+        async def go(farm):
+            node = farm.nodes["node0"]
+            await node._peer_request("node1", DIGESTS)
+            endpoint = farm.endpoints["node1"]
+            writer = node.pool.idle[endpoint][0][1]
+            await farm.router._demote("node1")  # pushes the new map
+            assert "node1" not in node.shard_map.nodes
+            assert endpoint not in node.pool.idle
+            assert writer.is_closing()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_farm_shutdown_leaves_no_idle_connection(self):
+        async def scenario():
+            farm = Farm(3, replication=2, workers=0, routers=2)
+            await farm.start()
+            owners = [*farm.nodes.values(), *farm.routers.values()]
+            try:
+                async with farm.client() as c:
+                    for req in cold_requests(4):
+                        await c.request(req)
+                await farm.settle()
+                assert sum(idle_count(o.pool) for o in owners) > 0
+            finally:
+                await farm.shutdown()
+            for owner in owners:
+                assert owner.pool.closed
+                assert idle_count(owner.pool) == 0
+        run(scenario())
+
+    def test_kill_and_shutdown_return_with_idle_connections_open(self):
+        """An idle client connection and an idle pooled peer connection
+        hold up neither a kill nor a shutdown (Python 3.12.1's
+        ``Server.wait_closed`` waits for every open connection)."""
+        async def go(farm):
+            peer = farm.nodes["node2"]
+            for victim in ("node0", "node1"):
+                node = farm.nodes[victim]
+                client = AsyncCompileClient(*node.address, retry=None)
+                await client.ping()
+                await peer._peer_request(victim, DIGESTS)
+                assert peer.pool.idle[farm.endpoints[victim]]
+                if victim == "node0":
+                    await asyncio.wait_for(farm.kill_node(victim), 1.0)
+                else:
+                    farm.drained[victim] = farm.nodes.pop(victim)
+                    await asyncio.wait_for(node.shutdown(), 1.0)
+                with pytest.raises(TransportError):
+                    await client.ping()
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_reused_connection_cut_by_its_peer_is_retried_once(self):
+        """A pooled connection whose peer went away fails with no reply:
+        an idempotent call retries it once on a fresh connection, any
+        other call surfaces the failure."""
+        async def go():
+            conns = []
+
+            async def answer(reader, writer):
+                conns.append(writer)
+                while await wire.read_frame(reader):
+                    writer.write(wire.encode({"ok": True}))
+                    await writer.drain()
+
+            listener = await asyncio.start_server(answer, "127.0.0.1", 0)
+            endpoint = listener.sockets[0].getsockname()[:2]
+            pool = ConnectionPool()
+            ping = wire.encode({"op": "ping"})
+            try:
+                await pool.request(endpoint, ping, timeout=2.0, who="peer")
+                # The peer drops the pooled connection; this side has not
+                # seen the close yet when the next call takes it.
+                conns[0].transport.abort()
+                reply = await pool.request(
+                    endpoint, ping, timeout=2.0, who="peer", retry=True
+                )
+                assert reply["ok"] and pool.connects == 2
+                conns[1].transport.abort()
+                with pytest.raises(TransportError):
+                    await pool.request(endpoint, ping, timeout=2.0, who="peer")
+                assert pool.connects == 2
+            finally:
+                pool.close()
+                listener.close()
+                for writer in conns:
+                    writer.close()
+                await listener.wait_closed()
+        run(go())
+
+
+class TestReadTimeouts:
+    """Each reply reader bounds its read with ``asyncio.timeout``: a read
+    that times out raises ``ServiceTimeout`` and drops its connection."""
+
+    def test_async_client(self):
+        async def go():
+            async with hung_endpoint() as hung:
+                client = AsyncCompileClient(
+                    hung["host"], hung["port"], timeout=0.2, retry=None
+                )
+                await client.connect()
+                writer = client._writer
+                with pytest.raises(ServiceTimeout):
+                    await client.ping()
+                assert client._writer is None and writer.is_closing()
+        run(go())
+
+    def test_router(self, monkeypatch):
+        async def go(farm):
+            router = farm.router
+            async with hung_endpoint() as hung:
+                router.shard_map = with_members(
+                    router.shard_map, last={"hung0": hung}
+                )
+                opened = record_opens(monkeypatch)
+                with pytest.raises(ServiceTimeout):
+                    await router._node_request_raw(
+                        "hung0", wire.encode({"op": "ping"}), 0.2
+                    )
+                assert [port for port, _ in opened] == [hung["port"]]
+                assert opened[0][1].is_closing()
+                assert not router.pool.idle.get((hung["host"], hung["port"]))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_peer_call(self, monkeypatch):
+        async def go(farm):
+            node = farm.nodes["node1"]
+            node.peer_timeout = 0.2
+            async with hung_endpoint() as hung:
+                node.shard_map = with_members(
+                    node.shard_map, last={"hung0": hung}
+                )
+                opened = record_opens(monkeypatch)
+                with pytest.raises(ServiceTimeout):
+                    await node._peer_request(
+                        "hung0", wire.encode({"op": "fetch", "digest": "0" * 64})
+                    )
+                assert opened[0][1].is_closing()
+                assert not node.pool.idle.get((hung["host"], hung["port"]))
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))

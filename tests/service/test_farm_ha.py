@@ -10,7 +10,7 @@ from repro.service.amend import amend_epoch_digest, parse_rows
 from repro.service.client import AsyncCompileClient
 from repro.service.errors import EpochConflict
 from repro.service.farm import Farm, ShardMap, route_digest
-from tests.service.farm_helpers import run, with_farm
+from tests.service.farm_helpers import cold_requests, run, with_farm
 
 TORUS4 = {"kind": "torus", "width": 4}
 RING16 = {"pattern": "ring", "nodes": 16}
@@ -146,12 +146,12 @@ class TestDemotePoolCleanup:
     def test_adopt_map_closes_removed_nodes_pool(self):
         async def go(farm):
             router = farm.router
-            conn = await router._acquire("node1")
-            router._release("node1", conn)
-            assert router._pools.get("node1")
-            writer = router._pools["node1"][0][1]
+            endpoint = router.shard_map.endpoint("node1")
+            await router._node_call("node1", {"op": "ping"})
+            assert router.pool.idle.get(endpoint)
+            writer = router.pool.idle[endpoint][0][1]
             await router._demote("node1")
-            assert "node1" not in router._pools
+            assert endpoint not in router.pool.idle
             assert writer.is_closing()
             # The departed node's endpoint is remembered for rejoin.
             assert "node1" in router._departed
@@ -160,14 +160,65 @@ class TestDemotePoolCleanup:
     def test_skew_adoption_also_retires_pools(self):
         async def go(farm):
             router = farm.router
-            conn = await router._acquire("node2")
-            router._release("node2", conn)
-            writer = router._pools["node2"][0][1]
+            endpoint = router.shard_map.endpoint("node2")
+            await router._node_call("node2", {"op": "ping"})
+            writer = router.pool.idle[endpoint][0][1]
             newer = router.shard_map.without("node2")
             router._adopt_map(newer)
-            assert "node2" not in router._pools
+            assert endpoint not in router.pool.idle
             assert writer.is_closing()
         run(with_farm(go, nodes=3, replication=2))
+
+
+class TestPeerRestart:
+    def test_restarted_peer_is_reached_on_a_fresh_connection(self):
+        """A peer killed and restarted on its address leaves this node's
+        pooled connections to it dead: the first fetch and the first
+        push after the restart succeed on one fresh connection, with no
+        push retry, push failure or read-repair failure."""
+        async def go(farm):
+            first, second = "node0", "node1"
+            reqs = cold_requests(
+                2, shard_map=farm.router.shard_map, owners=(first, second)
+            )
+            node = farm.nodes[first]
+            endpoint = farm.endpoints[second]
+            async with AsyncCompileClient(*node.address, retry=None) as c:
+                assert (await c.request(reqs[0]))["cache"] == "miss"
+                await farm.settle()
+                stale = list(node.pool.idle[endpoint])
+                assert stale and node.replicas_pushed == 1
+                counters = (node.replica_push_retries,
+                            node.replica_push_failures,
+                            node.read_repair_failures)
+                connects = node.peer_connects
+                await farm.kill_node(second)
+                await farm.restart_node(second)
+                # A miss: the fetch finds nothing, the push lands.
+                assert (await c.request(reqs[1]))["cache"] == "miss"
+                await farm.settle()
+            assert (node.replica_push_retries, node.replica_push_failures,
+                    node.read_repair_failures) == counters
+            assert node.replicas_pushed == 2
+            assert node.peer_connects == connects + 1
+            assert all(writer.is_closing() for _, writer in stale)
+            assert route_digest(reqs[1]) in farm.nodes[second].cache
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_router_skips_connections_the_restart_closed(self):
+        """The router never retries, so its first call to a restarted
+        node must not take a pooled connection the old process closed."""
+        async def go(farm):
+            router = farm.router
+            await router._node_call("node1", {"op": "ping"})
+            stale = list(router.pool.idle[farm.endpoints["node1"]])
+            assert stale
+            await farm.kill_node("node1")
+            await farm.restart_node("node1")
+            await asyncio.sleep(0.05)  # the old process's close arrives
+            assert (await router._node_call("node1", {"op": "ping"}))["ok"]
+            assert all(writer.is_closing() for _, writer in stale)
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.service import compile as compile_mod
 from repro.service.cache import ArtifactCache
 from repro.service.client import AsyncCompileClient, ServerError
 from repro.service.compile import compile_pattern
-from repro.service.errors import ProtocolError
+from repro.service.errors import ProtocolError, TransportError
 from repro.service.server import (
     TOPOLOGY_MEMO_ENTRIES,
     CompileServer,
@@ -302,6 +303,51 @@ class TestLifecycle:
             # New connections are refused after drain.
             with pytest.raises(OSError):
                 await asyncio.open_connection(host, port)
+
+        run(go())
+
+    def test_shutdown_closes_idle_connections(self):
+        """A connection idle when the server shut down is closed, not
+        served: its next request fails instead of compiling."""
+        async def go():
+            server = CompileServer(workers=0)
+            await server.start()
+            async with AsyncCompileClient(*server.address, retry=None) as c:
+                await c.ping()
+                await server.shutdown()
+                with pytest.raises(TransportError):
+                    await c.compile(TORUS4, pattern=TRANSPOSE4)
+            assert server.requests_served == 1
+
+        run(go())
+
+    def test_shutdown_answers_the_request_in_hand_then_closes(
+        self, monkeypatch
+    ):
+        real = compile_mod.build_canonical_artifact
+        started = threading.Event()
+
+        def slow(*args, **kwargs):
+            started.set()
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compile_mod, "build_canonical_artifact", slow)
+
+        async def go():
+            server = CompileServer(workers=0)
+            await server.start()
+            async with AsyncCompileClient(*server.address, retry=None) as c:
+                pending = asyncio.ensure_future(
+                    c.compile(TORUS4, pattern=TRANSPOSE4)
+                )
+                while not started.is_set():
+                    await asyncio.sleep(0.005)
+                await server.shutdown()
+                reply = await pending
+                assert reply["ok"] and reply["cache"] == "miss"
+                with pytest.raises(TransportError):
+                    await c.ping()
 
         run(go())
 
