@@ -15,7 +15,7 @@ content-addressed, persistent, servable artifacts.
   canonicalization, the scheduler registry and the cache together;
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- an
   asyncio batch compile server with in-flight request deduplication,
-  plus async and blocking clients;
+  plus its client (async, with a blocking driver);
 * :mod:`repro.service.wire` -- the one frame codec on every service
   connection: a JSON header line plus a canonical-JSON payload line,
   encoded and hashed once;

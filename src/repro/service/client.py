@@ -1,25 +1,36 @@
 """Clients for the compile server.
 
 :class:`AsyncCompileClient` speaks the protocol (one frame per request
-and reply, :mod:`repro.service.wire`) over an asyncio stream;
-:class:`CompileClient` is a blocking wrapper over a plain socket for
-scripts, the CLI and CI.  Both support TCP (``host``/``port``) and unix
-sockets (``socket_path``) and can be used as context managers::
+and reply, :mod:`repro.service.wire`) over an asyncio stream, to TCP
+(``host``/``port``, or an ``endpoints`` list it rotates through) or a
+unix socket (``socket_path``).  :class:`CompileClient` is its blocking
+driver for scripts, the CLI and CI: it holds one async client and runs
+every call to completion on a private event loop, so there is one
+connect, retry and failover path.  Call :class:`CompileClient` from a
+thread with no running event loop; inside one it raises
+``RuntimeError`` (use the async client there).  Both are context
+managers::
 
     with CompileClient(socket_path="/tmp/repro.sock") as c:
         reply = c.compile({"kind": "torus", "width": 8},
                           pattern={"pattern": "all-to-all", "nodes": 64})
         assert reply["ok"] and reply["cache"] in ("hit", "miss")
 
+The verbs (``ping``, ``stats``, ``health``, ``ready``, ``shutdown``,
+``compile``, ``amend``) are written once, on :class:`AsyncClientBase`,
+which the farm's shard-map-carrying client also inherits.
+
 Failures are **typed** (:mod:`repro.service.errors`): an ``ok: false``
 reply raises the exception its ``error_type`` names
 (:class:`ServerError`, :class:`ProtocolError`, :class:`Overloaded`,
 :class:`ServiceTimeout`), and transport faults -- resets, refusals,
-socket timeouts -- are wrapped in :class:`TransportError` /
+timeouts -- are wrapped in :class:`TransportError` /
 :class:`ServiceTimeout` instead of leaking raw ``OSError``.
+``timeout`` bounds each connect attempt as well as each round trip; a
+connect that expires is a :class:`ServiceTimeout` and rotates to the
+next endpoint, as a refusal does.
 
-Both clients share the resilience machinery of
-:mod:`repro.service.policy`:
+Resilience comes from :mod:`repro.service.policy`:
 
 * **retries** -- transient failures (transport, timeout, overloaded)
   of *idempotent* verbs are retried under a
@@ -40,9 +51,9 @@ Both clients share the resilience machinery of
 from __future__ import annotations
 
 import asyncio
-import socket
+import functools
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.core import perf
 from repro.service import wire
@@ -64,6 +75,7 @@ from repro.service.policy import (
 )
 
 __all__ = [
+    "AsyncClientBase",
     "AsyncCompileClient",
     "CompileClient",
     "MAX_LINE_BYTES",
@@ -82,64 +94,6 @@ IDEMPOTENT_OPS = frozenset(
     {"ping", "stats", "health", "ready", "compile", "shardmap",
      "digests", "repair"}
 )
-
-
-def _amend_request(
-    topology: dict[str, Any] | None,
-    *,
-    pattern: dict[str, Any] | None,
-    pairs: list | None,
-    scheduler: str | None,
-    root: str | None,
-    epoch: int | None,
-    add: list | None,
-    remove: list | None,
-    request_id: int,
-    deadline: float | None = None,
-) -> dict[str, Any]:
-    req: dict[str, Any] = {"op": "amend", "id": request_id}
-    if topology is not None:
-        req["topology"] = topology
-    if pattern is not None:
-        req["pattern"] = pattern
-    if pairs is not None:
-        req["pairs"] = [list(p) for p in pairs]
-    if scheduler is not None:
-        req["scheduler"] = scheduler
-    if root is not None:
-        req["root"] = root
-        req["epoch"] = epoch
-    if add is not None:
-        req["add"] = [list(r) for r in add]
-    if remove is not None:
-        req["remove"] = [list(r) for r in remove]
-    if deadline is not None:
-        req["deadline"] = deadline
-    return req
-
-
-def _compile_request(
-    topology: dict[str, Any],
-    *,
-    pattern: dict[str, Any] | None,
-    pairs: list | None,
-    scheduler: str | None,
-    registers: bool,
-    request_id: int,
-    deadline: float | None = None,
-) -> dict[str, Any]:
-    req: dict[str, Any] = {"op": "compile", "id": request_id, "topology": topology}
-    if pattern is not None:
-        req["pattern"] = pattern
-    if pairs is not None:
-        req["pairs"] = [list(p) for p in pairs]
-    if scheduler is not None:
-        req["scheduler"] = scheduler
-    if registers:
-        req["registers"] = True
-    if deadline is not None:
-        req["deadline"] = deadline
-    return req
 
 
 def _parse_reply(frame: bytes, req: dict[str, Any]) -> dict[str, Any]:
@@ -189,34 +143,169 @@ def _verify_reply(req: dict[str, Any], reply: dict[str, Any]) -> None:
         )
 
 
-class _ResilientBase:
-    """Retry/breaker bookkeeping shared by both client flavours."""
+
+
+def _rows(rows: list | None) -> list | None:
+    return None if rows is None else [list(r) for r in rows]
+
+
+class AsyncClientBase:
+    """The service verbs, written once over :meth:`request`.
+
+    :class:`AsyncCompileClient` and the farm's shard-map-carrying
+    :class:`~repro.service.farm.AsyncFarmClient` inherit them; each
+    supplies ``request``, ``connect`` and ``close``.
+    """
+
+    #: last request id the verbs numbered (per instance once used).
+    _next_id = 0
+
+    async def request(self, req: dict[str, Any]) -> dict[str, Any]:
+        raise NotImplementedError
+
+    async def __aenter__(self) -> Any:
+        return await self.connect()
+
+    async def __aexit__(self, *exc: Any) -> None:
+        await self.close()
+
+    def _numbered(self, op: str, **fields: Any) -> dict[str, Any]:
+        """A new ``op`` request carrying every field that is not ``None``."""
+        self._next_id += 1
+        req: dict[str, Any] = {"op": op, "id": self._next_id}
+        req.update((k, v) for k, v in fields.items() if v is not None)
+        return req
+
+    async def ping(self) -> dict[str, Any]:
+        return await self.request({"op": "ping"})
+
+    async def stats(self) -> dict[str, Any]:
+        return await self.request({"op": "stats"})
+
+    async def health(self) -> dict[str, Any]:
+        return await self.request({"op": "health"})
+
+    async def ready(self) -> bool:
+        return bool((await self.request({"op": "ready"}))["ready"])
+
+    async def shutdown(self) -> dict[str, Any]:
+        return await self.request({"op": "shutdown"})
+
+    async def compile(
+        self,
+        topology: dict[str, Any],
+        *,
+        pattern: dict[str, Any] | None = None,
+        pairs: list | None = None,
+        scheduler: str | None = None,
+        registers: bool = False,
+        deadline: float | None = None,
+    ) -> dict[str, Any]:
+        return await self.request(self._numbered(
+            "compile", topology=topology, pattern=pattern, pairs=_rows(pairs),
+            scheduler=scheduler, registers=True if registers else None,
+            deadline=deadline,
+        ))
+
+    async def amend(
+        self,
+        topology: dict[str, Any] | None = None,
+        *,
+        pattern: dict[str, Any] | None = None,
+        pairs: list | None = None,
+        scheduler: str | None = None,
+        root: str | None = None,
+        epoch: int | None = None,
+        add: list | None = None,
+        remove: list | None = None,
+        deadline: float | None = None,
+    ) -> dict[str, Any]:
+        """Open an amend stream (``topology`` + pattern) or push one
+        epoch update (``root`` + ``epoch`` + ``add``/``remove`` rows).
+
+        Raises :class:`~repro.service.errors.EpochConflict` when the
+        epoch is stale; never retried automatically (not idempotent).
+        """
+        return await self.request(self._numbered(
+            "amend", topology=topology, pattern=pattern, pairs=_rows(pairs),
+            scheduler=scheduler, root=root, epoch=epoch, add=_rows(add),
+            remove=_rows(remove), deadline=deadline,
+        ))
+
+
+class AsyncCompileClient(AsyncClientBase):
+    """One connection to a compile server, asyncio flavour.
+
+    ``endpoints`` (a router HA list) wins over the single
+    ``host``/``port`` pair.  ``timeout`` bounds each connect attempt
+    and each request's round trip.
+    """
 
     def __init__(
         self,
-        retry: RetryPolicy | None,
-        breaker: CircuitBreaker | None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        socket_path: str | None = None,
+        timeout: float | None = None,
+        retry: RetryPolicy | None = RetryPolicy(),
+        breaker: CircuitBreaker | None = None,
+        endpoints: list[tuple[str, int]] | None = None,
     ) -> None:
+        self.endpoints: list[tuple[str, int]] = [
+            (str(h), int(p)) for h, p in (endpoints or [(host, port)])
+        ]
+        self._endpoint_index = 0
+        self.host, self.port = self.endpoints[0]
+        self.socket_path = socket_path
+        self.timeout = timeout
         self.retry = retry
         self.breaker = breaker
         #: lifetime retries this client performed.
         self.retries = 0
         #: lifetime endpoint rotations (router HA failovers).
         self.failovers = 0
+        self._reader: asyncio.StreamReader | None = None
+        self._writer: asyncio.StreamWriter | None = None
 
-    def _init_endpoints(
-        self,
-        host: str,
-        port: int,
-        endpoints: list[tuple[str, int]] | None,
-    ) -> None:
-        """Fix the endpoint rotation: ``endpoints`` (a router HA list)
-        wins over the single ``host``/``port`` pair."""
-        self.endpoints: list[tuple[str, int]] = [
-            (str(h), int(p)) for h, p in (endpoints or [(host, port)])
-        ]
-        self._endpoint_index = 0
-        self.host, self.port = self.endpoints[0]
+    async def connect(self) -> "AsyncCompileClient":
+        """Connect, rotating past every endpoint that refuses or does
+        not accept within ``timeout``."""
+        last: ServiceError | None = None
+        for _ in range(len(self.endpoints)):
+            try:
+                async with asyncio.timeout(self.timeout):
+                    if self.socket_path is not None:
+                        self._reader, self._writer = (
+                            await asyncio.open_unix_connection(
+                                self.socket_path, limit=MAX_LINE_BYTES
+                            )
+                        )
+                    else:
+                        self._reader, self._writer = (
+                            await asyncio.open_connection(
+                                self.host, self.port, limit=MAX_LINE_BYTES
+                            )
+                        )
+                return self
+            except TimeoutError as exc:
+                last = ServiceTimeout(f"connect timed out after {self.timeout}s")
+                last.__cause__ = exc
+            except OSError as exc:
+                last = TransportError(f"connect failed: {exc}")
+                last.__cause__ = exc
+            self._rotate_endpoint()
+        assert last is not None
+        raise last
+
+    async def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+            try:
+                await self._writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+            self._reader = self._writer = None
 
     def _rotate_endpoint(self) -> None:
         """Aim the next connect at the next endpoint in the list.
@@ -258,74 +347,6 @@ class _ResilientBase:
             self.breaker.record_failure()
             perf.COUNTERS.client_breaker_trips += self.breaker.trips - trips
 
-    def _plan_retry(
-        self, req: dict[str, Any], exc: ServiceError, attempt: int, slept: float
-    ) -> float | None:
-        """Backoff before retry number ``attempt``, or ``None`` = raise."""
-        if self.retry is None or req.get("op", "compile") not in IDEMPOTENT_OPS:
-            return None
-        return self.retry.plan(exc, attempt, slept)
-
-
-class AsyncCompileClient(_ResilientBase):
-    """One connection to a compile server, asyncio flavour."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        socket_path: str | None = None,
-        timeout: float | None = None,
-        retry: RetryPolicy | None = RetryPolicy(),
-        breaker: CircuitBreaker | None = None,
-        endpoints: list[tuple[str, int]] | None = None,
-    ) -> None:
-        super().__init__(retry, breaker)
-        self._init_endpoints(host, port, endpoints)
-        self.socket_path = socket_path
-        self.timeout = timeout
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._next_id = 0
-
-    async def connect(self) -> "AsyncCompileClient":
-        last: TransportError | None = None
-        for _ in range(len(self.endpoints)):
-            try:
-                if self.socket_path is not None:
-                    self._reader, self._writer = (
-                        await asyncio.open_unix_connection(
-                            self.socket_path, limit=MAX_LINE_BYTES
-                        )
-                    )
-                else:
-                    self._reader, self._writer = await asyncio.open_connection(
-                        self.host, self.port, limit=MAX_LINE_BYTES
-                    )
-                return self
-            except OSError as exc:
-                last = TransportError(f"connect failed: {exc}")
-                last.__cause__ = exc
-                self._rotate_endpoint()
-        assert last is not None
-        raise last
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    async def __aenter__(self) -> "AsyncCompileClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.close()
-
     async def _request_once(self, req: dict[str, Any]) -> dict[str, Any]:
         if self._reader is None or self._writer is None:
             await self.connect()
@@ -351,7 +372,11 @@ class AsyncCompileClient(_ResilientBase):
 
     async def request(self, req: dict[str, Any]) -> dict[str, Any]:
         """Send one request object; retry transient failures per policy."""
-        if self.retry is not None and req.get("op", "compile") in IDEMPOTENT_OPS:
+        idempotent = (
+            self.retry is not None
+            and req.get("op", "compile") in IDEMPOTENT_OPS
+        )
+        if idempotent:
             req.setdefault("idem", request_digest(req))
         attempt, slept = 0, 0.0
         while True:
@@ -363,7 +388,9 @@ class AsyncCompileClient(_ResilientBase):
                 if isinstance(exc, (TransportError, ServiceTimeout)):
                     await self.close()
                     self._rotate_endpoint()
-                pause = self._plan_retry(req, exc, attempt, slept)
+                pause = (
+                    self.retry.plan(exc, attempt, slept) if idempotent else None
+                )
                 if pause is None:
                     raise
                 await self.close()
@@ -375,123 +402,79 @@ class AsyncCompileClient(_ResilientBase):
             self._record(None)
             return reply
 
-    async def ping(self) -> dict[str, Any]:
-        return await self.request({"op": "ping"})
 
-    async def stats(self) -> dict[str, Any]:
-        return await self.request({"op": "stats"})
+def _blocking(verb: Callable[..., Any]) -> Callable[..., Any]:
+    """``verb`` of :class:`AsyncCompileClient` as a blocking method."""
 
-    async def health(self) -> dict[str, Any]:
-        return await self.request({"op": "health"})
+    @functools.wraps(verb)
+    def call(self: "CompileClient", *args: Any, **kwargs: Any) -> Any:
+        return self._run(getattr(self._client, verb.__name__), *args, **kwargs)
 
-    async def ready(self) -> bool:
-        return bool((await self.request({"op": "ready"}))["ready"])
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self.request({"op": "shutdown"})
-
-    async def compile(
-        self,
-        topology: dict[str, Any],
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        registers: bool = False,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        self._next_id += 1
-        return await self.request(
-            _compile_request(
-                topology,
-                pattern=pattern,
-                pairs=pairs,
-                scheduler=scheduler,
-                registers=registers,
-                request_id=self._next_id,
-                deadline=deadline,
-            )
-        )
-
-    async def amend(
-        self,
-        topology: dict[str, Any] | None = None,
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        root: str | None = None,
-        epoch: int | None = None,
-        add: list | None = None,
-        remove: list | None = None,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        """Open an amend stream (``topology`` + pattern) or push one
-        epoch update (``root`` + ``epoch`` + ``add``/``remove`` rows).
-
-        Raises :class:`~repro.service.errors.EpochConflict` when the
-        epoch is stale; never retried automatically (not idempotent).
-        """
-        self._next_id += 1
-        return await self.request(
-            _amend_request(
-                topology,
-                pattern=pattern, pairs=pairs, scheduler=scheduler,
-                root=root, epoch=epoch, add=add, remove=remove,
-                request_id=self._next_id, deadline=deadline,
-            )
-        )
+    return call
 
 
-class CompileClient(_ResilientBase):
-    """Blocking client over a plain socket (CLI / CI / scripts)."""
+class CompileClient:
+    """Blocking driver of one :class:`AsyncCompileClient` (CLI / CI /
+    scripts).
+
+    Every call runs the async client's coroutine to completion on a
+    private :class:`asyncio.Runner`, made on first use and closed with
+    the connection, so connects, retries, endpoint rotation and typed
+    errors are the async client's own.  ``options`` are the async
+    client's (``socket_path``, ``retry``, ``breaker``, ``endpoints``).
+
+    Call it from a thread with no running event loop: inside one it
+    raises ``RuntimeError`` at once instead of blocking that loop (use
+    :class:`AsyncCompileClient` there).
+    """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        socket_path: str | None = None,
         timeout: float | None = 60.0,
-        retry: RetryPolicy | None = RetryPolicy(),
-        breaker: CircuitBreaker | None = None,
-        endpoints: list[tuple[str, int]] | None = None,
+        **options: Any,
     ) -> None:
-        super().__init__(retry, breaker)
-        self._init_endpoints(host, port, endpoints)
-        self.socket_path = socket_path
-        self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._file = None
-        self._next_id = 0
+        self._client = AsyncCompileClient(host, port, timeout=timeout, **options)
+        self._runner: asyncio.Runner | None = None
+
+    @property
+    def retries(self) -> int:
+        return self._client.retries
+
+    @property
+    def failovers(self) -> int:
+        return self._client.failovers
+
+    def _run(self, verb: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            pass
+        else:
+            raise RuntimeError(
+                "CompileClient would block the running event loop; "
+                "use AsyncCompileClient inside a loop"
+            )
+        if self._runner is None:
+            self._runner = asyncio.Runner()
+        return self._runner.run(verb(*args, **kwargs))
 
     def connect(self) -> "CompileClient":
-        last: ServiceError | None = None
-        for _ in range(len(self.endpoints)):
-            try:
-                if self.socket_path is not None:
-                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    sock.settimeout(self.timeout)
-                    sock.connect(self.socket_path)
-                else:
-                    sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout
-                    )
-            except socket.timeout as exc:
-                last = ServiceTimeout(f"connect timed out: {exc}")
-                last.__cause__ = exc
-                self._rotate_endpoint()
-                continue
-            except OSError as exc:
-                last = TransportError(f"connect failed: {exc}")
-                last.__cause__ = exc
-                self._rotate_endpoint()
-                continue
-            self._sock = sock
-            self._file = sock.makefile("rb")
-            return self
-        assert last is not None
-        raise last
+        try:
+            self._run(self._client.connect)
+        except ServiceError:
+            self.close()
+            raise
+        return self
+
+    def close(self) -> None:
+        """Close the connection and its event loop; safe to repeat."""
+        if self._runner is not None:
+            self._run(self._client.close)
+            self._runner.close()
+            self._runner = None
 
     def wait_until_ready(self, deadline: float = 10.0, interval: float = 0.05) -> "CompileClient":
         """Connect, retrying until the server is accepting or ``deadline``.
@@ -508,124 +491,19 @@ class CompileClient(_ResilientBase):
                     raise
                 time.sleep(interval)
 
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
     def __enter__(self) -> "CompileClient":
-        if self._sock is None:
+        if self._runner is None:
             self.connect()
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _request_once(self, req: dict[str, Any]) -> dict[str, Any]:
-        if self._sock is None:
-            self.connect()
-        assert self._sock is not None and self._file is not None
-        try:
-            self._sock.sendall(wire.encode(req))
-            frame = wire.read_frame_file(self._file, MAX_LINE_BYTES)
-        except socket.timeout as exc:
-            raise ServiceTimeout(
-                f"no reply within {self.timeout}s"
-            ) from exc
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise TransportError(f"connection failed mid-request: {exc}") from exc
-        except wire.FrameError as exc:
-            self.close()  # the rest of the frame is still buffered
-            raise ProtocolError(f"reply frame too large: {exc}") from None
-        return _parse_reply(frame, req)
-
-    def request(self, req: dict[str, Any]) -> dict[str, Any]:
-        """Send one request object; retry transient failures per policy."""
-        if self.retry is not None and req.get("op", "compile") in IDEMPOTENT_OPS:
-            req.setdefault("idem", request_digest(req))
-        attempt, slept = 0, 0.0
-        while True:
-            self._admit()
-            try:
-                reply = self._request_once(req)
-            except ServiceError as exc:
-                self._record(exc)
-                if isinstance(exc, (TransportError, ServiceTimeout)):
-                    self.close()
-                    self._rotate_endpoint()
-                pause = self._plan_retry(req, exc, attempt, slept)
-                if pause is None:
-                    raise
-                self.close()
-                time.sleep(pause)
-                attempt, slept = attempt + 1, slept + pause
-                self.retries += 1
-                perf.COUNTERS.client_retries += 1
-                continue
-            self._record(None)
-            return reply
-
-    def ping(self) -> dict[str, Any]:
-        return self.request({"op": "ping"})
-
-    def stats(self) -> dict[str, Any]:
-        return self.request({"op": "stats"})
-
-    def health(self) -> dict[str, Any]:
-        return self.request({"op": "health"})
-
-    def ready(self) -> bool:
-        return bool(self.request({"op": "ready"})["ready"])
-
-    def shutdown(self) -> dict[str, Any]:
-        return self.request({"op": "shutdown"})
-
-    def compile(
-        self,
-        topology: dict[str, Any],
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        registers: bool = False,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        self._next_id += 1
-        return self.request(
-            _compile_request(
-                topology,
-                pattern=pattern,
-                pairs=pairs,
-                scheduler=scheduler,
-                registers=registers,
-                request_id=self._next_id,
-                deadline=deadline,
-            )
-        )
-
-    def amend(
-        self,
-        topology: dict[str, Any] | None = None,
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        root: str | None = None,
-        epoch: int | None = None,
-        add: list | None = None,
-        remove: list | None = None,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        """Blocking twin of :meth:`AsyncCompileClient.amend`."""
-        self._next_id += 1
-        return self.request(
-            _amend_request(
-                topology,
-                pattern=pattern, pairs=pairs, scheduler=scheduler,
-                root=root, epoch=epoch, add=add, remove=remove,
-                request_id=self._next_id, deadline=deadline,
-            )
-        )
+    request = _blocking(AsyncCompileClient.request)
+    ping = _blocking(AsyncClientBase.ping)
+    stats = _blocking(AsyncClientBase.stats)
+    health = _blocking(AsyncClientBase.health)
+    ready = _blocking(AsyncClientBase.ready)
+    shutdown = _blocking(AsyncClientBase.shutdown)
+    compile = _blocking(AsyncClientBase.compile)
+    amend = _blocking(AsyncClientBase.amend)

@@ -74,7 +74,7 @@ class ProtocolError(ServerError, ValueError):
 
 
 class ServiceTimeout(ServiceError, TimeoutError):
-    """A deadline expired (client socket timeout or server budget)."""
+    """A deadline expired (client connect/reply timeout or server budget)."""
 
     code = "timeout"
     exit_code = EX_TIMEOUT

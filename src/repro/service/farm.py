@@ -105,11 +105,7 @@ from typing import Any, Callable, Collection
 from repro.service import wire
 from repro.service.amend import AmendStream, amend_root_digest
 from repro.service.cache import ArtifactCache, CachedArtifact
-from repro.service.client import (
-    AsyncCompileClient,
-    _amend_request,
-    _compile_request,
-)
+from repro.service.client import AsyncClientBase, AsyncCompileClient
 from repro.service.compile import artifact_verifier, compile_digest
 from repro.service.errors import (
     ProtocolError,
@@ -309,6 +305,27 @@ class ShardMap:
             epoch=int(data.get("epoch", 1)),
             vnodes=int(data.get("vnodes", DEFAULT_VNODES)),
         )
+
+
+def _fenced_map(holder: Any, doc: Any, what: str = "map") -> ShardMap:
+    """``doc`` as a shard map, fenced against ``holder``'s map epoch.
+
+    A deposed leader's late push carries a lower epoch, however many
+    version bumps it accumulated: it is refused with a *typed*
+    :class:`StaleEpoch` so the sender learns it was deposed, and counted
+    in ``holder.stale_epoch_rejections``.  ``holder`` is a farm node or
+    a router.
+    """
+    new = ShardMap.from_dict(doc)
+    current = holder.shard_map
+    if new.epoch < current.epoch:
+        holder.stale_epoch_rejections += 1
+        raise StaleEpoch(
+            f"{what} epoch {new.epoch} < {current.epoch}: sender was deposed",
+            current_epoch=current.epoch,
+            current_version=current.version,
+        )
+    return new
 
 
 def route_digest(
@@ -745,18 +762,7 @@ class FarmNodeServer(CompileServer):
         return super()._compile_key(req)
 
     def _reshard(self, req: dict[str, Any]) -> dict[str, Any]:
-        new = ShardMap.from_dict(req.get("shard_map"))
-        if new.epoch < self.shard_map.epoch:
-            # A deposed leader's late push: no matter how many version
-            # bumps it accumulated, a lower epoch is fenced out with a
-            # *typed* refusal so the sender learns it was deposed.
-            self.stale_epoch_rejections += 1
-            raise StaleEpoch(
-                f"map epoch {new.epoch} < {self.shard_map.epoch}: "
-                f"sender was deposed",
-                current_epoch=self.shard_map.epoch,
-                current_version=self.shard_map.version,
-            )
+        new = _fenced_map(self, req.get("shard_map"))
         adopted = new.dominates(self.shard_map)
         if adopted:
             self._adopt_map(new)
@@ -836,15 +842,7 @@ class FarmNodeServer(CompileServer):
         5. adopt the successor map and release the parked amends into
            typed redirects that land on already-adopted streams.
         """
-        successor = ShardMap.from_dict(req.get("shard_map"))
-        if successor.epoch < self.shard_map.epoch:
-            self.stale_epoch_rejections += 1
-            raise StaleEpoch(
-                f"drain map epoch {successor.epoch} < "
-                f"{self.shard_map.epoch}: sender was deposed",
-                current_epoch=self.shard_map.epoch,
-                current_version=self.shard_map.version,
-            )
+        successor = _fenced_map(self, req.get("shard_map"), "drain map")
         if self.name in successor.nodes:
             raise ProtocolError(
                 f"drain successor map still contains {self.name!r}"
@@ -1984,15 +1982,7 @@ class ShardRouter:
 
     def _reshard_verb(self, req: dict[str, Any]) -> dict[str, Any]:
         """A peer router pushed its map at us: adopt or fence."""
-        new = ShardMap.from_dict(req.get("shard_map"))
-        if new.epoch < self.shard_map.epoch:
-            self.stale_epoch_rejections += 1
-            raise StaleEpoch(
-                f"map epoch {new.epoch} < {self.shard_map.epoch}: "
-                f"sender was deposed",
-                current_epoch=self.shard_map.epoch,
-                current_version=self.shard_map.version,
-            )
+        new = _fenced_map(self, req.get("shard_map"))
         adopted = new.dominates(self.shard_map)
         if adopted:
             self._adopt_map(new)
@@ -2172,7 +2162,7 @@ class ShardRouter:
 # the shard-map-carrying client
 # ----------------------------------------------------------------------
 
-class AsyncFarmClient:
+class AsyncFarmClient(AsyncClientBase):
     """Farm client: direct-to-shard on warm state, router on trouble.
 
     Holds one :class:`AsyncCompileClient` per node plus one for the
@@ -2183,11 +2173,12 @@ class AsyncFarmClient:
     node that cannot be reached at all falls back to the router --
     which performs failover -- and the map is re-fetched afterwards.
 
-    ``router_address`` may be a single ``(host, port)`` pair or a
-    *list* of them (the router HA pair): the embedded router client
-    rotates to the next endpoint on every transport/timeout failure,
-    so idempotent verbs transparently retry on the surviving router
-    while ``amend`` surfaces its typed error (never auto-retried).
+    ``endpoints`` is the router list (one router or the HA pair), as
+    for :class:`AsyncCompileClient`: the embedded router client rotates
+    to the next endpoint on every transport/timeout failure, so
+    idempotent verbs transparently retry on the surviving router while
+    ``amend`` surfaces its typed error (never auto-retried).  The verbs
+    are :class:`~repro.service.client.AsyncClientBase`'s.
     """
 
     #: bounded in-line redirects before deferring to the router.
@@ -2195,30 +2186,17 @@ class AsyncFarmClient:
 
     def __init__(
         self,
-        router_address: tuple[str, int] | list[tuple[str, int]],
+        endpoints: list[tuple[str, int]],
         *,
         shard_map: ShardMap | None = None,
         timeout: float | None = None,
         default_scheduler: str = "combined",
     ) -> None:
-        if (
-            isinstance(router_address, tuple)
-            and len(router_address) == 2
-            and not isinstance(router_address[0], (tuple, list))
-        ):
-            addresses = [router_address]
-        else:
-            addresses = list(router_address)
-        self.router_addresses = [(str(h), int(p)) for h, p in addresses]
-        self.router_address = self.router_addresses[0]
         self.shard_map = shard_map
         self.timeout = timeout
         self.default_scheduler = default_scheduler
-        self._router = AsyncCompileClient(
-            timeout=timeout, endpoints=self.router_addresses
-        )
+        self._router = AsyncCompileClient(timeout=timeout, endpoints=endpoints)
         self._nodes: dict[str, AsyncCompileClient] = {}
-        self._next_id = 0
         self.direct = 0
         self.via_router = 0
         self.map_refreshes = 0
@@ -2234,12 +2212,6 @@ class AsyncFarmClient:
             await client.close()
         self._nodes.clear()
         await self._router.close()
-
-    async def __aenter__(self) -> "AsyncFarmClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.close()
 
     async def refresh_map(self) -> ShardMap:
         reply = await self._router.request({"op": "shardmap"})
@@ -2322,60 +2294,6 @@ class AsyncFarmClient:
         except ServiceError:
             pass
         return reply
-
-    # -- convenience verbs (mirror AsyncCompileClient) ------------------
-    async def ping(self) -> dict[str, Any]:
-        return await self.request({"op": "ping"})
-
-    async def stats(self) -> dict[str, Any]:
-        return await self.request({"op": "stats"})
-
-    async def health(self) -> dict[str, Any]:
-        return await self.request({"op": "health"})
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self.request({"op": "shutdown"})
-
-    async def compile(
-        self,
-        topology: dict[str, Any],
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        registers: bool = False,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        self._next_id += 1
-        return await self.request(
-            _compile_request(
-                topology, pattern=pattern, pairs=pairs, scheduler=scheduler,
-                registers=registers, request_id=self._next_id,
-                deadline=deadline,
-            )
-        )
-
-    async def amend(
-        self,
-        topology: dict[str, Any] | None = None,
-        *,
-        pattern: dict[str, Any] | None = None,
-        pairs: list | None = None,
-        scheduler: str | None = None,
-        root: str | None = None,
-        epoch: int | None = None,
-        add: list | None = None,
-        remove: list | None = None,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        self._next_id += 1
-        return await self.request(
-            _amend_request(
-                topology, pattern=pattern, pairs=pairs, scheduler=scheduler,
-                root=root, epoch=epoch, add=add, remove=remove,
-                request_id=self._next_id, deadline=deadline,
-            )
-        )
 
 
 # ----------------------------------------------------------------------
@@ -2559,11 +2477,8 @@ class Farm:
         return [tuple(r.address) for r in self.routers.values()]
 
     def client(self, **kwargs: Any) -> AsyncFarmClient:
-        addresses = self.router_addresses
         return AsyncFarmClient(
-            addresses if len(addresses) > 1 else self.router_address,
-            default_scheduler=self.scheduler,
-            **kwargs,
+            self.router_addresses, default_scheduler=self.scheduler, **kwargs
         )
 
     async def settle(self) -> None:

@@ -108,8 +108,8 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 class CircuitBreaker:
     """Fast-fail after consecutive failures; half-open on a timer.
 
-    Not thread-safe by design: each blocking client owns one, and the
-    async client mutates it only from the event loop.  A breaker may be
+    Not thread-safe by design: a client mutates it only from its event
+    loop (a blocking client's private one included).  A breaker may be
     *shared* between clients in one thread/loop to pool their view of
     server health.
     """

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.compiler.serialize import artifact_digest, canonical_dumps
 
@@ -132,20 +132,6 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes:
             frame += await reader.readuntil(b"\n")
     except asyncio.IncompleteReadError as exc:
         frame += exc.partial
-    return frame
-
-
-def read_frame_file(fh: BinaryIO, limit: int) -> bytes:
-    """Blocking twin of :func:`read_frame` over a binary file.
-
-    Same return contract; raises :class:`FrameError` for a line past
-    ``limit`` bytes.
-    """
-    frame = fh.readline(limit + 1)
-    if frame.endswith(b"\n") and _announces_payload(frame):
-        frame += fh.readline(limit + 1)
-    if any(len(line) > limit for line in frame.split(b"\n")):
-        raise FrameError(f"frame line exceeds {limit} bytes")
     return frame
 
 

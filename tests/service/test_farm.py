@@ -326,7 +326,7 @@ class TestFailover:
                 farm.router.shard_map.nodes, replication=1, version=0,
                 vnodes=1,
             )
-            client = AsyncFarmClient(farm.router_address, shard_map=bad_map)
+            client = AsyncFarmClient([farm.router_address], shard_map=bad_map)
             try:
                 for i in range(8):
                     reply = await client.compile(

@@ -536,6 +536,49 @@ class TestClientResilience:
         run(go())
 
 
+class TestConnectTimeout:
+    """``timeout`` bounds each connect attempt, like each round trip.
+
+    ``asyncio.open_connection`` is patched so one endpoint never
+    completes its connect; the outer ``wait_for`` turns an unbounded
+    connect into a failure instead of a hung test.
+    """
+
+    HUNG = ("127.0.0.1", 9)
+
+    @pytest.fixture(autouse=True)
+    def hung_connect(self, monkeypatch):
+        real = asyncio.open_connection
+
+        async def open_connection(host, port, **kwargs):
+            if (host, port) == self.HUNG:
+                await asyncio.Event().wait()
+            return await real(host, port, **kwargs)
+
+        monkeypatch.setattr(asyncio, "open_connection", open_connection)
+
+    def test_hung_connect_is_typed_within_timeout(self):
+        async def go():
+            client = AsyncCompileClient(*self.HUNG, timeout=0.2, retry=None)
+            t0 = time.monotonic()
+            with pytest.raises(ServiceTimeout, match="connect timed out"):
+                await client.request({"op": "ping"})
+            assert time.monotonic() - t0 < 1.0
+
+        run(asyncio.wait_for(go(), timeout=3.0))
+
+    def test_hung_endpoint_rotates_to_the_live_one(self):
+        async def go(server, host, port):
+            client = AsyncCompileClient(
+                timeout=0.2, retry=None, endpoints=[self.HUNG, (host, port)]
+            )
+            assert (await client.request({"op": "ping"}))["ok"]
+            assert client.failovers == 1
+            await client.close()
+
+        run(asyncio.wait_for(with_server(go), timeout=3.0))
+
+
 class TestBlockingClientResilience:
     def test_blocking_client_full_loop_against_real_server(self, tmp_path):
         sock = str(tmp_path / "compile.sock")
@@ -570,3 +613,46 @@ class TestBlockingClientResilience:
         with pytest.raises(TransportError):
             CompileClient(socket_path=str(tmp_path / "nope.sock"),
                           retry=None).connect()
+
+    def test_blocking_client_reuse_after_close(self, tmp_path):
+        sock = str(tmp_path / "compile.sock")
+
+        def blocking_session():
+            client = CompileClient(socket_path=sock + ".nope", retry=None)
+            with pytest.raises(TransportError):
+                client.connect()
+            assert client._runner is None  # a failed connect closes its loop
+            client = CompileClient(socket_path=sock, retry=None)
+            assert client.ping()["ok"]
+            first = client._runner.get_loop()
+            client.close()
+            assert first.is_closed()
+            # Reuse reconnects on a fresh private loop and answers.
+            assert client.compile(TORUS4, pattern=TRANSPOSE4)["ok"]
+            second = client._runner.get_loop()
+            client.close()
+            client.close()  # a second close is a no-op
+            assert second.is_closed() and client._runner is None
+
+        async def go():
+            server = CompileServer(socket_path=sock)
+            await server.start()
+            try:
+                await asyncio.to_thread(blocking_session)
+            finally:
+                await server.shutdown()
+
+        run(go())
+
+    def test_blocking_client_refuses_a_running_loop(self):
+        # A blocking socket client would stall the loop serving its own
+        # server until ``timeout``; the driver refuses at once.
+        async def go(server, host, port):
+            client = CompileClient(host, port, timeout=2.0, retry=None)
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="use AsyncCompileClient"):
+                client.ping()
+            assert time.monotonic() - t0 < 0.5
+            client.close()
+
+        run(asyncio.wait_for(with_server(go), timeout=5.0))

@@ -3,16 +3,21 @@ token, the node-arbitrated leadership lease, standby promotion, client
 endpoint-list failover, and graceful drain with proactive handoff."""
 
 import asyncio
+import json
 import socket
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.compiler.recognition import recognize
+from repro.compiler.serialize import load_artifact
 from repro.service.amend import amend_epoch_digest, parse_rows
 from repro.service.client import AsyncCompileClient, CompileClient
 from repro.service.errors import (
     EX_TEMPFAIL,
+    EX_UNAVAILABLE,
     ProtocolError,
     StaleEpoch,
     TransportError,
@@ -20,6 +25,7 @@ from repro.service.errors import (
     reply_error,
 )
 from repro.service.farm import ShardMap, ShardRouter
+from repro.topology.torus import Torus2D
 from tests.service.farm_helpers import (
     hung_endpoint,
     run,
@@ -440,6 +446,35 @@ class TestClientEndpointFailover:
             assert failovers >= 1
 
         run(with_farm(scenario2, nodes=2))
+
+    def test_cli_compile_rotates_past_a_dead_router(self, tmp_path, capsys):
+        output = tmp_path / "remote.json"
+
+        # ``compile --routers`` drives the blocking client, so the CLI
+        # runs in a thread next to the farm's event loop.
+        async def scenario(farm):
+            routers = ",".join(
+                f"{h}:{p}" for h, p in [dead_endpoint(), farm.router_address]
+            )
+            return await asyncio.to_thread(main, [
+                "compile", "--routers", routers, "--width", "4",
+                "--height", "4", "--spec", json.dumps(RING16),
+                "--output", str(output),
+            ])
+
+        assert run(with_farm(scenario, nodes=2)) == 0
+        assert "1 router failover(s)" in capsys.readouterr().out
+        schedule, _ = load_artifact(output, Torus2D(4))
+        scheduled = [c for config in schedule for c in config]
+        schedule.validate(scheduled)
+        assert len(scheduled) == len(recognize(RING16))
+
+    def test_cli_compile_with_every_router_dead_is_transport(self, capsys):
+        routers = ",".join(f"{h}:{p}" for h, p in [dead_endpoint()] * 2)
+        assert main([
+            "compile", "--routers", routers, "--spec", json.dumps(RING16),
+        ]) == EX_UNAVAILABLE
+        assert "repro-tdm: transport:" in capsys.readouterr().err
 
     def test_request_fails_over_mid_session(self):
         async def scenario(farm):
