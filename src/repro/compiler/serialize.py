@@ -7,9 +7,10 @@ boundary as JSON:
 
 * :func:`schedule_to_dict` / :func:`schedule_from_dict` -- a
   :class:`ConfigurationSet` as (slot -> list of sized requests); the
-  loader re-routes on its own topology and *re-validates*, so a
-  schedule file can never smuggle in a conflicting configuration (e.g.
-  when the loader's routing policy differs from the compiler's);
+  loader re-routes on its own topology and *re-checks* every slot
+  (:func:`check_schedule`), so a schedule file can never smuggle in a
+  conflicting configuration (e.g. when the loader's routing policy
+  differs from the compiler's);
 * :func:`registers_to_dict` / :func:`registers_from_dict` -- the
   per-switch register words, bound to the topology signature; loading
   re-decodes and trace-audits the image against the declared circuits.
@@ -24,6 +25,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Any
 
@@ -35,8 +37,8 @@ from repro.compiler.codegen import (
     generate_registers,
 )
 from repro.core.configuration import Configuration, ConfigurationSet
-from repro.core.paths import Connection, route_requests
-from repro.core.requests import Request, RequestSet
+from repro.core.paths import Connection
+from repro.core.requests import Request
 from repro.topology.base import Topology
 from repro.topology.switch import port_tables
 
@@ -90,11 +92,82 @@ def canonical_json(obj: Any) -> Any:
     raise ArtifactError(f"type {type(obj).__name__} is not JSON-serialisable")
 
 
+#: Keys of a schedule document (:func:`schedule_to_dict`).
+_SCHEDULE_KEYS = frozenset({"degree", "scheduler", "slots", "version"})
+#: One schedule row's values in sorted-key order, and its encoding.
+_ROW_VALUES = operator.itemgetter("dst", "size", "src", "tag")
+_ROW_TEMPLATE = '{"dst":%d,"size":%d,"src":%d,"tag":%d}'
+
+
+def _schedule_dumps(doc: Any) -> str | None:
+    """:func:`canonical_dumps` of a plain schedule document, else ``None``.
+
+    Plain is what :func:`schedule_to_dict` and ``json.loads`` produce:
+    exactly the four schedule keys, a list of lists of rows, each row a
+    dict of exactly ``src``/``dst``/``size``/``tag``, every number an
+    ``int`` (not a bool, float or numpy integer) and a ``str``
+    scheduler.  Those types are checked in C-level passes and each row
+    is then one ``%`` template; anything else is the general encoder's.
+    """
+    if type(doc) is not dict or doc.keys() != _SCHEDULE_KEYS:
+        return None
+    slots, scheduler = doc["slots"], doc["scheduler"]
+    if (
+        type(slots) is not list or type(scheduler) is not str
+        or type(doc["degree"]) is not int or type(doc["version"]) is not int
+        or not set(map(type, slots)) <= {list}
+    ):
+        return None
+    rows = list(itertools.chain.from_iterable(slots))
+    if not (set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {4}):
+        return None
+    try:
+        values = list(map(_ROW_VALUES, rows))
+    except KeyError:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(values))) <= {int}:
+        return None
+    encoded = map(_ROW_TEMPLATE.__mod__, values)
+    body = ",".join([
+        "[%s]" % ",".join(itertools.islice(encoded, n)) for n in map(len, slots)
+    ])
+    return '{"degree":%d,"scheduler":%s,"slots":[%s],"version":%d}' % (
+        doc["degree"], json.dumps(scheduler), body, doc["version"],
+    )
+
+
+def compose_fields(fields: dict[str, str]) -> str:
+    """The JSON object whose fields have the canonical encodings ``fields``.
+
+    Keys sort, so this is byte-for-byte :func:`canonical_dumps` of the
+    object: how a document that holds a schedule document is encoded,
+    and how the artifact cache composes cached fields.
+    """
+    return "{" + ",".join(
+        json.dumps(k) + ":" + fields[k] for k in sorted(fields)
+    ) + "}"
+
+
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON encoding: sorted keys, no whitespace,
     canonicalised scalars.  The same logical document produces the same
     bytes in every process, which is what makes content-addressed
-    artifact caching possible."""
+    artifact caching possible.
+
+    A plain schedule document is written by one template per row
+    (:func:`_schedule_dumps`), and an object with ``str`` keys that
+    holds one is composed field by field (:func:`compose_fields`); both
+    give exactly the general encoder's bytes.
+    """
+    encoded = _schedule_dumps(obj)
+    if encoded is not None:
+        return encoded
+    if (
+        type(obj) is dict
+        and any(type(v) is dict and v.keys() == _SCHEDULE_KEYS for v in obj.values())
+        and set(map(type, obj)) == {str}
+    ):
+        return compose_fields({k: canonical_dumps(v) for k, v in obj.items()})
     return json.dumps(
         canonical_json(obj), sort_keys=True, separators=(",", ":"),
         ensure_ascii=True, allow_nan=False,
@@ -138,37 +211,75 @@ def schedule_to_dict(schedule: ConfigurationSet) -> dict[str, Any]:
     }
 
 
+def _request(row: dict[str, Any]) -> Request:
+    return Request(
+        row["src"], row["dst"], size=row.get("size", 1), tag=row.get("tag", 0)
+    )
+
+
+def check_schedule(
+    topology: Topology, data: dict[str, Any]
+) -> tuple[list[Any], list[int], list[tuple[int, ...]]]:
+    """Check a schedule document on ``topology`` without building objects.
+
+    Returns its rows in slot order, the number of rows per slot and
+    each row's route.  In order, the checks are the format version,
+    each row's ``src``/``dst`` (``KeyError``/``TypeError`` when missing
+    or not a dict), self-loops (``ValueError``, as
+    :class:`~repro.core.requests.RequestSet` words it), routing (one
+    :meth:`~repro.topology.base.Topology.route_many` call, which raises
+    :class:`~repro.topology.base.RoutingError`), conflicts and the
+    declared degree.  Routes are simple paths, so two connections share
+    a link in a slot iff a ``slot * num_links + link`` key repeats: one
+    sort of all the keys finds every conflict.
+    """
+    if data.get("version") != FORMAT_VERSION:
+        raise ArtifactError(f"unsupported schedule version {data.get('version')!r}")
+    slots = data["slots"]
+    rows = [e for slot in slots for e in slot]
+    pairs = [(e["src"], e["dst"]) for e in rows]
+    if any(itertools.starmap(operator.eq, pairs)):
+        i = next(i for i, (s, d) in enumerate(pairs) if s == d)
+        raise ValueError(f"request {i} is a self-loop: {_request(rows[i])}")
+    paths = topology.route_many(pairs)
+    lengths = list(map(len, slots))
+    hops = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    keys = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.int64, count=int(hops.sum())
+    )
+    slot_of = np.repeat(np.repeat(np.arange(len(lengths)), lengths), hops)
+    keys += slot_of * topology.num_links
+    keys.sort()
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        slot, link = divmod(int(keys[repeated[0]]), topology.num_links)
+        raise ArtifactError(
+            f"schedule file is not conflict-free here: slot {slot}: "
+            f"link {link} is used twice"
+        )
+    if len(lengths) != data["degree"]:
+        raise ArtifactError(
+            f"declared degree {data['degree']} != actual {len(lengths)}"
+        )
+    return rows, lengths, paths
+
+
 def schedule_from_dict(topology: Topology, data: dict[str, Any]) -> tuple[ConfigurationSet, list[Connection]]:
-    """Rebuild (and re-validate) a schedule on ``topology``.
+    """Rebuild (and re-check, :func:`check_schedule`) a schedule on
+    ``topology``.
 
     Returns the schedule plus the routed connection list (in slot
     order), which downstream consumers (codegen, simulator) need.
     """
-    if data.get("version") != FORMAT_VERSION:
-        raise ArtifactError(f"unsupported schedule version {data.get('version')!r}")
-    requests = RequestSet(
-        (
-            Request(e["src"], e["dst"], size=e.get("size", 1), tag=e.get("tag", 0))
-            for slot in data["slots"]
-            for e in slot
-        ),
-        allow_duplicates=True,
+    rows, lengths, paths = check_schedule(topology, data)
+    connections = [
+        Connection(i, _request(e), p) for i, (e, p) in enumerate(zip(rows, paths))
+    ]
+    members = iter(connections)
+    schedule = ConfigurationSet(
+        [Configuration._trusted(list(itertools.islice(members, n))) for n in lengths],
+        scheduler=data.get("scheduler", "loaded"),
     )
-    connections = route_requests(topology, requests)
-    configs = []
-    i = 0
-    for slot in data["slots"]:
-        configs.append(Configuration._trusted(connections[i:i + len(slot)]))
-        i += len(slot)
-    schedule = ConfigurationSet(configs, scheduler=data.get("scheduler", "loaded"))
-    try:
-        schedule.validate(connections)  # the one check: raises if the file lies
-    except AssertionError as exc:
-        raise ArtifactError(f"schedule file is not conflict-free here: {exc}") from exc
-    if schedule.degree != data["degree"]:
-        raise ArtifactError(
-            f"declared degree {data['degree']} != actual {schedule.degree}"
-        )
     return schedule, connections
 
 

@@ -41,10 +41,10 @@ class Configuration:
         """Construct without per-add conflict checks.
 
         Reserved for the bitmask kernel, which has already proven the
-        members link-disjoint, and for the schedule loader, whose one
-        conflict check is ``validate()``; ``validate()`` re-checks the
-        result from scratch, so a kernel bug cannot silently pass the
-        suite.
+        members link-disjoint (``validate()`` re-checks the result from
+        scratch, so a kernel bug cannot silently pass the suite), and
+        for the schedule loader, which checks every slot before it
+        builds one (:func:`repro.compiler.serialize.check_schedule`).
         The link-set union is deferred (see :attr:`used_links`) -- most
         trusted configurations are only ever counted, not queried.
         """

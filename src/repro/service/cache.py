@@ -42,7 +42,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.compiler.serialize import ArtifactError, artifact_digest, canonical_dumps
+from repro.compiler.serialize import (
+    ArtifactError,
+    artifact_digest,
+    canonical_dumps,
+    compose_fields,
+)
 from repro.core import perf
 from repro.service.wire import Payload
 
@@ -90,10 +95,10 @@ class CacheStats:
 class CachedArtifact:
     """A cached document with its canonical encoding, computed once.
 
-    ``fields`` maps each top-level field to its canonical JSON bytes.
-    Keys sort, so ``b'{"registers":' + R + b',"schedule":' + S + b'}'``
-    is byte-for-byte ``canonical_dumps`` of that sub-document, and the
-    whole artifact composes the same way.  ``sha256`` is the artifact's
+    ``fields`` maps each top-level field to its canonical JSON, and any
+    set of them composes into ``canonical_dumps`` of that sub-document
+    (:func:`~repro.compiler.serialize.compose_fields`), the whole
+    artifact included.  ``sha256`` is the artifact's
     :func:`artifact_digest` -- the value its disk shard and ``store``
     pushes carry.  Artifacts are content-addressed and never mutated
     once cached, so neither can go stale.
@@ -105,20 +110,16 @@ class CachedArtifact:
         if not isinstance(doc, dict):
             raise ArtifactError("an artifact must be a JSON object")
         self.doc = doc
-        self.fields = {
-            str(k): canonical_dumps(v).encode("ascii") for k, v in doc.items()
-        }
-        self.sha256 = artifact_digest(self._compose(sorted(self.fields)))
+        self.fields = {str(k): canonical_dumps(v) for k, v in doc.items()}
+        self.sha256 = artifact_digest(self._compose(self.fields))
         self._payloads: dict[tuple[str, ...], Payload] = {}
 
     def _compose(self, keys: Any) -> bytes:
-        return b"{" + b",".join(
-            json.dumps(k).encode("ascii") + b":" + self.fields[k] for k in keys
-        ) + b"}"
+        return compose_fields({k: self.fields[k] for k in keys}).encode("ascii")
 
     def whole(self) -> Payload:
         """The whole artifact as a payload (``store``/``fetch``)."""
-        return Payload(self._compose(sorted(self.fields)), self.sha256)
+        return Payload(self._compose(self.fields), self.sha256)
 
     def payload(self, *keys: str) -> Payload:
         """The sub-document of ``keys`` as a payload, hashed once."""

@@ -310,10 +310,11 @@ class AsyncCompileClient(AsyncClientBase):
     def _rotate_endpoint(self) -> None:
         """Aim the next connect at the next endpoint in the list.
 
-        Called on every transport/timeout failure: an idempotent retry
-        lands on the survivor immediately; a non-retryable op (amend)
-        still surfaces its typed error, but the *next* request fails
-        over instead of hammering the dead endpoint.
+        Called for each endpoint a connect fails on, and once for a
+        transport/timeout failure on a made connection: an idempotent
+        retry lands on the survivor immediately; a non-retryable op
+        (amend) still surfaces its typed error, but the *next* request
+        fails over instead of hammering the dead endpoint.
         """
         if len(self.endpoints) <= 1:
             return
@@ -348,8 +349,6 @@ class AsyncCompileClient(AsyncClientBase):
             perf.COUNTERS.client_breaker_trips += self.breaker.trips - trips
 
     async def _request_once(self, req: dict[str, Any]) -> dict[str, Any]:
-        if self._reader is None or self._writer is None:
-            await self.connect()
         assert self._reader is not None and self._writer is not None
         try:
             # A deadline on the running task, not a wait_for task: a
@@ -381,11 +380,16 @@ class AsyncCompileClient(AsyncClientBase):
         attempt, slept = 0, 0.0
         while True:
             self._admit()
+            connected = False
             try:
+                if self._reader is None or self._writer is None:
+                    # connect() rotates past every endpoint it tries.
+                    await self.connect()
+                connected = True
                 reply = await self._request_once(req)
             except ServiceError as exc:
                 self._record(exc)
-                if isinstance(exc, (TransportError, ServiceTimeout)):
+                if connected and isinstance(exc, (TransportError, ServiceTimeout)):
                     await self.close()
                     self._rotate_endpoint()
                 pause = (

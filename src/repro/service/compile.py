@@ -37,6 +37,7 @@ from repro.compiler.codegen import generate_registers
 from repro.compiler.serialize import (
     ArtifactError,
     FORMAT_VERSION,
+    check_schedule,
     registers_to_dict,
     schedule_from_dict,
     schedule_to_dict,
@@ -84,12 +85,12 @@ def verify_artifact(topology: Topology, doc: dict[str, Any]) -> None:
     """Semantic re-check of a cached artifact before it is served.
 
     Defense-in-depth past the payload-hash check: the schedule is
-    re-routed on ``topology`` and every configuration re-validated
-    conflict-free (:func:`schedule_from_dict` raises on the first
-    switch/link conflict, degree lie, or version mismatch), and a
-    register image, when present, must equal the one codegen emits for
-    that schedule.  A hash-clean artifact whose *content* would program
-    a conflicting switch state or circuits other than its schedule's --
+    re-routed on ``topology`` and every slot re-checked conflict-free
+    (:func:`check_schedule` raises on a link conflict, degree lie, or
+    version mismatch), and a register image, when present, must equal
+    the one codegen emits for that schedule, which only then is built
+    as objects.  A hash-clean artifact whose *content* would program a
+    conflicting switch state or circuits other than its schedule's --
     a poisoned store, a digest collision, a serializer bug -- is
     rejected here and never leaves the cache.
     """
@@ -99,10 +100,11 @@ def verify_artifact(topology: Topology, doc: dict[str, Any]) -> None:
             f"artifact built for {signature!r}, "
             f"serving topology is {topology.signature!r}"
         )
+    if "registers" not in doc:
+        check_schedule(topology, doc["schedule"])
+        return
     schedule, _ = schedule_from_dict(topology, doc["schedule"])
-    if "registers" in doc and doc["registers"] != registers_to_dict(
-        generate_registers(topology, schedule)
-    ):
+    if doc["registers"] != registers_to_dict(generate_registers(topology, schedule)):
         raise ArtifactError("register image does not realise the schedule")
 
 

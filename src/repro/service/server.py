@@ -781,15 +781,21 @@ class CompileServer:
             "scheduler": scheduler,
             "include_registers": include_registers,
         }
+        # A process worker counts into fresh perf counters, merged here;
+        # a pool thread counts into this process's own, so it must not
+        # reset them.
+        call = (_run_isolated, (_worker_compile, task)) if self.workers else (
+            _worker_compile, task
+        )
         try:
-            doc, counters = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, _run_isolated, (_worker_compile, task)
-                ),
-                timeout=timeout,
+            result = await asyncio.wait_for(
+                loop.run_in_executor(self._executor, *call), timeout=timeout
             )
-            if self.workers:  # thread mode shares the global counters already
+            if self.workers:
+                doc, counters = result
                 perf.COUNTERS.merge(counters)
+            else:
+                doc = result
             self.cache.put(digest, doc)
             future.set_result(doc)
             return doc

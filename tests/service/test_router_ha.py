@@ -25,6 +25,7 @@ from repro.service.errors import (
     reply_error,
 )
 from repro.service.farm import ShardMap, ShardRouter
+from repro.service.policy import RetryPolicy
 from repro.topology.torus import Torus2D
 from tests.service.farm_helpers import (
     hung_endpoint,
@@ -487,6 +488,26 @@ class TestClientEndpointFailover:
                 assert reply["router"]["name"] in farm.routers
 
         run(with_ha_farm(scenario, nodes=2))
+
+    def test_failed_connect_rotates_once_per_endpoint(self):
+        """A connect that fails on every endpoint counts one failover
+        each and leaves the next attempt aimed at the first again; the
+        request loop adds no rotation of its own."""
+        first = dead_endpoint()
+        second = dead_endpoint()
+        while second == first:
+            second = dead_endpoint()
+
+        async def failovers(retry):
+            client = AsyncCompileClient(endpoints=[first, second], retry=retry)
+            with pytest.raises(TransportError):
+                await client.ping()
+            assert (client.host, client.port) == first
+            return client.failovers, client.retries
+
+        assert run(failovers(None)) == (2, 0)
+        three = RetryPolicy(attempts=3, base_delay=0.001, max_delay=0.001)
+        assert run(failovers(three)) == (6, 2)
 
     def test_exhausted_endpoint_list_raises_transport(self):
         async def scenario():

@@ -137,6 +137,32 @@ class TestProtocol:
         run(go())
 
 
+class TestPerfCounters:
+    def test_thread_mode_compiles_keep_the_cache_counters(self):
+        """With ``workers=0`` a cold compile runs on a pool thread of the
+        server's own process: the process counters must move exactly as
+        the cache's own stats do over a miss, a hit and a miss."""
+        async def go(server, host, port):
+            def snapshot(stats):
+                counters, cache = stats["counters"], stats["cache"]
+                return (counters["artifact_cache_hits"],
+                        counters["artifact_cache_misses"],
+                        cache["hits"], cache["misses"])
+
+            async with AsyncCompileClient(host, port) as c:
+                before = snapshot(await c.stats())
+                for pattern in (TRANSPOSE4, TRANSPOSE4, {"pattern": "ring", "nodes": 16}):
+                    await c.compile(TORUS4, pattern=pattern)
+                after = snapshot(await c.stats())
+            hits, misses, cache_hits, cache_misses = (
+                b - a for a, b in zip(before, after)
+            )
+            assert (cache_hits, cache_misses) == (1, 2)
+            assert (hits, misses) == (cache_hits, cache_misses)
+
+        run(with_server(go, workers=0))
+
+
 class TestTopologyMemo:
     def test_same_spec_same_topology(self):
         server = CompileServer()
