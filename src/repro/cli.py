@@ -557,6 +557,9 @@ def _print_farm_ha(args) -> None:
         ("rejoin", phases["rejoin"]["node"],
          f"{phases['rejoin']['owned_digests']} owned digests, "
          f"{phases['rejoin']['missing_after']} still missing"),
+        ("amend re-open", phases["rejoin"]["node"],
+         ("resumed" if phases["rejoin"]["reopen_resumed"] else "NOT resumed")
+         + f" at epoch {phases['rejoin']['reopen_epoch']}"),
         ("leader promote", phases["promote"]["promoted_router"],
          f"{phases['promote']['promote_seconds']:.2f}s to epoch "
          f"{phases['promote']['epoch']}, stale pushes fenced "

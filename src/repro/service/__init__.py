@@ -54,7 +54,6 @@ from repro.service.canonical import (
 )
 from repro.service.compile import (
     CompileResult,
-    CompileService,
     compile_pattern,
     verify_artifact,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "CompileClient",
     "CompileResult",
     "CompileServer",
-    "CompileService",
     "EpochConflict",
     "Farm",
     "FarmNodeServer",

@@ -166,11 +166,12 @@ class AmendStream:
         cache: ArtifactCache | None = None,
         policy: AmendPolicy = DEFAULT_POLICY,
     ) -> "AmendStream":
-        """Rebuild an evicted stream from its latest cached epoch artifact.
+        """Rebuild a stream from a cached epoch artifact.
 
         The stream continues the *stored* lineage: the schedule is
         reloaded (and re-validated) from ``doc``, the epoch counter and
-        digest chain pick up where the evicted stream left off, and the
+        digest chain pick up where the stream left off -- evicted here,
+        or advanced by the farm peer that replicated ``doc`` -- and the
         next amend chains onto the stored epoch's digest exactly as if
         the stream had never left memory.
         """
@@ -315,6 +316,13 @@ class AmendStream:
         """The current epoch's artifact document."""
         return self._doc
 
+    def head(self) -> dict[str, Any]:
+        """Where this stream resumes from (:meth:`AmendRegistry.note`)."""
+        return {
+            "root": self.root, "epoch": self.epoch, "digest": self.digest,
+            "scheduler": self.scheduler, "topology": self.topology,
+        }
+
     def state(self) -> dict[str, Any]:
         """Reply payload describing the current epoch."""
         return {
@@ -334,22 +342,25 @@ DEFAULT_MAX_STREAMS = 256
 
 
 class AmendRegistry:
-    """Root-keyed registry of live amend streams (one per server).
+    """Root-keyed registry of amend streams (one per server).
 
     Opening a stream is idempotent: re-sending the creation request for
     an existing root returns the stream's *current* epoch instead of
     resetting it, so a client that lost the reply can resume safely.
 
-    The registry is **bounded**: at most ``max_streams`` engines stay
-    live; past the cap the least-recently-used stream is evicted to a
-    tombstone (root -> latest epoch digest).  Because every epoch is a
-    first-class cache entry, touching an evicted root -- an idempotent
-    ``open`` or a follow-up ``amend`` -- *resumes* the stream from its
-    latest cached epoch artifact (same root, same epoch counter, same
-    digest chain) instead of silently resetting lineage.  Only when the
-    artifact itself is gone does an ``open`` fall back to a fresh
-    epoch-0 compile (counted in ``resets``); an ``amend`` in that state
-    gets a typed :class:`ProtocolError`.
+    Every stream this server knows is either a live engine or a
+    **head** -- root, epoch, digest, scheduler and topology -- in one
+    head table.  A head is written when the LRU policy evicts a live
+    engine past ``max_streams``, or when a farm peer replicates an
+    epoch here (:meth:`note`; the newest epoch wins).  Because every
+    epoch is a first-class cache entry, touching a root that has only
+    a head -- an ``open``, a follow-up ``amend``, or a farm takeover
+    (:meth:`take_over`) -- *resumes* the stream from the head's epoch
+    artifact (same root, same epoch counter, same digest chain) instead
+    of silently resetting lineage.  Only when that artifact is gone
+    does an ``open`` fall back to a fresh epoch-0 compile (counted in
+    ``resets``); an ``amend`` in that state gets a typed
+    :class:`ProtocolError`.
     """
 
     def __init__(
@@ -365,8 +376,9 @@ class AmendRegistry:
         if self.max_streams < 1:
             raise ValueError(f"max_streams must be >= 1, got {max_streams!r}")
         self._streams: "OrderedDict[str, AmendStream]" = OrderedDict()
-        #: root -> resume metadata of streams dropped by the LRU policy.
-        self._evicted: dict[str, dict[str, Any]] = {}
+        #: root -> head of a stream with no live engine here, marked
+        #: ``replicated`` (by a peer) or not (an own eviction).
+        self._heads: dict[str, dict[str, Any]] = {}
         self.opened = 0
         self.amends = 0
         self.conflicts = 0
@@ -378,39 +390,82 @@ class AmendRegistry:
     def __len__(self) -> int:
         return len(self._streams)
 
-    def _touch(self, root: str) -> None:
-        self._streams.move_to_end(root)
-
     def _admit(self, stream: AmendStream) -> None:
         """Install a stream, evicting the LRU one past the cap."""
+        self._heads.pop(stream.root, None)
         self._streams[stream.root] = stream
         self._streams.move_to_end(stream.root)
         while len(self._streams) > self.max_streams:
-            root, victim = self._streams.popitem(last=False)
-            self._evicted[root] = {
-                "digest": victim.digest,
-                "epoch": victim.epoch,
-                "scheduler": victim.scheduler,
-                "topology": victim.topology,
-            }
+            _, victim = self._streams.popitem(last=False)
+            self._heads[victim.root] = {**victim.head(), "replicated": False}
             self.evictions += 1
 
     def _resume(self, root: str) -> AmendStream | None:
-        """Rebuild an evicted stream from its cached epoch artifact."""
-        meta = self._evicted.get(root)
-        if meta is None or self.cache is None:
+        """Rebuild a stream from its head's cached epoch artifact, which
+        must load on the head's topology and carry the head's lineage."""
+        head = self._heads.get(root)
+        if head is None or self.cache is None:
             return None
-        doc = self.cache.get(meta["digest"])
+        doc = self.cache.peek(head["digest"])
         if doc is None or not isinstance(doc.get("lineage"), dict):
             return None
-        stream = AmendStream.resume(
-            meta["topology"], doc,
-            scheduler=meta["scheduler"], cache=self.cache,
-        )
-        del self._evicted[root]
+        try:
+            stream = AmendStream.resume(
+                head["topology"], doc,
+                scheduler=head["scheduler"], cache=self.cache,
+            )
+        except Exception:
+            return None
+        if stream.root != root or stream.digest != head["digest"]:
+            return None
         self._admit(stream)
-        self.resumes += 1
+        if head["replicated"]:
+            self.takeovers += 1
+        else:
+            self.resumes += 1
         return stream
+
+    def _find(self, root: str) -> AmendStream | None:
+        """The live stream for ``root`` (LRU touch), resumed if need be."""
+        stream = self._streams.get(root)
+        if stream is None:
+            return self._resume(root)
+        self._streams.move_to_end(root)
+        return stream
+
+    def note(self, head: dict[str, Any]) -> None:
+        """Record a head a peer replicated; the newest epoch wins.
+
+        ``head`` is :meth:`AmendStream.head`'s shape.  A head no newer
+        than the live engine, or than the head already held, is
+        ignored.  A newer one retires the live engine: another server
+        has moved the stream past it.
+        """
+        root, epoch = head["root"], head["epoch"]
+        live = self._streams.get(root)
+        held = self._heads.get(root)
+        if (live is not None and epoch <= live.epoch) or (
+            held is not None and epoch <= held["epoch"]
+        ):
+            return
+        self._streams.pop(root, None)
+        self._heads[root] = {**head, "replicated": True}
+
+    def take_over(self, root: str) -> bool:
+        """Resume ``root`` now if a peer replicated its head here (its
+        primary died or drained); True when a stream was resumed."""
+        head = self._heads.get(root)
+        return (
+            head is not None and head["replicated"]
+            and self._resume(root) is not None
+        )
+
+    def heads(self) -> list[dict[str, Any]]:
+        """Every stream's head: the live engines', then the held ones."""
+        return [
+            *(stream.head() for stream in self._streams.values()),
+            *self._heads.values(),
+        ]
 
     def peek(self, root: str) -> AmendStream | None:
         """The live stream for ``root``, if any (no LRU touch, no resume)."""
@@ -425,25 +480,6 @@ class AmendRegistry:
         """
         return list(self._streams)
 
-    def knows(self, root: str) -> bool:
-        """True when the registry can answer for ``root`` by itself --
-        the stream is live or tombstoned for its own resume path."""
-        return root in self._streams or root in self._evicted
-
-    def adopt(self, stream: AmendStream) -> AmendStream:
-        """Install a stream rebuilt *elsewhere* (farm failover takeover).
-
-        Used by a farm node that became the new primary of a root it
-        never served: the node resumes the stream from the replicated
-        epoch artifact (:meth:`AmendStream.resume`) and admits it here,
-        continuing the stored lineage.  Any eviction tombstone for the
-        root is superseded -- the adopted stream *is* the latest state.
-        """
-        self._evicted.pop(stream.root, None)
-        self._admit(stream)
-        self.takeovers += 1
-        return stream
-
     def open(
         self,
         topology: Topology,
@@ -454,17 +490,12 @@ class AmendRegistry:
     ) -> tuple[AmendStream, bool]:
         """Get-or-create the stream for this pattern; True = created."""
         root = amend_root_digest(topology, tuples, scheduler)
-        stream = self._streams.get(root)
-        if stream is not None:
-            self._touch(root)
-            return stream, False
-        stream = self._resume(root)
+        stream = self._find(root)
         if stream is not None:
             return stream, False
-        if root in self._evicted:
-            # Evicted and the artifact is gone: the only remaining
-            # honest answer to an *open* is a fresh epoch-0 lineage.
-            del self._evicted[root]
+        if self._heads.pop(root, None) is not None:
+            # The head's artifact is gone: the only remaining honest
+            # answer to an *open* is a fresh epoch-0 lineage.
             self.resets += 1
         t0 = perf.perf_timer()
         stream = AmendStream(
@@ -477,17 +508,13 @@ class AmendRegistry:
         return stream, True
 
     def get(self, root: str) -> AmendStream:
-        stream = self._streams.get(root)
-        if stream is not None:
-            self._touch(root)
-            return stream
-        stream = self._resume(root)
+        stream = self._find(root)
         if stream is not None:
             return stream
-        if root in self._evicted:
+        if root in self._heads:
             raise ProtocolError(
-                f"amend root {root!r} was evicted and its epoch artifact is "
-                "no longer cached; re-open the stream"
+                f"amend root {root!r} was evicted or replicated here and "
+                "its epoch artifact is no longer cached; re-open the stream"
             )
         raise ProtocolError(f"unknown amend root {root!r}")
 

@@ -390,6 +390,10 @@ async def _baseline(
             await server.shutdown()
 
 
+#: The topology every campaign amend stream runs on.
+_AMEND_TORUS = {"kind": "torus", "width": 4}
+
+
 class _Score:
     """A campaign's scorecard for the byte-identical-or-typed-error rule.
 
@@ -467,9 +471,9 @@ class _Score:
     ) -> "_AmendChain":
         """Open one amend stream on a 4x4 torus (scored, must succeed)."""
         self.report["attempted"] += 1
-        reply = await client.amend({"kind": "torus", "width": 4}, pairs=pairs)
+        reply = await client.amend(_AMEND_TORUS, pairs=pairs)
         self.report["completed"] += 1
-        return _AmendChain(self, client, reply, row, label)
+        return _AmendChain(self, client, reply, pairs, row, label)
 
 
 class _AmendChain:
@@ -478,10 +482,11 @@ class _AmendChain:
 
     def __init__(
         self, score: _Score, client: Any, opened: dict[str, Any],
-        row: Callable[[int], list[int]], label: str,
+        pairs: list[list[int]], row: Callable[[int], list[int]], label: str,
     ) -> None:
         self.score = score
         self.client = client
+        self.pairs = pairs
         self.row = row
         self.label = label
         self.root = str(opened["root"])
@@ -513,6 +518,28 @@ class _AmendChain:
             report["completed"] += 1
         self.digest = str(reply["digest"])
         self.epoch = int(reply["epoch"])
+        return True
+
+    async def reopen(self, client: Any) -> bool:
+        """Re-send the stream's open through ``client``; True when the
+        reply resumes at the chain's head.  Scored: a reply that does
+        not resume there is corrupt."""
+        report = self.score.report
+        report["attempted"] += 1
+        try:
+            reply = await client.amend(_AMEND_TORUS, pairs=self.pairs)
+        except ServiceError as exc:
+            self.score.typed(exc)
+            return False
+        if (reply.get("cache"), reply.get("epoch"), reply.get("digest")) != (
+            "resume", self.epoch, self.digest
+        ):
+            report["corrupted"].append({
+                "request": f"{self.label}-reopen",
+                "digest": reply.get("digest"),
+            })
+            return False
+        report["completed"] += 1
         return True
 
 
@@ -1216,10 +1243,10 @@ async def _run_farm_ha_campaign_async(
                 if d not in farm.nodes[primary].cache.digests()
             ]
         direct_ok = False
-        if owned and not missing:
-            which = owned[0][0]
-            host, port = farm.nodes[primary].address
-            async with AsyncCompileClient(host, port, retry=None) as direct:
+        host, port = farm.nodes[primary].address
+        async with AsyncCompileClient(host, port, retry=None) as direct:
+            if owned and not missing:
+                which = owned[0][0]
                 reply = await direct.request(
                     {"op": "compile", **all_combos[which]}
                 )
@@ -1227,14 +1254,22 @@ async def _run_farm_ha_campaign_async(
                     reply.get("cache") == "hit"
                     and _reply_bytes(reply) == score.baseline[which]
                 )
+            # Phase C's stream, re-opened on the rejoined primary, which
+            # holds it only as the head one sweep pulled: it must resume
+            # at the chain's head, never reset to epoch 0.
+            await _repair_all(farm)
+            reopen_ok = await chain.reopen(direct)
         report["phases"]["rejoin"] = {
             "node": primary,
             "owned_digests": len(owned),
             "restore_sweeps": sweeps_d,
             "missing_after": len(missing),
+            "reopen_resumed": reopen_ok,
+            "reopen_epoch": chain.epoch,
         }
         gates["rejoined"] = rejoined
         gates["rejoin_direct_serve"] = direct_ok
+        gates["amend_reopen_resumes"] = reopen_ok
 
         # -- phase E: the router itself dies ---------------------------
         # The router is stateless: a replacement on the same port,

@@ -382,6 +382,13 @@ class AsyncCompileClient(AsyncClientBase):
             self._admit()
             connected = False
             try:
+                if self._writer is not None and (
+                    self._writer.is_closing() or self._reader.at_eof()
+                ):
+                    # The server closed this idle connection (it stopped
+                    # or died): nothing was sent on it, so even an amend
+                    # may reconnect.
+                    await self.close()
                 if self._reader is None or self._writer is None:
                     # connect() rotates past every endpoint it tries.
                     await self.connect()

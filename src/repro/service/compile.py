@@ -228,58 +228,3 @@ def compile_pattern(
         seconds=perf.perf_timer() - t0,
         translation=canonical.translation,
     )
-
-
-class CompileService:
-    """A cache-bound compile front-end (what the server wraps).
-
-    Keeps per-outcome latency accumulators so a long-running server can
-    report cold vs warm service times.
-    """
-
-    def __init__(
-        self,
-        cache: ArtifactCache | None = None,
-        *,
-        scheduler: str = "combined",
-    ) -> None:
-        self.cache = cache if cache is not None else ArtifactCache()
-        self.default_scheduler = scheduler
-        self.latency: dict[str, dict[str, float]] = {
-            "miss": {"count": 0, "seconds": 0.0},
-            "hit": {"count": 0, "seconds": 0.0},
-        }
-
-    def compile(
-        self,
-        topology: Topology,
-        requests: Sequence,
-        *,
-        scheduler: str | None = None,
-        include_registers: bool = False,
-    ) -> CompileResult:
-        result = compile_pattern(
-            topology,
-            requests,
-            cache=self.cache,
-            scheduler=scheduler or self.default_scheduler,
-            include_registers=include_registers,
-        )
-        bucket = self.latency[result.cache]
-        bucket["count"] += 1
-        bucket["seconds"] += result.seconds
-        return result
-
-    def stats(self) -> dict[str, Any]:
-        """Cache counters plus mean service latency per outcome."""
-        out: dict[str, Any] = {"cache": self.cache.stats.as_dict()}
-        latency = {}
-        for outcome, bucket in self.latency.items():
-            n = int(bucket["count"])
-            latency[outcome] = {
-                "count": n,
-                "seconds": bucket["seconds"],
-                "mean_seconds": bucket["seconds"] / n if n else 0.0,
-            }
-        out["latency"] = latency
-        return out

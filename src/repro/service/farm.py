@@ -80,12 +80,14 @@ membership without waiting for a request to trip over a failure:
   exactly like read repair -- replicas of owned digests it is missing,
   so a lost fire-and-forget push only leaves R unmet until the next
   sweep;
-* every **amend epoch is replicated with resume metadata** to the
-  root's co-owners: when a stream's primary dies, the new owner
-  rebuilds the live engine from the latest replicated epoch artifact
-  (:meth:`~repro.service.amend.AmendStream.resume`) and continues the
-  digest chain; a racing stale client gets a typed ``EpochConflict``
-  carrying the current epoch *and digest*, never a fork.
+* every **amend epoch is replicated with its head** to the root's
+  co-owners, which note it in their amend registry (the newest epoch
+  wins): when a stream's primary dies, the first open or update the
+  new owner serves rebuilds the live engine from that head's epoch
+  artifact (:meth:`~repro.service.amend.AmendRegistry.take_over`) and
+  continues the digest chain; a racing stale client gets a typed
+  ``EpochConflict`` carrying the current epoch *and digest*, never a
+  fork.
 
 Nothing is ever silently wrong: every farm failure mode is a typed
 error or a byte-identical reply.
@@ -103,7 +105,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection
 
 from repro.service import wire
-from repro.service.amend import AmendStream, amend_root_digest
+from repro.service.amend import amend_root_digest
 from repro.service.cache import ArtifactCache, CachedArtifact
 from repro.service.client import AsyncClientBase, AsyncCompileClient
 from repro.service.compile import artifact_verifier, compile_digest
@@ -385,6 +387,21 @@ def _sum_into(out: dict[str, Any], doc: dict[str, Any]) -> None:
                 out[key] = prev + value
 
 
+def _wire_head(head: dict[str, Any]) -> dict[str, Any] | None:
+    """A registry head (:meth:`AmendStream.head
+    <repro.service.amend.AmendStream.head>`) in its wire form, or None
+    on a topology with no spec -- such a stream stays primary-only."""
+    try:
+        spec = topology_to_spec(head["topology"])
+    except TopologySpecError:
+        return None
+    return {
+        "root": head["root"], "epoch": head["epoch"],
+        "digest": head["digest"], "scheduler": head["scheduler"],
+        "topology_spec": spec,
+    }
+
+
 def _left(deadline: float) -> float:
     """Seconds until ``deadline`` (a ``time.monotonic()`` instant)."""
     return max(0.0, deadline - time.monotonic())
@@ -562,9 +579,10 @@ class FarmNodeServer(CompileServer):
     sends ``repair`` to every node that rejoins; the chaos campaigns
     call it directly.  The node runs no background task besides its
     replica pushes.  Every epoch of an amend stream is replicated to
-    the root's other owners with resume metadata, so a new primary can
-    take the stream over after its old primary died
-    (:meth:`_maybe_takeover`).
+    the root's other owners with its head, which they note in their
+    amend registry, so a new primary can take the stream over after
+    its old primary died (:meth:`AmendRegistry.take_over
+    <repro.service.amend.AmendRegistry.take_over>`).
 
     Chaos hooks (injected by the harness, inert by default):
     ``peer_filter(src, dst)`` false-returns simulate one-way network
@@ -636,10 +654,6 @@ class FarmNodeServer(CompileServer):
         self._specs: dict[str, dict[str, Any]] = {}
         #: index size after the last prune (the disk tier's share).
         self._specs_kept = 0
-        #: amend root -> latest replicated head metadata (digest,
-        #: epoch, scheduler, topology_spec) -- what a takeover
-        #: resumes from.
-        self._amend_heads: dict[str, dict[str, Any]] = {}
         #: one-shot reuse of the ownership check's canonicalization by
         #: the inherited compile path (keyed by request identity).
         self._key_memo: dict[int, Any] = {}
@@ -704,7 +718,7 @@ class FarmNodeServer(CompileServer):
             else:
                 key = None
                 digest = route_digest(
-                    req, default_scheduler=self.service.default_scheduler
+                    req, default_scheduler=self.default_scheduler
                 )
             if op == "amend" and self.draining:
                 # Park the caller until the proactive handoff has
@@ -740,10 +754,11 @@ class FarmNodeServer(CompileServer):
                     if reply.get("cache") == "miss":
                         self._spawn_replication(str(reply["digest"]), owners)
                 return reply
-            # amend: this node is an owner.  If the stream's previous
-            # primary died, reconstruct it from the replicated epoch
-            # artifact *before* the registry is consulted.
-            if "root" in req and self._maybe_takeover(str(req["root"])):
+            # amend: this node is an owner, and the route digest is the
+            # stream's root for an open and an update alike.  If a peer
+            # replicated the stream's head here (its primary died),
+            # resume it *before* the registry is consulted.
+            if self.amends.take_over(digest):
                 self.amend_takeovers += 1
             self._amends_inflight += 1
             try:
@@ -833,7 +848,7 @@ class FarmNodeServer(CompileServer):
         2. quiesce: wait for in-flight amends to settle, so every
            stream is frozen at its true head before it moves;
         3. **proactive amend handoff**: push each live stream's latest
-           epoch artifact + resume head to the successor owners with
+           epoch artifact + its head to the successor owners with
            ``adopt`` set, so the new primary installs the stream into
            its registry *now* (no pull-based takeover window);
         4. re-replicate: push every owned artifact the successor map
@@ -874,22 +889,15 @@ class FarmNodeServer(CompileServer):
         handoffs = 0
         for root in self.amends.live_roots():
             stream = self.amends.peek(root)
-            if stream is None:
-                continue
-            try:
-                spec = topology_to_spec(stream.topology)
-            except TopologySpecError:
-                continue  # unspeccable: the registry tombstone stands
-            digest = str(stream.digest)
-            entry = self.cache.encoded(digest)
+            head = None if stream is None else _wire_head(stream.head())
+            if head is None:
+                continue  # unspeccable: the stream stays primary-only
+            entry = self.cache.encoded(head["digest"])
             if entry is None:
                 continue
-            head = {
-                "root": root, "epoch": int(stream.epoch), "digest": digest,
-                "scheduler": stream.scheduler, "topology_spec": spec,
-            }
             data = self._store_frame(
-                digest, entry, spec, amend_head=head, adopt=True
+                head["digest"], entry, head["topology_spec"],
+                amend_head=head, adopt=True,
             )
             pushed = False
             for peer in successor.owners(root):
@@ -980,19 +988,16 @@ class FarmNodeServer(CompileServer):
         self.cache.put(digest, doc)
         self._record_spec(digest, spec)
         self.replicas_received += 1
-        head = req.get("amend_head")
-        adopted = False
-        if isinstance(head, dict):
-            self._adopt_head(head)
-            if req.get("adopt"):
-                # Proactive drain handoff: install the stream into the
-                # registry *now*, so the draining node's redirected
-                # amend lands on a live stream -- not on the pull-based
-                # takeover path (which only runs, and counts, when a
-                # primary died without saying goodbye).
-                adopted = self._maybe_takeover(str(head.get("root") or ""))
-                if adopted:
-                    self.drain_adoptions += 1
+        root = self._note_head(req.get("amend_head"))
+        # Proactive drain handoff: install the stream into the registry
+        # *now*, so the draining node's redirected amend lands on a live
+        # stream -- not on the pull-based takeover path (which only
+        # runs, and counts, when a primary died without saying goodbye).
+        adopted = bool(
+            root and req.get("adopt") and self.amends.take_over(root)
+        )
+        if adopted:
+            self.drain_adoptions += 1
         return self._reply(
             req, op="store", digest=digest, stored=True, adopted=adopted
         )
@@ -1016,74 +1021,36 @@ class FarmNodeServer(CompileServer):
                 # Amend epochs place on their stream's *root*.
                 item["root"] = str(lineage.get("root", ""))
             inventory.append(item)
+        heads = (_wire_head(head) for head in self.amends.heads())
         return self._reply(
             req, op="digests", inventory=inventory,
-            amend_heads={r: dict(h) for r, h in self._amend_heads.items()},
+            amend_heads={h["root"]: h for h in heads if h is not None},
         )
 
     # -- amend failover -------------------------------------------------
-    def _adopt_head(self, head: dict[str, Any]) -> None:
-        """Track the newest known epoch of a replicated amend stream."""
+    def _note_head(self, head: Any) -> str | None:
+        """Note a peer's wire head in the amend registry; its root, or
+        None when there is no head or it is malformed (and ignored)."""
+        if not isinstance(head, dict):
+            return None
         try:
-            root = str(head["root"])
-            epoch = int(head["epoch"])
-            digest = str(head["digest"])
-        except (KeyError, TypeError, ValueError):
-            return
-        if not root or not digest:
-            return
-        current = self._amend_heads.get(root)
-        if current is not None and int(current["epoch"]) >= epoch:
-            return
-        self._amend_heads[root] = {
-            "root": root, "epoch": epoch, "digest": digest,
-            "scheduler": str(
-                head.get("scheduler") or self.service.default_scheduler
-            ),
-            "topology_spec": head.get("topology_spec"),
-        }
-
-    def _maybe_takeover(self, root: str) -> bool:
-        """Resume a replicated amend stream this node now owns.
-
-        Runs when an amend update names a root the local registry has
-        never served (the old primary died) -- and, with a different
-        counter, when a draining primary hands its streams off.  The
-        replicated head metadata points at the latest epoch artifact;
-        the stream is rebuilt through :meth:`AmendStream.resume` --
-        which re-routes and re-validates the stored schedule -- and
-        adopted into the registry, continuing the stored lineage.
-        Epoch optimistic concurrency then works exactly as before the
-        failover: a stale racer gets a typed ``EpochConflict``, never a
-        fork.  Returns whether a stream was adopted; the caller owns
-        the bookkeeping (``amend_takeovers`` vs ``drain_adoptions``).
-        """
-        if not root or self.amends.knows(root):
-            return False  # live, or tombstoned for the registry's resume
-        head = self._amend_heads.get(root)
-        if head is None:
-            return False
-        spec = head.get("topology_spec")
-        if not isinstance(spec, dict):
-            return False
-        doc = self.cache.peek(head["digest"])
-        if doc is None or not isinstance(doc.get("lineage"), dict):
-            return False
-        try:
-            stream = AmendStream.resume(
-                self._topology(spec), doc,
-                scheduler=head["scheduler"], cache=self.cache,
-            )
+            root, digest = str(head["root"]), str(head["digest"])
+            noted = {
+                "root": root, "epoch": int(head["epoch"]), "digest": digest,
+                "scheduler": str(
+                    head.get("scheduler") or self.default_scheduler
+                ),
+                "topology": self._topology(head["topology_spec"]),
+            }
         except Exception:
-            return False  # unresumable artifact: the registry's typed
-            #              "unknown amend root" answer stands
-        if stream.root != root or stream.digest != head["digest"]:
-            return False  # head metadata disagrees with the lineage
-        self.amends.adopt(stream)
-        return True
+            return None
+        if not root or not digest:
+            return None
+        self.amends.note(noted)
+        return root
 
     def _replicate_amend_epoch(self, reply: dict[str, Any]) -> None:
-        """Push the new epoch artifact + resume metadata to co-owners.
+        """Push the new epoch artifact + its head to co-owners.
 
         Called after every successful amend (open and update): the
         stream's current epoch artifact is replicated to the other
@@ -1093,21 +1060,14 @@ class FarmNodeServer(CompileServer):
         """
         root = str(reply.get("root") or "")
         stream = self.amends.peek(root)
-        if stream is None:
-            return
-        try:
-            spec = topology_to_spec(stream.topology)
-        except TopologySpecError:
+        head = None if stream is None else _wire_head(stream.head())
+        if head is None:
             return  # unspeccable topology: stream stays primary-only
-        digest = str(stream.digest)
-        self._record_spec(digest, spec)
-        head = {
-            "root": root, "epoch": int(stream.epoch), "digest": digest,
-            "scheduler": stream.scheduler, "topology_spec": spec,
-        }
-        self._adopt_head(head)
+        spec = head["topology_spec"]
+        self._record_spec(head["digest"], spec)
         self._spawn_replication(
-            digest, self.shard_map.owners(root), spec=spec, amend_head=head,
+            head["digest"], self.shard_map.owners(root), spec=spec,
+            amend_head=head,
         )
 
     # -- replication / read-repair -------------------------------------
@@ -1143,7 +1103,7 @@ class FarmNodeServer(CompileServer):
         (compiles are deterministic), so a failed push is a counter,
         never an error on the client's reply.  The payload carries the
         topology spec so receivers can verify semantically, and -- for
-        amend epochs -- the resume metadata a takeover needs.
+        amend epochs -- the head a takeover resumes from.
         """
         entry = self.cache.encoded(digest)
         if spec is None:
@@ -1213,31 +1173,18 @@ class FarmNodeServer(CompileServer):
         verification a cache read gets; anything else counts as a
         failed repair and the cold-compile path takes over.
         """
-        verifier = artifact_verifier(topology)
-        want_registers = bool(req.get("registers", False))
-        fetch = wire.encode({"op": "fetch", "digest": digest})
+        registers = bool(req.get("registers", False))
         for peer in self.shard_map.owners(digest):
             if peer == self.name or peer not in self.shard_map.nodes:
                 continue
-            try:
-                reply = await self._peer_request(peer, fetch)
-            except ServiceError:
+            doc = await self._repair_from(
+                peer, digest, req["topology"], registers=registers
+            )
+            if doc is False:
                 self.read_repair_failures += 1
-                continue
-            doc = reply.get("artifact")
-            if not isinstance(doc, dict):
-                continue  # clean peer miss: nothing to repair from
-            if want_registers and "registers" not in doc:
-                continue
-            try:
-                verifier(doc)  # raises on a semantically bad replica
-            except Exception:
-                self.read_repair_failures += 1
-                continue
-            self.cache.put(digest, doc)
-            self._record_spec(digest, req["topology"])
-            self.read_repairs += 1
-            return doc
+            elif doc is not None:
+                self.read_repairs += 1
+                return doc
         return None
 
     # -- anti-entropy ---------------------------------------------------
@@ -1269,8 +1216,7 @@ class FarmNodeServer(CompileServer):
                 heads = reply.get("amend_heads")
                 if isinstance(heads, dict):
                     for head in heads.values():
-                        if isinstance(head, dict):
-                            self._adopt_head(head)
+                        self._note_head(head)
                 for entry in reply.get("inventory") or ():
                     if not isinstance(entry, dict):
                         continue
@@ -1290,10 +1236,10 @@ class FarmNodeServer(CompileServer):
                     outcome = await self._repair_from(
                         peer, digest, spec, None if local is None else local.doc
                     )
-                    if outcome is True:
-                        repaired += 1
-                    elif outcome is False:
+                    if outcome is False:
                         failures += 1
+                    elif outcome is not None:
+                        repaired += 1
             self.replicas_repaired += repaired
             return {
                 "repaired": repaired,
@@ -1306,9 +1252,18 @@ class FarmNodeServer(CompileServer):
         peer: str,
         digest: str,
         spec: dict[str, Any],
-        local: dict[str, Any] | None,
-    ) -> bool | None:
-        """Fetch + verify + adopt one replica (True/False/None=skipped)."""
+        local: dict[str, Any] | None = None,
+        *,
+        registers: bool = False,
+    ) -> dict[str, Any] | bool | None:
+        """Fetch + verify + adopt one replica, for read repair and the
+        anti-entropy sweep alike.
+
+        Returns the adopted document; False when the fetch or the
+        verification failed; None when there is nothing to adopt -- the
+        peer holds no copy, or none with the register image
+        ``registers`` asks for, or ``local`` is to be kept.
+        """
         try:
             reply = await self._peer_request(
                 peer, wire.encode({"op": "fetch", "digest": digest})
@@ -1316,8 +1271,8 @@ class FarmNodeServer(CompileServer):
         except ServiceError:
             return False
         doc = reply.get("artifact")
-        if not isinstance(doc, dict):
-            return None  # the peer lost it between inventory and fetch
+        if not isinstance(doc, dict) or (registers and "registers" not in doc):
+            return None  # a clean peer miss: nothing to repair from
         try:
             artifact_verifier(self._topology(spec))(doc)
         except Exception:
@@ -1332,7 +1287,7 @@ class FarmNodeServer(CompileServer):
             return None
         self.cache.put(digest, doc)
         self._record_spec(digest, spec)
-        return True
+        return doc
 
     async def _peer_request(self, peer: str, data: bytes) -> dict[str, Any]:
         """One request frame to a peer node -> its decoded reply.
@@ -1380,7 +1335,7 @@ class FarmNodeServer(CompileServer):
             "replicas_repaired": self.replicas_repaired,
             "anti_entropy_rounds": self.anti_entropy_rounds,
             "amend_takeovers": self.amend_takeovers,
-            "amend_heads": len(self._amend_heads),
+            "amend_heads": len(self.amends.heads()),
             "drain_handoffs": self.drain_handoffs,
             "drain_adoptions": self.drain_adoptions,
             "drain_repushes": self.drain_repushes,
@@ -2080,13 +2035,25 @@ class ShardRouter:
             doc["farm"] for doc in per_node.values()
             if isinstance(doc.get("farm"), dict)
         ]
+        # Nodes of one process report the same process-global
+        # ``counters``: add each process's set once, and no ``pid``.
+        pids: set[Any] = set()
+        summed = []
+        for doc in per_node.values():
+            pid = doc.get("pid")
+            summed.append({
+                k: v for k, v in doc.items()
+                if k != "pid" and not (k == "counters" and pid in pids)
+            })
+            if pid is not None:
+                pids.add(pid)
 
         def _total(field: str) -> int:
             return sum(int(d.get(field, 0) or 0) for d in farm_docs)
 
         out = {
             "nodes": per_node,
-            "farm": sum_stats(list(per_node.values())),
+            "farm": sum_stats(summed),
             "down": down,
             "router": {
                 "name": self.name,

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -89,7 +90,7 @@ from repro.core import perf
 from repro.service import wire
 from repro.service.amend import AmendRegistry, parse_rows
 from repro.service.cache import ArtifactCache, CachedArtifact
-from repro.service.compile import CompileService, artifact_verifier, compile_digest
+from repro.service.compile import artifact_verifier, compile_digest
 from repro.service.canonical import (
     CanonicalPattern,
     canonicalize,
@@ -237,7 +238,11 @@ class CompileServer:
             self.cache = cache
         else:
             self.cache = ArtifactCache(cache)
-        self.service = CompileService(self.cache, scheduler=scheduler)
+        self.default_scheduler = scheduler
+        #: served compiles per outcome: count and summed seconds.
+        self.latency = {
+            k: {"count": 0, "seconds": 0.0} for k in ("miss", "hit")
+        }
         self.amends = AmendRegistry(self.cache, max_streams=amend_streams)
         self.workers = 0 if workers == 0 else (resolve_workers(workers) or 1)
         self.host, self.port, self.socket_path = host, port, socket_path
@@ -521,10 +526,16 @@ class CompileServer:
 
     def _stats(self) -> dict[str, Any]:
         return {
-            **self.service.stats(),
-            # Process-global perf counters: meaningful per node (one
-            # process each in a farm), aggregated by the shard router.
+            "cache": self.cache.stats.as_dict(),
+            "latency": {
+                k: {**b, "mean_seconds": b["seconds"] / (b["count"] or 1)}
+                for k, b in self.latency.items()
+            },
+            # The perf counters are process-global: every server of one
+            # process reports the same set, and ``pid`` lets the shard
+            # router add each process's set once.
             "counters": perf.snapshot(),
+            "pid": os.getpid(),
             "amend": self.amends.stats(),
             "inflight": len(self._inflight),
             "inflight_coalesced": self.inflight_coalesced,
@@ -599,7 +610,7 @@ class CompileServer:
         if "topology" not in req:
             raise ProtocolError("compile request needs 'topology'")
         topology = self._topology(req["topology"])
-        scheduler = req.get("scheduler") or self.service.default_scheduler
+        scheduler = req.get("scheduler") or self.default_scheduler
         canonical = canonical_pattern(topology, req)
         digest = compile_digest(topology, canonical, scheduler)
         return topology, scheduler, canonical, digest
@@ -667,7 +678,7 @@ class CompileServer:
                     topology, sub["registers"], canonical.sigma_inv
                 )
         seconds = perf.perf_timer() - t0
-        bucket = self.service.latency["hit" if outcome != "miss" else "miss"]
+        bucket = self.latency["hit" if outcome != "miss" else "miss"]
         bucket["count"] += 1
         bucket["seconds"] += seconds
         # The payload carries its sha256 (chaos-grade links: the client
@@ -741,7 +752,7 @@ class CompileServer:
                 raise ProtocolError("amend request needs 'topology'")
             topology = self._topology(req["topology"])
             tuples = pattern_tuples(req)
-            scheduler = req.get("scheduler") or self.service.default_scheduler
+            scheduler = req.get("scheduler") or self.default_scheduler
             stream, created = self.amends.open(
                 topology, tuples, scheduler=scheduler
             )

@@ -246,6 +246,90 @@ class TestRegistryBound:
         assert created and fresh.epoch == 0 and reg.resets == 1
 
 
+class TestHeadTable:
+    """Heads a peer replicated, next to the registry's own evictions."""
+
+    def pair(self, torus4):
+        """This server and a peer on one cache, both holding RING8 at
+        epoch 0: the peer's epoch artifacts are readable here, as
+        replicated ones are on a farm node."""
+        cache = ArtifactCache()
+        here, peer = AmendRegistry(cache), AmendRegistry(cache)
+        live, _ = here.open(torus4, RING8)
+        other, _ = peer.open(torus4, RING8)
+        return here, peer, live, other
+
+    def test_head_no_newer_than_live_engine_is_ignored(self, torus4):
+        here, peer, live, other = self.pair(torus4)
+        here.note(other.head())  # epoch 0, as live as ours
+        assert here.peek(live.root) is live
+        assert not here.take_over(live.root)
+        assert here.takeovers == 0
+
+    def test_newer_head_retires_engine_and_get_resumes(self, torus4):
+        here, peer, live, other = self.pair(torus4)
+        for e in range(2):
+            peer.amend(other.root, epoch=e, add=[(e, e + 3, 1, 4)])
+        here.note(other.head())
+        assert here.peek(live.root) is None  # retired: the peer moved on
+        resumed = here.get(live.root)
+        assert (resumed.root, resumed.epoch, resumed.digest) == (
+            other.root, 2, other.digest
+        )
+        assert here.takeovers == 1 and here.resumes == 0
+        after = here.amend(live.root, epoch=2, add=[(5, 1, 1, 4)])
+        assert after.digest == amend_epoch_digest(
+            other.digest, [(5, 1, 1, 4)], []
+        )
+
+    def test_older_head_than_held_is_ignored(self, torus4):
+        here, peer, live, other = self.pair(torus4)
+        peer.amend(other.root, epoch=0, add=[(0, 3, 1, 4)])
+        old = other.head()
+        peer.amend(other.root, epoch=1, add=[(1, 4, 1, 4)])
+        here.note(other.head())
+        here.note(old)
+        assert here.get(live.root).epoch == 2
+
+    def test_eviction_counts_resumes_noted_head_counts_takeovers(
+        self, torus4
+    ):
+        p0, p1, p2 = (
+            [(i, (i + k) % 16, 1, 0) for i in range(8)] for k in (1, 2, 5)
+        )
+        cache = ArtifactCache()
+        here, peer = AmendRegistry(cache, max_streams=1), AmendRegistry(cache)
+        evicted, _ = here.open(torus4, p0)
+        here.open(torus4, p1)  # evicts the first
+        assert not here.take_over(evicted.root)  # only a peer's head
+        assert here.get(evicted.root).epoch == 0
+        assert (here.resumes, here.takeovers) == (1, 0)
+        replicated, _ = peer.open(torus4, p2)
+        peer.amend(replicated.root, epoch=0, add=[(0, 9, 1, 0)])
+        here.note(replicated.head())
+        assert here.take_over(replicated.root)
+        assert here.peek(replicated.root).epoch == 1
+        assert (here.resumes, here.takeovers) == (1, 1)
+        assert here.stats()["takeovers"] == 1
+
+    def test_head_without_artifact_get_raises_open_resets(self, torus4):
+        here, peer, live, other = self.pair(torus4)
+        peer.amend(other.root, epoch=0, add=[(0, 3, 1, 4)])
+        here.note({**other.head(), "digest": "f" * 64})  # never stored
+        assert not here.take_over(live.root)
+        with pytest.raises(ProtocolError, match="no longer cached"):
+            here.get(live.root)
+        fresh, created = here.open(torus4, RING8)
+        assert created and fresh.epoch == 0 and here.resets == 1
+
+    def test_heads_list_live_and_held(self, torus4):
+        here, peer, live, other = self.pair(torus4)
+        assert here.heads() == [live.head()]
+        peer.amend(other.root, epoch=0, add=[(0, 3, 1, 4)])
+        here.note(other.head())
+        assert here.heads() == [{**other.head(), "replicated": True}]
+
+
 class TestAmendVerb:
     """The wire-level amend verb end to end."""
 

@@ -7,7 +7,6 @@ from repro.core import perf
 from repro.service.cache import ArtifactCache
 from repro.service.canonical import canonicalize, node_permutation, translation_group
 from repro.service.compile import (
-    CompileService,
     artifact_verifier,
     build_canonical_artifact,
     compile_digest,
@@ -161,19 +160,6 @@ class TestVerifyArtifact:
         ArtifactCache(tmp_path).put("ab" * 32, doc)
         fresh = ArtifactCache(tmp_path)
         assert fresh.get("ab" * 32, verifier=artifact_verifier(torus)) == doc
-
-
-class TestCompileService:
-    def test_latency_buckets(self, torus):
-        service = CompileService(ArtifactCache())
-        reqs = ring_pattern(16)
-        service.compile(torus, reqs)
-        service.compile(torus, reqs)
-        stats = service.stats()
-        assert stats["latency"]["miss"]["count"] == 1
-        assert stats["latency"]["hit"]["count"] == 1
-        assert stats["latency"]["hit"]["mean_seconds"] > 0.0
-        assert stats["cache"]["hits"] == 1
 
 
 class TestTopologySpecs:

@@ -429,6 +429,29 @@ class TestAggregatedStats:
             assert stats["down"] == []
         run(with_farm(go, nodes=3, replication=2))
 
+    def test_process_counters_counted_once(self):
+        """Every node of an in-process farm reports the same process
+        counters: the farm totals must add them once, not per node."""
+        async def go(farm):
+            before = perf.snapshot()
+            requests = cold_requests(5)
+            async with farm.client() as c:
+                for _ in range(2):  # five misses, then five hits
+                    for req in requests:
+                        await c.request(dict(req))
+                stats = await c.stats()
+            cache = [doc["cache"] for doc in stats["nodes"].values()]
+            assert sum(doc["hits"] for doc in cache) == 5
+            assert sum(doc["misses"] for doc in cache) == 5
+            counters = stats["farm"]["counters"]
+            assert "pid" not in stats["farm"]
+            for field in ("hits", "misses"):
+                key = f"artifact_cache_{field}"
+                assert counters[key] - before[key] == sum(
+                    doc[field] for doc in cache
+                )
+        run(with_farm(go, nodes=3, replication=2))
+
     def test_dead_node_reported_down(self):
         async def go(farm):
             await farm.kill_node("node1")

@@ -465,6 +465,104 @@ class TestAmendFailover:
                 await client.close()
         run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
 
+    async def _chain(self, client, root, chain, epoch, rows):
+        """Apply one update per row; each must extend the digest chain
+        the client computes itself.  Returns the new (chain, epoch)."""
+        for add in rows:
+            reply = await client.amend(root=root, epoch=epoch, add=[add])
+            expect = amend_epoch_digest(
+                chain, parse_rows([add], what="add"), []
+            )
+            assert reply["digest"] == expect
+            assert reply["epoch"] == epoch + 1
+            chain, epoch = reply["digest"], reply["epoch"]
+        return chain, epoch
+
+    async def _kill_and_demote(self, farm, name):
+        await farm.kill_node(name)
+        for _ in range(2):
+            await farm.router.heartbeat()
+        assert name not in farm.router.shard_map.nodes
+
+    def test_reopen_after_failover_resumes(self):
+        """Re-sending the open to the new primary resumes the stream at
+        its current epoch, as on one server, instead of resetting it."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                opened = await client.amend(TORUS4, pairs=self.PAIRS)
+                root = opened["root"]
+                chain, epoch = await self._chain(
+                    client, root, opened["digest"], 0,
+                    [[e, (e + 5) % 16, 1, 3] for e in range(3)],
+                )
+                primary = farm.router.shard_map.owners(root)[0]
+                await farm.settle()  # heads must reach the replicas
+                await self._kill_and_demote(farm, primary)
+
+                again = await client.amend(TORUS4, pairs=self.PAIRS)
+                assert again["cache"] == "resume"
+                assert (again["root"], again["epoch"], again["digest"]) == (
+                    root, epoch, chain
+                )
+                new_owner = farm.router.shard_map.owners(root)[0]
+                assert farm.nodes[new_owner].amend_takeovers == 1
+                # The next update extends the same chain.
+                await self._chain(client, root, chain, epoch, [[9, 2, 1, 3]])
+            finally:
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_newer_head_beats_stale_live_engine(self):
+        """A node whose live engine fell behind a head replicated to it
+        later resumes from that head when it becomes primary again."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                opened = await client.amend(TORUS4, pairs=self.PAIRS)
+                root = opened["root"]
+                first, second = farm.router.shard_map.owners(root)
+                chain, epoch = await self._chain(
+                    client, root, opened["digest"], 0,
+                    [[e, (e + 5) % 16, 1, 3] for e in range(3)],
+                )
+                await farm.settle()
+                # The second owner takes over: its live engine reaches 5.
+                await self._kill_and_demote(farm, first)
+                chain, epoch = await self._chain(
+                    client, root, chain, epoch, [[9, 2, 1, 3], [10, 3, 1, 3]]
+                )
+                assert farm.nodes[second].amends.peek(root).epoch == 5
+
+                # The first owner rejoins, pulls the head and takes the
+                # stream back to epoch 7, replicating to the second.
+                await farm.restart_node(first)
+                await farm.router.heartbeat()
+                assert first in farm.router.shard_map.nodes
+                for node in list(farm.nodes.values()):
+                    async with AsyncCompileClient(
+                        *node.address, retry=None
+                    ) as c:
+                        await c.request({"op": "repair"})
+                await client.refresh_map()
+                chain, epoch = await self._chain(
+                    client, root, chain, epoch, [[11, 4, 1, 3], [12, 5, 1, 3]]
+                )
+                assert farm.nodes[first].amend_takeovers == 1
+                await farm.settle()
+
+                # The second owner is primary again: the newer head, not
+                # its stale engine, is where the stream continues.
+                await self._kill_and_demote(farm, first)
+                assert epoch == 7
+                await self._chain(client, root, chain, epoch, [[13, 6, 1, 3]])
+                assert farm.nodes[second].amend_takeovers == 2
+            finally:
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
 
 # ----------------------------------------------------------------------
 # chaos partitions (Farm-level injection)

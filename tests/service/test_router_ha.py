@@ -26,6 +26,7 @@ from repro.service.errors import (
 )
 from repro.service.farm import ShardMap, ShardRouter
 from repro.service.policy import RetryPolicy
+from repro.service.server import CompileServer
 from repro.topology.torus import Torus2D
 from tests.service.farm_helpers import (
     hung_endpoint,
@@ -488,6 +489,35 @@ class TestClientEndpointFailover:
                 assert reply["router"]["name"] in farm.routers
 
         run(with_ha_farm(scenario, nodes=2))
+
+    def test_amend_reconnects_past_a_connection_its_server_closed(self):
+        """An idle connection whose server died carried no request, so
+        an amend -- never retried -- connects afresh and fails over to
+        the next endpoint instead of failing on the dead connection."""
+        async def scenario():
+            dying, survivor = CompileServer(), CompileServer()
+            await dying.start()
+            await survivor.start()
+            client = AsyncCompileClient(
+                endpoints=[dying.address, survivor.address], retry=None
+            )
+            try:
+                await client.ping()
+                await dying.kill()
+                async with asyncio.timeout(5):
+                    while not (
+                        client._writer.is_closing() or client._reader.at_eof()
+                    ):
+                        await asyncio.sleep(0.01)
+                reply = await client.amend(TORUS4, pairs=[[0, 1], [2, 3]])
+                assert reply["cache"] == "open"
+                assert client.failovers == 1
+                assert survivor.amends.stats()["opened"] == 1
+            finally:
+                await client.close()
+                await survivor.shutdown()
+
+        run(scenario())
 
     def test_failed_connect_rotates_once_per_endpoint(self):
         """A connect that fails on every endpoint counts one failover

@@ -137,6 +137,21 @@ class TestProtocol:
         run(go())
 
 
+class TestStats:
+    def test_latency_buckets(self):
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port) as c:
+                for _ in range(2):  # a miss, then a hit
+                    await c.compile(TORUS4, pattern=TRANSPOSE4)
+                stats = await c.stats()
+            assert stats["latency"]["miss"]["count"] == 1
+            assert stats["latency"]["hit"]["count"] == 1
+            assert stats["latency"]["hit"]["mean_seconds"] > 0.0
+            assert stats["cache"]["hits"] == 1
+
+        run(with_server(go))
+
+
 class TestPerfCounters:
     def test_thread_mode_compiles_keep_the_cache_counters(self):
         """With ``workers=0`` a cold compile runs on a pool thread of the
