@@ -360,7 +360,9 @@ class AmendRegistry:
     of silently resetting lineage.  Only when that artifact is gone
     does an ``open`` fall back to a fresh epoch-0 compile (counted in
     ``resets``); an ``amend`` in that state gets a typed
-    :class:`ProtocolError`.
+    :class:`ProtocolError`.  Such heads are pruned once the table
+    outgrows its bound (:meth:`_hold`), after which their roots read
+    as unknown.
     """
 
     def __init__(
@@ -378,7 +380,10 @@ class AmendRegistry:
         self._streams: "OrderedDict[str, AmendStream]" = OrderedDict()
         #: root -> head of a stream with no live engine here, marked
         #: ``replicated`` (by a peer) or not (an own eviction).
+        #: Written only through :meth:`_hold`, which prunes it.
         self._heads: dict[str, dict[str, Any]] = {}
+        #: held heads after the last prune (those on cached artifacts).
+        self._heads_kept = 0
         self.opened = 0
         self.amends = 0
         self.conflicts = 0
@@ -397,8 +402,24 @@ class AmendRegistry:
         self._streams.move_to_end(stream.root)
         while len(self._streams) > self.max_streams:
             _, victim = self._streams.popitem(last=False)
-            self._heads[victim.root] = {**victim.head(), "replicated": False}
+            self._hold({**victim.head(), "replicated": False})
             self.evictions += 1
+
+    def _hold(self, head: dict[str, Any]) -> None:
+        """Hold the head of a stream with no live engine here.
+
+        A head whose epoch artifact neither cache tier holds can never
+        resume, so once the table outgrows twice the larger of
+        ``max_streams`` and its size after the last prune, it keeps
+        only the heads whose artifacts the cache still holds.
+        """
+        heads = self._heads
+        heads[head["root"]] = head
+        if len(heads) > 2 * max(self.max_streams, self._heads_kept):
+            held = set() if self.cache is None else self.cache.digests()
+            for root in [r for r, h in heads.items() if h["digest"] not in held]:
+                del heads[root]
+            self._heads_kept = len(heads)
 
     def _resume(self, root: str) -> AmendStream | None:
         """Rebuild a stream from its head's cached epoch artifact, which
@@ -449,7 +470,7 @@ class AmendRegistry:
         ):
             return
         self._streams.pop(root, None)
-        self._heads[root] = {**head, "replicated": True}
+        self._hold({**head, "replicated": True})
 
     def take_over(self, root: str) -> bool:
         """Resume ``root`` now if a peer replicated its head here (its

@@ -953,7 +953,7 @@ async def _run_router_ha_phases(
         )
         for e in range(4):
             await chain.step(e)
-        await ha.settle()  # epoch artifacts + resume heads must land
+        await ha.settle()  # the epoch artifacts must land
 
         assert ha.leader is not None
         target = ha.leader.shard_map.owners(chain.root)[0]
@@ -1179,7 +1179,7 @@ async def _run_farm_ha_campaign_async(
         for e in range(amend_steps):
             await chain.step(e)
         primary = farm.router.shard_map.owners(chain.root)[0]
-        await farm.settle()  # epoch artifacts + resume heads must land
+        await farm.settle()  # the epoch artifacts must land
         await farm.kill_node(primary)
         # Deterministic demote: drive the heartbeat by hand (suspect ->
         # dead takes SUSPECT_AFTER consecutive missed beats).
@@ -1255,8 +1255,9 @@ async def _run_farm_ha_campaign_async(
                     and _reply_bytes(reply) == score.baseline[which]
                 )
             # Phase C's stream, re-opened on the rejoined primary, which
-            # holds it only as the head one sweep pulled: it must resume
-            # at the chain's head, never reset to epoch 0.
+            # holds it only as the epoch artifacts a sweep pulled or its
+            # disk tier kept: it must resume at the chain's head, never
+            # reset to epoch 0.
             await _repair_all(farm)
             reopen_ok = await chain.reopen(direct)
         report["phases"]["rejoin"] = {

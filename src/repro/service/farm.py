@@ -80,14 +80,16 @@ membership without waiting for a request to trip over a failure:
   exactly like read repair -- replicas of owned digests it is missing,
   so a lost fire-and-forget push only leaves R unmet until the next
   sweep;
-* every **amend epoch is replicated with its head** to the root's
-  co-owners, which note it in their amend registry (the newest epoch
-  wins): when a stream's primary dies, the first open or update the
-  new owner serves rebuilds the live engine from that head's epoch
-  artifact (:meth:`~repro.service.amend.AmendRegistry.take_over`) and
-  continues the digest chain; a racing stale client gets a typed
-  ``EpochConflict`` carrying the current epoch *and digest*, never a
-  fork.
+* every **amend epoch artifact is replicated** to the root's
+  co-owners, and its ``lineage`` is the stream's head: a node that
+  keeps a verified epoch artifact notes that head in its amend
+  registry (the newest epoch wins).  When a stream's primary dies, the
+  first open or update the new primary serves rebuilds the live engine
+  from that epoch artifact
+  (:meth:`~repro.service.amend.AmendRegistry.take_over`) and continues
+  the digest chain; only a root's primary serves amends, and a racing
+  stale client gets a typed ``EpochConflict`` carrying the current
+  epoch *and digest*, never a fork.
 
 Nothing is ever silently wrong: every farm failure mode is a typed
 error or a byte-identical reply.
@@ -387,21 +389,6 @@ def _sum_into(out: dict[str, Any], doc: dict[str, Any]) -> None:
                 out[key] = prev + value
 
 
-def _wire_head(head: dict[str, Any]) -> dict[str, Any] | None:
-    """A registry head (:meth:`AmendStream.head
-    <repro.service.amend.AmendStream.head>`) in its wire form, or None
-    on a topology with no spec -- such a stream stays primary-only."""
-    try:
-        spec = topology_to_spec(head["topology"])
-    except TopologySpecError:
-        return None
-    return {
-        "root": head["root"], "epoch": head["epoch"],
-        "digest": head["digest"], "scheduler": head["scheduler"],
-        "topology_spec": spec,
-    }
-
-
 def _left(deadline: float) -> float:
     """Seconds until ``deadline`` (a ``time.monotonic()`` instant)."""
     return max(0.0, deadline - time.monotonic())
@@ -569,19 +556,21 @@ class FarmNodeServer(CompileServer):
     hash + semantically verified), ``digests`` (advertise the local
     inventory for anti-entropy) and ``repair`` (force one anti-entropy
     sweep).  The inherited ``compile``/``amend`` verbs gain an
-    ownership gate: a request whose route digest this node does not
-    own is refused with :class:`WrongShard` so a stale client or router
-    can never populate the wrong shard.
+    ownership gate: a compile whose route digest this node does not
+    own, or an amend whose root it is not the primary of, is refused
+    with :class:`WrongShard` so a stale client or router can never
+    populate the wrong shard or fork a stream.
 
     Self-healing: a ``repair`` sweep pulls peer inventories and adopts
     replicas of the digests *it* owns that it is missing -- closing the
     window a lost fire-and-forget push leaves open.  The leader router
     sends ``repair`` to every node that rejoins; the chaos campaigns
     call it directly.  The node runs no background task besides its
-    replica pushes.  Every epoch of an amend stream is replicated to
-    the root's other owners with its head, which they note in their
-    amend registry, so a new primary can take the stream over after
-    its old primary died (:meth:`AmendRegistry.take_over
+    replica pushes.  Every epoch artifact of an amend stream is
+    replicated to the root's other owners, which note the head its
+    lineage names in their amend registry, so a new primary can take
+    the stream over after its old primary died
+    (:meth:`AmendRegistry.take_over
     <repro.service.amend.AmendRegistry.take_over>`).
 
     Chaos hooks (injected by the harness, inert by default):
@@ -734,10 +723,13 @@ class FarmNodeServer(CompileServer):
                     owners=drain_map.owners(digest),
                 )
             owners = self.shard_map.owners(digest)
-            if self.name not in owners:
+            # Any owner serves a compile; a stream lives on its root's
+            # primary alone, so no co-owner can fork its chain.
+            serving = owners if op == "compile" else owners[:1]
+            if self.name not in serving:
                 self.wrong_shard += 1
                 raise WrongShard(
-                    f"digest {digest[:12]}... is owned by {owners}, "
+                    f"digest {digest[:12]}... is served by {serving}, "
                     f"not {self.name!r}",
                     shard_map=self.shard_map.as_dict(), owners=owners,
                 )
@@ -754,10 +746,10 @@ class FarmNodeServer(CompileServer):
                     if reply.get("cache") == "miss":
                         self._spawn_replication(str(reply["digest"]), owners)
                 return reply
-            # amend: this node is an owner, and the route digest is the
-            # stream's root for an open and an update alike.  If a peer
-            # replicated the stream's head here (its primary died),
-            # resume it *before* the registry is consulted.
+            # amend: this node is the primary, and the route digest is
+            # the stream's root for an open and an update alike.  If a
+            # peer replicated the stream's epoch artifacts here (its
+            # primary died), resume it *before* the registry is consulted.
             if self.amends.take_over(digest):
                 self.amend_takeovers += 1
             self._amends_inflight += 1
@@ -847,14 +839,13 @@ class FarmNodeServer(CompileServer):
         1. flip ``draining`` -- new amends park on ``_drain_done``;
         2. quiesce: wait for in-flight amends to settle, so every
            stream is frozen at its true head before it moves;
-        3. **proactive amend handoff**: push each live stream's latest
-           epoch artifact + its head to the successor owners with
-           ``adopt`` set, so the new primary installs the stream into
+        3. re-replicate, with the **proactive amend handoff**: push
+           every owned artifact once to each successor owner
+           (bounded-retry pushes -- a dead peer cannot wedge the
+           drain); a live stream's current epoch goes to the successor
+           primary with ``adopt`` set, so it installs the stream into
            its registry *now* (no pull-based takeover window);
-        4. re-replicate: push every owned artifact the successor map
-           re-homes to its new owners (bounded-retry pushes -- a dead
-           peer cannot wedge the drain);
-        5. adopt the successor map and release the parked amends into
+        4. adopt the successor map and release the parked amends into
            typed redirects that land on already-adopted streams.
         """
         successor = _fenced_map(self, req.get("shard_map"), "drain map")
@@ -868,7 +859,7 @@ class FarmNodeServer(CompileServer):
         while self._amends_inflight:
             await asyncio.sleep(0.005)
         retries_before = self.replica_push_retries
-        handoffs = await self._drain_handoff_streams(successor)
+        handoffs_before = self.drain_handoffs
         repushed = await self._drain_repush_artifacts(successor)
         self.drain_repush_retries += (
             self.replica_push_retries - retries_before
@@ -877,38 +868,12 @@ class FarmNodeServer(CompileServer):
         self._drain_done.set()
         return self._reply(
             req, op="drain", draining=True,
-            streams_handed_off=handoffs,
+            streams_handed_off=self.drain_handoffs - handoffs_before,
             replicas_repushed=repushed,
             repush_retries=self.drain_repush_retries,
             epoch=self.shard_map.epoch,
             version=self.shard_map.version,
         )
-
-    async def _drain_handoff_streams(self, successor: ShardMap) -> int:
-        """Push + adopt every live amend stream at its successor owners."""
-        handoffs = 0
-        for root in self.amends.live_roots():
-            stream = self.amends.peek(root)
-            head = None if stream is None else _wire_head(stream.head())
-            if head is None:
-                continue  # unspeccable: the stream stays primary-only
-            entry = self.cache.encoded(head["digest"])
-            if entry is None:
-                continue
-            data = self._store_frame(
-                head["digest"], entry, head["topology_spec"],
-                amend_head=head, adopt=True,
-            )
-            pushed = False
-            for peer in successor.owners(root):
-                if peer == self.name:
-                    continue
-                await self._push_replica(peer, data)
-                pushed = True
-            if pushed:
-                handoffs += 1
-                self.drain_handoffs += 1
-        return handoffs
 
     async def _drain_repush_artifacts(self, successor: ShardMap) -> int:
         """Re-replicate artifacts the successor map takes away from us.
@@ -919,9 +884,14 @@ class FarmNodeServer(CompileServer):
         silently lost its push and this is the last chance to close
         that gap before the unique copy leaves with us.  Stores are
         idempotent, so over-pushing costs bandwidth, never correctness.
+        A live stream's current epoch carries ``adopt`` to the
+        successor primary, which takes the stream over on receipt.
         Uses the same bounded-retry push as normal replication: a dead
         peer costs one retry, never an unbounded stall while draining.
         """
+        current = {
+            self.amends.peek(root).digest for root in self.amends.live_roots()
+        }
         repushed = 0
         for digest in sorted(self.cache.digests()):
             entry = self.cache.encoded(digest)
@@ -935,15 +905,19 @@ class FarmNodeServer(CompileServer):
             old_owners = self.shard_map.owners(key)
             if self.name not in old_owners:
                 continue
-            targets = [
-                peer for peer in successor.owners(key) if peer != self.name
-            ]
+            targets = successor.owners(key)  # this node is not among them
             spec = self._specs.get(digest)
             if not targets or spec is None:
                 continue  # a receiver refuses what it cannot verify
             data = self._store_frame(digest, entry, spec)
             for peer in targets:
-                await self._push_replica(peer, data)
+                if digest in current and peer == targets[0]:
+                    self.drain_handoffs += 1
+                    await self._push_replica(
+                        peer, self._store_frame(digest, entry, spec, adopt=True)
+                    )
+                else:
+                    await self._push_replica(peer, data)
                 self.drain_repushes += 1
                 repushed += 1
         return repushed
@@ -985,10 +959,8 @@ class FarmNodeServer(CompileServer):
             raise ProtocolError(
                 f"replica failed semantic verification: {exc}"
             ) from None
-        self.cache.put(digest, doc)
-        self._record_spec(digest, spec)
         self.replicas_received += 1
-        root = self._note_head(req.get("amend_head"))
+        root = self._keep_replica(digest, doc, spec)
         # Proactive drain handoff: install the stream into the registry
         # *now*, so the draining node's redirected amend lands on a live
         # stream -- not on the pull-based takeover path (which only
@@ -1021,53 +993,62 @@ class FarmNodeServer(CompileServer):
                 # Amend epochs place on their stream's *root*.
                 item["root"] = str(lineage.get("root", ""))
             inventory.append(item)
-        heads = (_wire_head(head) for head in self.amends.heads())
-        return self._reply(
-            req, op="digests", inventory=inventory,
-            amend_heads={h["root"]: h for h in heads if h is not None},
-        )
+        return self._reply(req, op="digests", inventory=inventory)
 
     # -- amend failover -------------------------------------------------
-    def _note_head(self, head: Any) -> str | None:
-        """Note a peer's wire head in the amend registry; its root, or
-        None when there is no head or it is malformed (and ignored)."""
-        if not isinstance(head, dict):
+    def _keep_replica(
+        self, digest: str, doc: dict[str, Any], spec: dict[str, Any]
+    ) -> str | None:
+        """Keep one verified replica: cache it, index its spec and note
+        the stream head it names (:meth:`_note_head`)."""
+        self.cache.put(digest, doc)
+        self._record_spec(digest, spec)
+        return self._note_head(digest, doc, spec)
+
+    def _note_head(
+        self, digest: str, doc: dict[str, Any], spec: dict[str, Any]
+    ) -> str | None:
+        """Note the amend head of the epoch artifact held under
+        ``digest`` -- root and epoch from its lineage, the scheduler
+        from the document, the topology from ``spec`` -- in the
+        registry (the newest epoch wins).  Returns the root, or None
+        for an artifact of no stream."""
+        lineage = doc.get("lineage")
+        if not isinstance(lineage, dict):
             return None
         try:
-            root, digest = str(head["root"]), str(head["digest"])
-            noted = {
-                "root": root, "epoch": int(head["epoch"]), "digest": digest,
-                "scheduler": str(
-                    head.get("scheduler") or self.default_scheduler
-                ),
-                "topology": self._topology(head["topology_spec"]),
+            root = str(lineage["root"])
+            head = {
+                "root": root, "epoch": int(lineage["epoch"]),
+                "digest": digest, "scheduler": str(doc["scheduler"]),
+                "topology": self._topology(spec),
             }
         except Exception:
             return None
-        if not root or not digest:
+        if not root or doc.get("topology") != head["topology"].signature:
             return None
-        self.amends.note(noted)
+        self.amends.note(head)
         return root
 
     def _replicate_amend_epoch(self, reply: dict[str, Any]) -> None:
-        """Push the new epoch artifact + its head to co-owners.
+        """Push the new epoch artifact to co-owners.
 
         Called after every successful amend (open and update): the
         stream's current epoch artifact is replicated to the other
         owners of the *root* (streams place by root, not by epoch
-        digest) so any of them can take the stream over if this
-        primary dies.
+        digest), whose lineage lets any of them take the stream over
+        if this primary dies.
         """
-        root = str(reply.get("root") or "")
-        stream = self.amends.peek(root)
-        head = None if stream is None else _wire_head(stream.head())
-        if head is None:
+        stream = self.amends.peek(str(reply.get("root") or ""))
+        if stream is None:
+            return
+        try:
+            spec = topology_to_spec(stream.topology)
+        except TopologySpecError:
             return  # unspeccable topology: stream stays primary-only
-        spec = head["topology_spec"]
-        self._record_spec(head["digest"], spec)
+        self._record_spec(stream.digest, spec)
         self._spawn_replication(
-            head["digest"], self.shard_map.owners(root), spec=spec,
-            amend_head=head,
+            stream.digest, self.shard_map.owners(stream.root)
         )
 
     # -- replication / read-repair -------------------------------------
@@ -1089,29 +1070,20 @@ class FarmNodeServer(CompileServer):
                 del specs[gone]
             self._specs_kept = len(specs)
 
-    def _spawn_replication(
-        self,
-        digest: str,
-        owners: list[str],
-        *,
-        spec: dict[str, Any] | None = None,
-        amend_head: dict[str, Any] | None = None,
-    ) -> None:
-        """Push a freshly compiled artifact to the other owners.
+    def _spawn_replication(self, digest: str, owners: list[str]) -> None:
+        """Push a freshly compiled artifact (or amend epoch) to the
+        other owners.
 
         Fire-and-forget: replication buys locality, not correctness
         (compiles are deterministic), so a failed push is a counter,
         never an error on the client's reply.  The payload carries the
-        topology spec so receivers can verify semantically, and -- for
-        amend epochs -- the head a takeover resumes from.
+        topology spec so receivers can verify semantically.
         """
         entry = self.cache.encoded(digest)
-        if spec is None:
-            spec = self._specs.get(digest)
+        spec = self._specs.get(digest)
         if entry is None or spec is None:
             return  # a receiver refuses what it cannot verify
-        extra = {} if amend_head is None else {"amend_head": amend_head}
-        data = self._store_frame(digest, entry, spec, **extra)
+        data = self._store_frame(digest, entry, spec)
         for peer in owners:
             if peer == self.name or peer not in self.shard_map.nodes:
                 continue
@@ -1196,9 +1168,10 @@ class FarmNodeServer(CompileServer):
         owns, a local miss -- or a payload-hash mismatch -- triggers a
         fetch that is hash + semantically re-verified exactly like read
         repair before adoption.  Entries without a known topology spec
-        are never adopted blind.  Amend head metadata rides along so a
-        future takeover has resume state even when the head push itself
-        was lost.
+        are never adopted blind.  An amend epoch artifact kept this way,
+        or found already held (a disk tier that outlived a restart),
+        notes its stream's head, so a future takeover has resume state
+        even when the epoch's push itself was lost.
         """
         async with self._sweep_lock:
             self.anti_entropy_rounds += 1
@@ -1213,10 +1186,6 @@ class FarmNodeServer(CompileServer):
                 except ServiceError:
                     failures += 1
                     continue
-                heads = reply.get("amend_heads")
-                if isinstance(heads, dict):
-                    for head in heads.values():
-                        self._note_head(head)
                 for entry in reply.get("inventory") or ():
                     if not isinstance(entry, dict):
                         continue
@@ -1227,11 +1196,12 @@ class FarmNodeServer(CompileServer):
                     owner_key = str(entry.get("root") or digest)
                     if self.name not in self.shard_map.owners(owner_key):
                         continue
-                    local = self.cache.encoded(digest)
-                    if local is not None and local.sha256 == remote_hash:
-                        continue
                     spec = entry.get("topology_spec") or self._specs.get(digest)
                     if not isinstance(spec, dict):
+                        continue
+                    local = self.cache.encoded(digest)
+                    if local is not None and local.sha256 == remote_hash:
+                        self._note_head(digest, local.doc, spec)
                         continue
                     outcome = await self._repair_from(
                         peer, digest, spec, None if local is None else local.doc
@@ -1285,8 +1255,7 @@ class FarmNodeServer(CompileServer):
             # digest, superset document).  Anything else keeps the
             # local copy -- adopting would just flap between replicas.
             return None
-        self.cache.put(digest, doc)
-        self._record_spec(digest, spec)
+        self._keep_replica(digest, doc, spec)
         return doc
 
     async def _peer_request(self, peer: str, data: bytes) -> dict[str, Any]:

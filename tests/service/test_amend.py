@@ -330,6 +330,36 @@ class TestHeadTable:
         assert here.heads() == [{**other.head(), "replicated": True}]
 
 
+class TestHeadTableBound:
+    """Held heads whose epoch artifacts the cache dropped are pruned."""
+
+    def test_held_heads_stay_bounded_and_cached_ones_resume(self, torus4):
+        cache = ArtifactCache(memory_entries=8)
+        here, peer = AmendRegistry(cache, max_streams=2), AmendRegistry(cache)
+        most = 0
+        for k in range(60):
+            pattern = [
+                (i, (i + 1 + k % 15) % 16, 1, 0) for i in range(8 + k // 15)
+            ]
+            if k % 2:
+                here.open(torus4, pattern)  # evicts past max_streams
+            else:
+                stream, _ = peer.open(torus4, pattern)
+                peer.amend(stream.root, epoch=0, add=[(0, 5, 1, 7)])
+                here.note(stream.head())
+            most = max(most, len(here.heads()) - len(here))
+        # At most twice the heads a prune can keep: those on cached
+        # artifacts, which the memory tier bounds.
+        assert most <= 2 * max(here.max_streams, cache.memory_entries)
+        held = [h for h in here.heads()[len(here):] if h["digest"] in cache]
+        assert held
+        for head in held:
+            resumed = here.get(head["root"])
+            assert (resumed.root, resumed.epoch, resumed.digest) == (
+                head["root"], head["epoch"], head["digest"]
+            )
+
+
 class TestAmendVerb:
     """The wire-level amend verb end to end."""
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.service.amend import amend_epoch_digest, parse_rows
 from repro.service.client import AsyncCompileClient
-from repro.service.errors import EpochConflict
+from repro.service.errors import EpochConflict, WrongShard
 from repro.service.farm import Farm, ShardMap, route_digest
 from tests.service.farm_helpers import cold_requests, run, with_farm
 
@@ -562,6 +562,176 @@ class TestAmendFailover:
             finally:
                 await client.close()
         run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_only_the_primary_serves_amends(self):
+        """A co-owner whose live engine outlived its turn as primary
+        refuses amends once the primary is back, so a client still
+        aiming at it cannot fork the stream while its pushes are lost."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                opened = await client.amend(TORUS4, pairs=self.PAIRS)
+                root = opened["root"]
+                first, second = farm.router.shard_map.owners(root)
+                chain, epoch = await self._chain(
+                    client, root, opened["digest"], 0,
+                    [[e, (e + 5) % 16, 1, 3] for e in range(3)],
+                )
+                await farm.settle()
+                await self._kill_and_demote(farm, first)
+                chain, epoch = await self._chain(
+                    client, root, chain, epoch, [[9, 2, 1, 3], [10, 3, 1, 3]]
+                )
+                await farm.restart_node(first)
+                await farm.router.heartbeat()
+                assert first in farm.router.shard_map.nodes
+                for node in list(farm.nodes.values()):
+                    async with AsyncCompileClient(
+                        *node.address, retry=None
+                    ) as c:
+                        await c.request({"op": "repair"})
+                farm.partition(second, first)
+
+                async with AsyncCompileClient(
+                    *farm.nodes[second].address, retry=None
+                ) as c:
+                    with pytest.raises(WrongShard) as excinfo:
+                        await c.amend(root=root, epoch=5, add=[[11, 4, 1, 3]])
+                assert excinfo.value.owners[0] == first
+                await client.refresh_map()
+                chain, epoch = await self._chain(
+                    client, root, chain, epoch, [[12, 5, 1, 3]]
+                )
+                assert epoch == 6
+                assert farm.nodes[first].amends.peek(root).digest == chain
+            finally:
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_drain_pushes_each_artifact_once_and_one_owner_adopts(self):
+        """A drain sends every held epoch artifact once to each
+        successor owner; only the successor primary adopts the stream."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                opened = await client.amend(TORUS4, pairs=self.PAIRS)
+                root = opened["root"]
+                chain, epoch = opened["digest"], 0
+                digests = [chain]
+                for e in range(4):
+                    chain, epoch = await self._chain(
+                        client, root, chain, epoch, [[e, (e + 5) % 16, 1, 3]]
+                    )
+                    digests.append(chain)
+                await farm.settle()
+                primary = farm.router.shard_map.owners(root)[0]
+                stores = []
+                for node in farm.nodes.values():
+                    if node.name != primary:
+                        node._store_replica = self._spy(node, stores)
+
+                await farm.drain_node(primary)
+                successors = farm.router.shard_map.owners(root)
+                sent = [(name, digest) for name, digest, _ in stores]
+                assert sorted(sent) == sorted(
+                    (name, d) for name in successors for d in digests
+                )
+                assert [
+                    (name, digest) for name, digest, adopt in stores if adopt
+                ] == [(successors[0], chain)]
+                assert {
+                    name: node.drain_adoptions
+                    for name, node in farm.nodes.items()
+                } == {name: int(name == successors[0]) for name in farm.nodes}
+                assert farm.drained[primary].drain_handoffs == 1
+                assert farm.nodes[successors[0]].amends.peek(root).epoch == 4
+                await self._chain(client, root, chain, epoch, [[9, 2, 1, 3]])
+                assert sum(
+                    n.amend_takeovers for n in farm.nodes.values()
+                ) == 0
+            finally:
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    @staticmethod
+    def _spy(node, stores):
+        """``node``'s ``store`` handler, recording (node, digest, adopt)."""
+        real = node._store_replica
+
+        def store(req):
+            stores.append((node.name, req.get("digest"), bool(req.get("adopt"))))
+            return real(req)
+        return store
+
+    def test_repair_keeps_heads_of_owned_roots_only(self):
+        """After one repair round each node holds a head for exactly the
+        streams it owns, each on an epoch artifact it holds."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                roots = set()
+                for k in range(30):
+                    pairs = [
+                        [i, (i + 1 + k % 15) % 16] for i in range(8 + k // 15)
+                    ]
+                    opened = await client.amend(TORUS4, pairs=pairs)
+                    roots.add(opened["root"])
+                assert len(roots) == 30
+                await farm.settle()
+                for node in list(farm.nodes.values()):
+                    async with AsyncCompileClient(
+                        *node.address, retry=None
+                    ) as c:
+                        await c.request({"op": "repair"})
+                for node in farm.nodes.values():
+                    heads = node.amends.heads()
+                    owned = {
+                        r for r in roots
+                        if node.name in node.shard_map.owners(r)
+                    }
+                    assert sorted(h["root"] for h in heads) == sorted(owned)
+                    for head in heads:
+                        assert head["digest"] in node.cache
+            finally:
+                await client.close()
+        run(with_farm(go, nodes=3, replication=2, lease_ttl=60.0))
+
+    def test_restarted_owner_takes_over_from_its_disk_tier(self, tmp_path):
+        """A co-owner restarted on a disk tier that still holds the
+        stream's current epoch takes the stream over after one sweep."""
+        async def go(farm):
+            client = farm.client()
+            await client.connect()
+            try:
+                opened = await client.amend(TORUS4, pairs=self.PAIRS)
+                root = opened["root"]
+                primary, second = farm.router.shard_map.owners(root)
+                chain, epoch = await self._chain(
+                    client, root, opened["digest"], 0,
+                    [[e, (e + 5) % 16, 1, 3] for e in range(3)],
+                )
+                await farm.settle()
+                await farm.kill_node(second)
+                restarted = await farm.restart_node(second)
+                assert restarted.amends.heads() == []
+                assert chain in restarted.cache
+                async with AsyncCompileClient(
+                    *restarted.address, retry=None
+                ) as c:
+                    swept = await c.request({"op": "repair"})
+                assert swept["repaired"] == 0  # the disk tier held it all
+
+                await self._kill_and_demote(farm, primary)
+                await self._chain(client, root, chain, epoch, [[9, 2, 1, 3]])
+                assert restarted.amend_takeovers == 1
+            finally:
+                await client.close()
+        run(with_farm(
+            go, nodes=3, replication=2, lease_ttl=60.0, cache_dir=tmp_path
+        ))
 
 
 # ----------------------------------------------------------------------
