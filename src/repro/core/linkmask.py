@@ -4,27 +4,23 @@ The schedulers' hot path answers one question millions of times per
 sweep: *does this connection's link set intersect that set of occupied
 links?*  Asking it with hash-set ``isdisjoint`` per candidate
 configuration is the readable formulation; this module answers it with
-bitmasks instead, in complementary layouts:
-
-**Link-indexed masks** (:func:`pack_masks`, :class:`Occupancy`)
-    Each connection's link set packed into a fixed-width row of
-    ``uint64`` words (one bit per topology link).  A configuration's
-    occupancy is the OR of its members' rows, and a placement test
-    against *every* configuration at once is a single vectorized AND of
-    the candidate's row against the stacked occupancy matrix.  Used by
-    best-fit packing and by repack's dissolution trials, where each
-    query genuinely wants all configurations' answers.
+bitmasks instead, in three layouts:
 
 **Slot-indexed masks** (:class:`SlotOccupancy`)
-    The transposed layout: per *link*, a bitmask over *time slots*
-    (bit ``j`` set iff some connection in configuration ``j`` uses the
-    link).  A first-fit query ORs the candidate's few link masks and
-    takes the lowest clear bit -- O(path length) word operations with
-    no per-configuration loop at all.  Python's arbitrary-precision
-    integers are the storage (a 128-slot frame is two machine words),
-    which profiling showed beats a per-step numpy reduction: sequential
-    first-fit issues one tiny query per connection, and numpy's
-    per-call overhead (~2 us) exceeds the whole query's work.
+    Per *link*, a bitmask over *time slots* (bit ``j`` set iff some
+    connection in configuration ``j`` uses the link).  A placement
+    query ORs the candidate's few link masks: the clear bits are every
+    slot it fits, the lowest one is its first fit -- O(path length)
+    word operations with no per-configuration loop at all.  Python's
+    arbitrary-precision integers are the storage (a 128-slot frame is
+    two machine words), which profiling showed beats a per-step numpy
+    reduction: sequential placement issues one tiny query per
+    connection, and numpy's per-call overhead (~2 us) exceeds the whole
+    query's work.  Every single placement runs here: first-fit, the
+    AAPC builder's best-fit, the delta scheduler, and repack's
+    all-or-nothing dissolution trials (one query per member of the
+    configuration on trial; a dissolved configuration's slot is deleted
+    with :meth:`SlotOccupancy.drop_slot`).
 
 **Slot-mask matrix** (:class:`SlotMatrix`)
     The slot-indexed layout again, but as a numpy ``(num_links, W)``
@@ -47,7 +43,7 @@ implementation that lives in the test suite (``tests/set_reference.py``).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -65,89 +61,9 @@ def required_links(connections: Sequence[Connection]) -> int:
     return 1 + max((max(c.links) for c in connections if c.links), default=-1)
 
 
-# ----------------------------------------------------------------------
-# link-indexed masks
-# ----------------------------------------------------------------------
-
 def words_for(num_bits: int) -> int:
     """uint64 words needed for ``num_bits`` mask bits (min 1)."""
     return max(1, (num_bits + 63) // 64)
-
-
-def pack_masks(connections: Sequence[Connection], num_links: int | None = None) -> np.ndarray:
-    """Connection link sets as an ``(n, W)`` uint64 bit-row matrix.
-
-    Bit ``k`` of word ``w`` of row ``i`` (little-endian within the row)
-    is set iff connection ``i`` traverses link ``64*w + k``.
-    """
-    if num_links is None:
-        num_links = required_links(connections)
-    w = words_for(num_links)
-    n = len(connections)
-    dense = np.zeros((n, w * 64), dtype=bool)
-    if n:
-        lens = np.fromiter((len(c.links) for c in connections), dtype=np.intp, count=n)
-        total = int(lens.sum())
-        flat = np.fromiter(
-            chain.from_iterable(c.links for c in connections), dtype=np.intp, count=total
-        )
-        dense[np.repeat(np.arange(n), lens), flat] = True
-    return np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
-
-
-def mask_row(links: Iterable[int], num_links: int) -> np.ndarray:
-    """A single ``(W,)`` uint64 mask row for one link set."""
-    w = words_for(num_links)
-    dense = np.zeros(w * 64, dtype=bool)
-    dense[list(links)] = True
-    return np.packbits(dense, bitorder="little").view(np.uint64)
-
-
-class Occupancy:
-    """Stacked per-configuration occupancy rows (link-indexed masks).
-
-    Row ``j`` is the OR of the masks of configuration ``j``'s members;
-    :meth:`fits` answers the placement test for *all* configurations in
-    one vectorized AND.  Rows grow geometrically, so builders can open
-    configurations freely.
-    """
-
-    def __init__(self, num_links: int, capacity: int = 8) -> None:
-        self.words = words_for(num_links)
-        self._rows = np.zeros((capacity, self.words), dtype=np.uint64)
-        self.num_configs = 0
-
-    def fits(self, mask: np.ndarray) -> np.ndarray:
-        """Boolean vector: ``out[j]`` iff ``mask`` fits configuration ``j``."""
-        perf.COUNTERS.fit_tests += self.num_configs
-        occ = self._rows[: self.num_configs]
-        return ~np.bitwise_and(occ, mask).any(axis=1)
-
-    def place(self, mask: np.ndarray, config: int) -> None:
-        """OR ``mask`` into row ``config`` (``config == num_configs`` opens one)."""
-        if config == self.num_configs:
-            if self.num_configs == len(self._rows):
-                self._rows = np.vstack([self._rows, np.zeros_like(self._rows)])
-            self._rows[config] = 0  # may hold stale bits after restore()
-            self.num_configs += 1
-        self._rows[config] |= mask
-
-    def remove(self, mask: np.ndarray, config: int) -> None:
-        """Clear ``mask``'s bits from row ``config``.
-
-        Valid because a configuration's members are link-disjoint: every
-        bit of ``mask`` is set by exactly one member, so XOR removes it.
-        """
-        self._rows[config] ^= mask
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the live rows (for all-or-nothing trial moves)."""
-        return self._rows[: self.num_configs].copy()
-
-    def restore(self, rows: np.ndarray) -> None:
-        """Roll live rows back to a :meth:`snapshot` result."""
-        self._rows[: len(rows)] = rows
-        self.num_configs = len(rows)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +71,7 @@ class Occupancy:
 # ----------------------------------------------------------------------
 
 class SlotOccupancy:
-    """Per-link bitmasks over time slots -- the first-fit fast path.
+    """Per-link bitmasks over time slots -- the placement fast path.
 
     ``masks[l]`` has bit ``j`` set iff configuration ``j`` uses link
     ``l``.  The slots busy for a candidate are the OR of its links'
@@ -208,6 +124,13 @@ class SlotOccupancy:
         masks = self.masks
         for l in links:
             masks[l] &= clear
+
+    def drop_slot(self, slot: int) -> None:
+        """Delete ``slot``; every later slot moves down one, in order."""
+        low = (1 << slot) - 1
+        high = ~low
+        self.masks[:] = [(m & low) | ((m >> 1) & high) for m in self.masks]
+        self.num_slots -= 1
 
 
 def iter_bits(mask: int):

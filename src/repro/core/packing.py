@@ -35,13 +35,7 @@ import numpy as np
 
 from repro.core import perf
 from repro.core.configuration import Configuration, ConfigurationSet
-from repro.core.linkmask import (
-    Occupancy,
-    SlotMatrix,
-    SlotOccupancy,
-    mask_row,
-    required_links,
-)
+from repro.core.linkmask import SlotMatrix, SlotOccupancy, required_links
 from repro.core.paths import Connection
 
 
@@ -234,47 +228,37 @@ def _try_dissolve(victim: Configuration, others: Sequence[Configuration]) -> boo
     return True
 
 
-class _MaskDissolver:
-    """Bitmask dissolution: one vectorized fit test over all configs."""
+def _dissolve_on_slots(
+    occ: SlotOccupancy,
+    victim: Configuration,
+    configs: list[Configuration],
+    victim_pos: int,
+) -> list[Configuration] | None:
+    """All-or-nothing dissolution of ``victim`` on slot masks.
 
-    def __init__(self, configs: Sequence[Configuration]) -> None:
-        self.num_links = 1 + max(
-            (max(cfg.used_links) for cfg in configs if cfg.used_links), default=-1
-        )
-        self.occ = Occupancy(self.num_links, capacity=max(len(configs), 1))
-        for pos, cfg in enumerate(configs):
-            self.occ.place(mask_row(cfg.used_links, self.num_links), pos)
-
-    def try_dissolve(
-        self, victim: Configuration, configs: list[Configuration], victim_pos: int
-    ) -> list[Configuration] | None:
-        saved = self.occ.snapshot()
-        moves: list[tuple[Connection, int]] = []
-        for c in victim.connections:
-            mask = mask_row(c.links, self.num_links)
-            fit = self.occ.fits(mask)
-            fit[victim_pos] = False
-            targets = np.nonzero(fit)[0]
-            if targets.size == 0:
-                self.occ.restore(saved)
-                return None
-            target = int(targets[0])
-            self.occ.remove(mask, victim_pos)
-            self.occ.place(mask, target)
-            moves.append((c, target))
-        # The trial succeeded on masks alone; apply it to the real
-        # configurations (``add`` re-checks disjointness, so a mask
-        # bug surfaces as ScheduleValidationError, never silently).
-        receivers = []
-        for c, target in moves:
-            victim.remove(c)
-            configs[target].add(c)
-            receivers.append(configs[target])
-        return receivers
-
-    def drop_config(self, victim_pos: int) -> None:
-        rows = self.occ.snapshot()
-        self.occ.restore(np.delete(rows, victim_pos, axis=0))
+    Each member goes to the lowest other slot where all its links are
+    free.  The members are link-disjoint, so moving one never changes
+    where another fits: every member is tested against the masks as
+    they stand, and nothing moves unless all of them fit.  Returns the
+    receiving configurations, one per member, else ``None``.
+    """
+    targets = []
+    for c in victim.connections:
+        free = occ.free_slots(c.links, exclude=victim_pos)
+        if not free:
+            return None
+        targets.append((free & -free).bit_length() - 1)
+    # The trial succeeded on masks alone; apply it to the real
+    # configurations (``add`` re-checks disjointness, so a mask
+    # bug surfaces as ScheduleValidationError, never silently).
+    # The victim's bits stay until the caller drops its slot whole.
+    receivers = []
+    for c, target in zip(list(victim.connections), targets):
+        occ.place(c.links, target)
+        victim.remove(c)
+        configs[target].add(c)
+        receivers.append(configs[target])
+    return receivers
 
 
 def repack(
@@ -300,7 +284,11 @@ def repack(
     :meth:`Configuration.add` re-checks link-disjointness on every move.
     """
     configs = [cfg.clone() for cfg in schedule if len(cfg) > 0]
-    dissolver = _MaskDissolver(configs)
+    occ = SlotOccupancy(
+        1 + max((max(cfg.used_links) for cfg in configs if cfg.used_links), default=-1)
+    )
+    for pos, cfg in enumerate(configs):
+        occ.place(tuple(cfg.used_links), pos)
     # Creation-order ranks make (len, rank) a total order, so incremental
     # re-insertion reproduces the stable smallest-first sort exactly.
     rank = {id(cfg): pos for pos, cfg in enumerate(configs)}
@@ -316,9 +304,9 @@ def repack(
             break
         for victim in ordered:
             victim_pos = position[id(victim)]
-            receivers = dissolver.try_dissolve(victim, configs, victim_pos)
+            receivers = _dissolve_on_slots(occ, victim, configs, victim_pos)
             if receivers is not None:
-                dissolver.drop_config(victim_pos)
+                occ.drop_slot(victim_pos)
                 configs.pop(victim_pos)
                 del position[id(victim)]
                 for cfg in configs[victim_pos:]:

@@ -311,6 +311,14 @@ class ShardMap:
         )
 
 
+def _map_token(doc: Any) -> tuple[int, int] | None:
+    """The fencing token of a map document (``None`` when malformed)."""
+    try:
+        return ShardMap.from_dict(doc).token
+    except ProtocolError:
+        return None
+
+
 def _fenced_map(holder: Any, doc: Any, what: str = "map") -> ShardMap:
     """``doc`` as a shard map, fenced against ``holder``'s map epoch.
 
@@ -1345,7 +1353,11 @@ class ShardRouter:
     pushed to every member at once, and the request retries against
     the digest's new owner.  A ``wrong_shard`` reply from a node with
     an *older* map gets the router's map pushed and one retry -- the
-    router is the authority, nodes converge to it.
+    router is the authority, nodes converge to it; a *newer* map in the
+    reply is adopted before the retry.  A refusal on the router's own
+    map is final: when a standby routes around a dead primary and the
+    co-owner refuses the amend, the request fails at once with the
+    transport error that sent it around.
 
     **The heartbeat.**  Every router -- a solo router is an HA pair of
     one -- runs :meth:`heartbeat` once per beat (``lease_ttl / 4``).
@@ -1598,6 +1610,7 @@ class ShardRouter:
             if not owners:
                 raise last_error
             target = owners[0]
+            routed = self.shard_map.token
             try:
                 reply_frame, reply = await self._node_request_raw(target, frame)
             except (TransportError, ServiceTimeout) as exc:
@@ -1620,8 +1633,14 @@ class ShardRouter:
                 # Map skew: the node is behind (or we are).  Adopt the
                 # newer map, push ours if the node's is older, retry.
                 self.rerouted += 1
-                if not self._adopt_if_newer(reply.get("shard_map")):
-                    await self._push_map(target)
+                doc = reply.get("shard_map")
+                if self._adopt_if_newer(doc):
+                    continue
+                if _map_token(doc) == routed == self.shard_map.token:
+                    # No skew: the node refused on the map we routed by,
+                    # so no push or retry can change its answer.
+                    raise last_error
+                await self._push_map(target)
                 continue
             return reply_frame
         raise last_error
