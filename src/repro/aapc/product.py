@@ -32,27 +32,33 @@ For radices with a precomputed Latin table the table is used verbatim
 (so on the paper's 8x8 torus the product is the optimal 64-phase
 decomposition).  For larger radices a deterministic greedy first-fit
 over the ``n^2`` pairs, hardest (longest route) first, builds a
-partial-Latin schedule in ``O(n^2 * phases)`` integer bit operations --
-a few million word ops at radix 64, versus the infeasible alternative
-of packing 16.7 M routed connections.
+partial-Latin schedule with two phase-mask ORs per routed fiber hop
+(one to test, one to mark) -- 131k Python-int ORs at radix 64
+(~50 ms), versus the infeasible alternative of packing 16.7 M routed
+connections.
 
-The resulting phase matrix over node pairs,
+The product puts the pair ``s -> d`` in the cell
 
-    ``phase(s, d) = sum_d phi_d[s_d][d_d] * stride_d``
+    ``cell(s, d) = sum_d phi_d[s_d][d_d] * stride_d``
 
-(``stride_d`` = product of the phase counts of the lower dimensions),
-is computed as a handful of vectorized numpy gathers -- no per-pair
-Python at all -- and compacted to the phase ids actually used by a
-non-self pair.  :mod:`repro.core.allpairs` turns it into a schedule.
+(``stride_d`` = product of the phase counts of the lower dimensions)
+of a **phase grid** with one cell per combination of ring phases.
+Every pair is a choice of one ring pair per dimension, so a cell's
+pair count, self-pair count and total routed length are outer products
+of per-ring ``bincount`` vectors: the decomposition is built at grid
+size (277k cells at 64x64) rather than pair size (16.7M pairs), and
+compacted to the cells some non-self pair uses.  A per-cell table
+becomes the dense pair matrix only on request
+(:meth:`ProductDecomposition.pair_matrix`); :mod:`repro.core.allpairs`
+ranks the phases on the grid and expands the slot table once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.linkmask import iter_bits
 from repro.aapc.ring_latin import PRECOMPUTED, ring_route
 from repro.topology.kary_ncube import KAryNCube, TieBreak
 
@@ -65,16 +71,13 @@ __all__ = [
 ]
 
 
-def _fiber_mask(n: int, u: int, v: int) -> int:
-    """Ring route ``u -> v`` as a bitmask over the ``2n`` directed fibers.
+def _route_fibers(n: int, u: int, v: int) -> tuple[int, ...]:
+    """Ring route ``u -> v`` as indices of the ``2n`` directed fibers.
 
-    Bit ``i`` is the positive fiber ``i -> i+1``; bit ``n + j`` the
+    Index ``i`` is the positive fiber ``i -> i+1``; ``n + j`` the
     negative fiber ``j+1 -> j`` (both mod ``n``).
     """
-    mask = 0
-    for sign, i in ring_route(n, u, v):
-        mask |= 1 << (i if sign == "+" else n + i)
-    return mask
+    return tuple(i if sign == "+" else n + i for sign, i in ring_route(n, u, v))
 
 
 @dataclass(frozen=True)
@@ -96,36 +99,33 @@ def _greedy_ring_schedule(n: int) -> RingSchedule:
 
     Pairs are processed hardest (longest route) first; each takes the
     lowest phase not blocked by its row, its column, or a fiber clash.
-    Row/column blocks and per-phase fiber occupancy are Python-int
-    bitmasks, so every candidate scan is a few word operations.
+    Rows, columns and fibers each keep a Python-int mask of the phases
+    they are busy in, so a pair's choice is the lowest zero bit of the
+    OR of its row, column and route-fiber masks -- a bit past the last
+    phase opens a new one.
     """
-    routes = {(u, v): _fiber_mask(n, u, v) for u in range(n) for v in range(n)}
-    lengths = {
-        (u, v): len(ring_route(n, u, v)) for u in range(n) for v in range(n)
-    }
-    pairs = sorted(routes, key=lambda p: (-lengths[p], p))
+    routes = {(u, v): _route_fibers(n, u, v) for u in range(n) for v in range(n)}
+    pairs = sorted(routes, key=lambda p: (-len(routes[p]), p))
     row_used = [0] * n
     col_used = [0] * n
-    occ: list[int] = []  # per-phase fiber masks
+    fiber_used = [0] * (2 * n)
+    num_phases = 0
     phi = [[-1] * n for _ in range(n)]
     for u, v in pairs:
-        fm = routes[(u, v)]
-        free = ~(row_used[u] | col_used[v]) & ((1 << len(occ)) - 1)
-        chosen = -1
-        for p in iter_bits(free):
-            if not occ[p] & fm:
-                chosen = p
-                break
-        if chosen < 0:
-            chosen = len(occ)
-            occ.append(0)
-        occ[chosen] |= fm
-        bit = 1 << chosen
+        fibers = routes[(u, v)]
+        blocked = row_used[u] | col_used[v]
+        for f in fibers:
+            blocked |= fiber_used[f]
+        bit = (blocked + 1) & ~blocked
+        chosen = bit.bit_length() - 1
+        num_phases = max(num_phases, chosen + 1)
         row_used[u] |= bit
         col_used[v] |= bit
+        for f in fibers:
+            fiber_used[f] |= bit
         phi[u][v] = chosen
     return RingSchedule(
-        n, tuple(tuple(row) for row in phi), len(occ), "greedy"
+        n, tuple(tuple(row) for row in phi), num_phases, "greedy"
     )
 
 
@@ -170,16 +170,16 @@ def validate_ring_schedule(schedule: RingSchedule) -> None:
         col = {phi[u][v] for u in range(n)}
         if len(col) != n:
             raise AssertionError(f"column {v} is not injective")
-    occ = [0] * num_phases
+    lit: set[tuple[int, int]] = set()  # (phase, fiber)
     for u in range(n):
         for v in range(n):
-            fm = _fiber_mask(n, u, v)
             p = phi[u][v]
-            if occ[p] & fm:
-                raise AssertionError(
-                    f"phase {p}: pair ({u},{v}) reuses an occupied fiber"
-                )
-            occ[p] |= fm
+            for f in _route_fibers(n, u, v):
+                if (p, f) in lit:
+                    raise AssertionError(
+                        f"phase {p}: pair ({u},{v}) reuses an occupied fiber"
+                    )
+                lit.add((p, f))
 
 
 # ----------------------------------------------------------------------
@@ -188,21 +188,62 @@ def validate_ring_schedule(schedule: RingSchedule) -> None:
 
 @dataclass
 class ProductDecomposition:
-    """A product-theorem AAPC decomposition as a dense phase matrix.
+    """A product-theorem AAPC decomposition on its phase grid.
 
-    ``phase_matrix[s, d]`` is the phase (= time slot before ranking) of
-    the connection ``s -> d``; the diagonal is ``-1`` (self-pairs are
-    not network traffic).  Phase ids are compacted to ``0 ..
-    num_phases - 1`` over the ids some non-self pair actually uses.
+    The grid has one cell per combination of ring phases, flattened
+    with dimension 0 fastest (``len = prod(ring_phases)``); the pair
+    ``s -> d`` lies in cell ``sum_d phi_d[s_d][d_d] * stride_d``.
+    Cells some non-self pair uses are the phases, compacted in cell
+    order to ``0 .. num_phases - 1``: ``cell_phase`` holds each cell's
+    phase id (``-1`` where only self-pairs, or nothing, land),
+    ``cell_counts`` its non-self pair count and ``cell_lengths`` their
+    total routed length (inject + eject + per-dimension hops).
     ``phase_counts[p]`` is the number of connections in phase ``p``.
     """
 
     topology: KAryNCube
-    phase_matrix: np.ndarray
     num_phases: int
     phase_counts: np.ndarray
     ring_phases: tuple[int, ...]
     kind: str  # "latin-product" | "greedy-product"
+    ring_tables: tuple[np.ndarray, ...] = field(repr=False)
+    cell_phase: np.ndarray = field(repr=False)
+    cell_counts: np.ndarray = field(repr=False)
+    cell_lengths: np.ndarray = field(repr=False)
+
+    def pair_matrix(self, table: np.ndarray) -> np.ndarray:
+        """Expand a per-cell ``table`` into the dense ``N x N`` pair matrix.
+
+        ``out[s, d] = table[cell(s, d)]``, with ``-1`` on the diagonal
+        (self-pairs are not network traffic).  One ``take`` per
+        dimension turns that dimension's ring-phase axis of the grid
+        into the ring's (source, destination) coordinate axes; one
+        transpose then orders the axes as all source coordinates, then
+        all destination coordinates -- the node numbering.
+        """
+        grid = np.asarray(table).reshape(self.ring_phases[::-1])
+        for d, phi in enumerate(self.ring_tables):
+            grid = np.take(grid, phi, axis=-(2 * d + 1))
+        ndim = len(self.ring_tables)
+        axes = [*range(0, 2 * ndim, 2), *range(1, 2 * ndim, 2)]
+        n = self.topology.num_nodes
+        out = grid.transpose(axes).reshape(n, n)
+        np.fill_diagonal(out, -1)
+        return out
+
+    @property
+    def phase_matrix(self) -> np.ndarray:
+        """``phase_matrix[s, d]``: the phase of ``s -> d`` (``-1`` on the
+        diagonal), expanded afresh on every access."""
+        return self.pair_matrix(self.cell_phase)
+
+
+def _grid_product(factors: list[np.ndarray]) -> np.ndarray:
+    """Outer product of per-ring vectors, flattened in cell order."""
+    out = np.ones(1, dtype=np.int64)
+    for vector in factors:
+        out = np.multiply.outer(vector, out).ravel()
+    return out
 
 
 def product_decomposition(topology: KAryNCube) -> ProductDecomposition:
@@ -223,30 +264,30 @@ def product_decomposition(topology: KAryNCube) -> ProductDecomposition:
             f"(topology uses {topology.tie_break.value})"
         )
     rings = [contention_free_ring_schedule(k) for k in topology.dims]
-    n = topology.num_nodes
-    ids = np.arange(n)
-    phase = None
-    stride = 1
-    node_stride = 1
-    for k, ring in zip(topology.dims, rings):
-        coord = (ids // node_stride) % k
-        table = np.asarray(ring.phi, dtype=np.int32)
-        term = table[coord[:, None], coord[None, :]]
-        if phase is None:
-            phase = term.copy()
-        else:
-            np.add(phase, term * np.int32(stride), out=phase)
-        stride *= ring.num_phases
-        node_stride *= k
-    assert phase is not None
-    # Compact to the ids used by non-self pairs: a tail combination can
-    # be populated by self-pairs alone, and those carry no traffic.
-    counts = np.bincount(phase.ravel(), minlength=stride)
-    counts -= np.bincount(phase.diagonal(), minlength=stride)
+    tables = tuple(np.asarray(r.phi, dtype=np.intp) for r in rings)
+    # Per ring phase: its pairs, its self-pairs, and the hops its pairs
+    # route (the shorter way round; a half ring is k/2 either way).
+    pairs, selfs, hops = [], [], []
+    for k, ring, phi in zip(topology.dims, rings, tables):
+        offset = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
+        ring_hops = np.minimum(offset, k - offset)
+        pairs.append(np.bincount(phi.ravel(), minlength=ring.num_phases))
+        selfs.append(np.bincount(phi.diagonal(), minlength=ring.num_phases))
+        hops.append(np.bincount(
+            phi.ravel(), weights=ring_hops.ravel(), minlength=ring.num_phases,
+        ).astype(np.int64))
+    # A cell's pairs pick one ring pair per dimension, so its counts are
+    # outer products; a self-pair is a self-pair in every dimension.
+    counts = _grid_product(pairs) - _grid_product(selfs)
+    lengths = 2 * counts
+    for d in range(len(rings)):
+        lengths += _grid_product(pairs[:d] + [hops[d]] + pairs[d + 1:])
+    # Compact to the cells used by non-self pairs: a tail combination
+    # can be populated by self-pairs alone, and those carry no traffic.
     used = counts > 0
-    remap = (np.cumsum(used) - 1).astype(np.int32)
-    phase = remap[phase]
-    np.fill_diagonal(phase, -1)
+    num_phases = int(used.sum())
+    cell_phase = np.full(counts.size, -1, dtype=np.int32)
+    cell_phase[used] = np.arange(num_phases, dtype=np.int32)
     kind = (
         "latin-product"
         if all(r.kind == "latin" for r in rings)
@@ -254,9 +295,12 @@ def product_decomposition(topology: KAryNCube) -> ProductDecomposition:
     )
     return ProductDecomposition(
         topology=topology,
-        phase_matrix=phase,
-        num_phases=int(used.sum()),
+        num_phases=num_phases,
         phase_counts=counts[used],
         ring_phases=tuple(r.num_phases for r in rings),
         kind=kind,
+        ring_tables=tables,
+        cell_phase=cell_phase,
+        cell_counts=counts,
+        cell_lengths=lengths,
     )

@@ -55,6 +55,7 @@ can search for new radices.
 
 from __future__ import annotations
 
+import functools
 import random
 
 __all__ = [
@@ -84,8 +85,10 @@ def ring_route(n: int, u: int, v: int) -> tuple[tuple[str, int], ...]:
     return tuple(("-", (u - i - 1) % n) for i in range(n - d))
 
 
+@functools.cache
 def ring_link_load(n: int) -> int:
-    """Max fiber load of the all-pairs (non-self) routed ring pattern."""
+    """Max fiber load of the all-pairs (non-self) routed ring pattern
+    (memoized per radix)."""
     load: dict[tuple[str, int], int] = {}
     for u in range(n):
         for v in range(n):

@@ -9,11 +9,13 @@ need the objects: all-to-all is *structured*, and the product theorem
 (:mod:`repro.aapc.product`) yields a provably contention-free phase for
 every pair from two tiny per-ring tables.
 
-:func:`all_to_all_fast_schedule` turns the product phase matrix into a
+:func:`all_to_all_fast_schedule` turns the product decomposition into a
 :class:`FastAllToAllSchedule` -- a dense ``slot_of[src, dst]`` matrix
 with phases ranked exactly like the ordered-AAPC scheduler ranks them
-(total routed link length, descending; paper Fig. 5) -- entirely in
-vectorized numpy.  A 64x64 all-to-all "compiles" in roughly a second;
+(total routed link length, descending; paper Fig. 5).  The ranking
+runs on the decomposition's phase grid (one cell per combination of
+ring phases), which is expanded to node pairs once, for ``slot_of``.
+A 64x64 all-to-all "compiles" in well under 0.1 s warm;
 the 8x8 case reproduces the optimal 64-slot Latin product the generic
 path finds, which :meth:`FastAllToAllSchedule.materialize` cross-checks
 against the real :class:`ConfigurationSet` machinery at small sizes.
@@ -137,33 +139,17 @@ def all_to_all_fast_schedule(topology: KAryNCube) -> FastAllToAllSchedule:
     """
     t0 = perf.perf_timer()
     dec = product_decomposition(topology)
-    phase = dec.phase_matrix
     n = topology.num_nodes
-    # total routed length per pair: inject + eject + per-dimension hops
-    lengths = np.full((n, n), 2, dtype=np.int32)
-    ids = np.arange(n)
-    node_stride = 1
-    for d, k in enumerate(topology.dims):
-        coord = (ids // node_stride) % k
-        table = np.array(
-            [
-                [abs(topology.signed_offset(a, b, d)) for b in range(k)]
-                for a in range(k)
-            ],
-            dtype=np.int32,
-        )
-        lengths += table[coord[:, None], coord[None, :]]
-        node_stride *= k
-    mask = phase >= 0
-    rank = np.bincount(
-        phase[mask], weights=lengths[mask].astype(np.float64),
-        minlength=dec.num_phases,
-    )
-    order = np.lexsort((np.arange(dec.num_phases), -rank))
+    # Rank on the phase grid: a used cell's total routed length is its
+    # phase's rank, and the used cells are in phase-id order, so a
+    # stable sort breaks ties by phase id.
+    used = dec.cell_phase >= 0
+    order = np.argsort(-dec.cell_lengths[used], kind="stable")
     slot_index = np.empty(dec.num_phases, dtype=np.int32)
     slot_index[order] = np.arange(dec.num_phases, dtype=np.int32)
-    slot_of = slot_index[np.maximum(phase, 0)]
-    np.fill_diagonal(slot_of, -1)
+    cell_slot = np.full(dec.cell_phase.shape, -1, dtype=np.int32)
+    cell_slot[used] = slot_index
+    slot_of = dec.pair_matrix(cell_slot)
     sizes = np.zeros(dec.num_phases, dtype=np.int64)
     sizes[slot_index] = dec.phase_counts
     seconds = perf.perf_timer() - t0

@@ -35,6 +35,7 @@ behaviour alongside kernel and route-cache activity.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
 from collections import OrderedDict
@@ -50,6 +51,8 @@ from repro.compiler.serialize import (
 )
 from repro.core import perf
 from repro.service.wire import Payload
+
+log = logging.getLogger(__name__)
 
 #: Default depth of the in-process LRU tier.
 DEFAULT_MEMORY_ENTRIES = 64
@@ -191,7 +194,7 @@ class ArtifactCache:
             except Exception:
                 self.stats.verify_failures += 1
                 perf.COUNTERS.artifact_verify_failures += 1
-                self._quarantine(self._path(digest))
+                self._quarantine(self._path(digest), "verify")
                 entry = None
         if entry is not None:
             self._memory_put(digest, entry)
@@ -272,11 +275,13 @@ class ArtifactCache:
         assert self.root is not None
         return self.root / JOURNAL_DIR / f"{digest}.intent"
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Path, cause: str) -> None:
         """Move a suspect file out of the serving tree (never serve it).
 
         Falls back to unlinking when the move itself fails; either way
-        the path stops being servable.
+        the path stops being servable.  ``cause`` -- ``corrupt`` (hash
+        or parse failure), ``verify`` (verifier rejection) or ``torn``
+        (stray temp file) -- goes into one WARNING record.
         """
         if self.root is None or not path.exists():
             return
@@ -291,6 +296,10 @@ class ArtifactCache:
                 pass
         self.stats.quarantined += 1
         perf.COUNTERS.artifact_cache_quarantined += 1
+        log.warning(
+            "artifact cache: quarantined %s (%s)", path.name, cause,
+            extra={"event": "quarantine", "file": path.name, "cause": cause},
+        )
 
     def _disk_read(self, digest: str) -> CachedArtifact | None:
         if self.root is None:
@@ -306,7 +315,7 @@ class ArtifactCache:
         except (ValueError, KeyError, TypeError, OSError):
             # Corrupt / truncated / tampered: quarantine and recompile.
             self.stats.corrupt += 1
-            self._quarantine(path)
+            self._quarantine(path, "corrupt")
             return None
         return entry
 
@@ -376,7 +385,7 @@ class ArtifactCache:
             except OSError:  # pragma: no cover - racing recoverers
                 pass
         for tmp in sorted(self.root.glob("??/.tmp-*")):
-            self._quarantine(tmp)
+            self._quarantine(tmp, "torn")
             report["swept"] += 1
         return report
 
@@ -405,7 +414,7 @@ class ArtifactCache:
                 except Exception:
                     self.stats.verify_failures += 1
                     perf.COUNTERS.artifact_verify_failures += 1
-                    self._quarantine(shard)
+                    self._quarantine(shard, "verify")
                     entry = None
             if entry is None:
                 report["quarantined"].append(digest)

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact cache."""
 
 import json
+import logging
 
 import pytest
 
@@ -229,6 +230,54 @@ class TestVerifyScan:
 
         report = ArtifactCache(tmp_path).verify_scan(verifier=reject)
         assert report["quarantined"] == [DIGEST]
+
+
+class TestQuarantineLog:
+    def _events(self, caplog):
+        return [
+            (r.event, r.file, r.cause) for r in caplog.records
+            if r.name == "repro.service.cache"
+        ]
+
+    def test_each_quarantine_logs_its_cause(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.service.cache")
+        cache = ArtifactCache(tmp_path)
+        cache.put(DIGEST, DOC)
+        cache.put(OTHER, DOC)
+        shard = tmp_path / OTHER[:2] / f"{OTHER}.json"
+        shard.write_text(shard.read_text()[:40])  # corrupt the shard
+        stray = tmp_path / DIGEST[:2] / ".tmp-abc123.json"
+        stray.write_text('{"artifact": {"half')
+
+        def reject(doc):
+            raise ValueError("conflict found")
+
+        fresh = ArtifactCache(tmp_path)  # recovery sweeps the stray temp
+        assert fresh.get(OTHER) is None
+        assert fresh.get(DIGEST, verifier=reject) is None
+        assert self._events(caplog) == [
+            ("quarantine", stray.name, "torn"),
+            ("quarantine", f"{OTHER}.json", "corrupt"),
+            ("quarantine", f"{DIGEST}.json", "verify"),
+        ]
+        assert all(r.levelno == logging.WARNING for r in caplog.records
+                   if r.name == "repro.service.cache")
+        assert len(self._events(caplog)) == fresh.stats.quarantined
+
+    def test_verify_scan_logs_one_record_per_quarantine(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.service.cache")
+        cache = ArtifactCache(tmp_path)
+        cache.put(DIGEST, DOC)
+        cache.put(OTHER, DOC)
+
+        def reject(doc):
+            raise ValueError("conflict found")
+
+        fresh = ArtifactCache(tmp_path)
+        report = fresh.verify_scan(verifier=reject)
+        assert report["quarantined"] == [DIGEST, OTHER]
+        assert [cause for _, _, cause in self._events(caplog)] == ["verify"] * 2
+        assert len(self._events(caplog)) == fresh.stats.quarantined
 
 
 class TestCounters:
