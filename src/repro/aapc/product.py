@@ -50,11 +50,22 @@ size (277k cells at 64x64) rather than pair size (16.7M pairs), and
 compacted to the cells some non-self pair uses.  A per-cell table
 becomes the dense pair matrix only on request
 (:meth:`ProductDecomposition.pair_matrix`); :mod:`repro.core.allpairs`
-ranks the phases on the grid and expands the slot table once.
+ranks the slots on the grid and expands the slot table once.
+
+**Grouped product.**  Under dimension-order routing every line,
+injection fiber and ejection fiber a cell uses is pinned by a first
+destination coordinate in ``D(p_0)`` (the destination columns of its
+dimension-0 ring phase) or by a last source coordinate in
+``S(p_{n-1})`` (the source rows of its last ring phase).  So for
+``n >= 2`` cells with disjoint ``D(p_0)`` and disjoint ``S(p_{n-1})``
+are link-disjoint, whatever their middle phases, and may share a slot
+(:meth:`ProductDecomposition.grouped_cell_slots`): 62,039 slots at
+64x64 instead of 276,676 (proof in docs/aapc_theory.md §4).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +77,8 @@ __all__ = [
     "RingSchedule",
     "contention_free_ring_schedule",
     "validate_ring_schedule",
+    "PhaseGroups",
+    "disjoint_phase_groups",
     "ProductDecomposition",
     "product_decomposition",
 ]
@@ -182,6 +195,61 @@ def validate_ring_schedule(schedule: RingSchedule) -> None:
                 lit.add((p, f))
 
 
+@dataclass(frozen=True)
+class PhaseGroups:
+    """One radix's ring phases in groups with pairwise-disjoint columns.
+
+    ``group[p]`` is the group of ring phase ``p`` and ``position[p]``
+    its place in that group; ``sizes[g]`` is the size of group ``g``.
+    """
+
+    group: np.ndarray
+    position: np.ndarray
+    sizes: np.ndarray
+
+
+@functools.cache
+def disjoint_phase_groups(n: int, side: str) -> PhaseGroups:
+    """Group radix ``n``'s ring phases by disjoint columns (cached,
+    read-only).
+
+    ``side="dst"`` groups phases whose destination coordinate sets are
+    pairwise disjoint, ``side="src"`` phases whose source coordinate
+    sets are (self-pairs included: a cell's pairs take one ring pair per
+    dimension, so a self-pair in one ring still sources or sinks a
+    non-self pair).  Greedy first-fit, largest set first, ties by phase
+    id: each phase joins the first group its set does not meet, or
+    opens a new one.
+    """
+    if side not in ("dst", "src"):
+        raise ValueError(f"side must be 'dst' or 'src', got {side!r}")
+    ring = contention_free_ring_schedule(n)
+    sets = [0] * ring.num_phases
+    for u, row in enumerate(ring.phi):
+        for v, p in enumerate(row):
+            sets[p] |= 1 << (v if side == "dst" else u)
+    unions: list[int] = []
+    members: list[list[int]] = []
+    for p in sorted(range(ring.num_phases), key=lambda p: (-sets[p].bit_count(), p)):
+        for g, union in enumerate(unions):
+            if not union & sets[p]:
+                unions[g] |= sets[p]
+                members[g].append(p)
+                break
+        else:
+            unions.append(sets[p])
+            members.append([p])
+    group = np.empty(ring.num_phases, dtype=np.intp)
+    position = np.empty(ring.num_phases, dtype=np.intp)
+    for g, phases in enumerate(members):
+        group[phases] = g
+        position[phases] = np.arange(len(phases))
+    sizes = np.array([len(m) for m in members], dtype=np.intp)
+    for array in (group, position, sizes):
+        array.flags.writeable = False
+    return PhaseGroups(group, position, sizes)
+
+
 # ----------------------------------------------------------------------
 # torus product
 # ----------------------------------------------------------------------
@@ -215,21 +283,67 @@ class ProductDecomposition:
         """Expand a per-cell ``table`` into the dense ``N x N`` pair matrix.
 
         ``out[s, d] = table[cell(s, d)]``, with ``-1`` on the diagonal
-        (self-pairs are not network traffic).  One ``take`` per
+        (self-pairs are not network traffic).  One ``take`` per inner
         dimension turns that dimension's ring-phase axis of the grid
-        into the ring's (source, destination) coordinate axes; one
-        transpose then orders the axes as all source coordinates, then
-        all destination coordinates -- the node numbering.
+        into the ring's (source, destination) coordinate axes, at grid
+        size; one transpose orders the axes as inner source coordinates,
+        the outermost ring-phase axis, then inner destination
+        coordinates.  Each outermost source coordinate's block of rows
+        is then one ``take`` over that axis, written straight into the
+        output: no full-size temporary.
         """
-        grid = np.asarray(table).reshape(self.ring_phases[::-1])
-        for d, phi in enumerate(self.ring_tables):
+        table = np.asarray(table)
+        *inner, outer = self.ring_tables
+        grid = table.reshape(self.ring_phases[::-1])
+        for d, phi in enumerate(inner):
             grid = np.take(grid, phi, axis=-(2 * d + 1))
-        ndim = len(self.ring_tables)
-        axes = [*range(0, 2 * ndim, 2), *range(1, 2 * ndim, 2)]
+        m = len(inner)
+        axes = [*range(1, 2 * m, 2), 0, *range(2, 2 * m + 1, 2)]
+        grid = np.ascontiguousarray(grid.transpose(axes))
         n = self.topology.num_nodes
-        out = grid.transpose(axes).reshape(n, n)
+        k = outer.shape[0]
+        block = grid.shape[:m] + (k,) + grid.shape[m + 1:]
+        out = np.empty((n, n), dtype=table.dtype)
+        blocks = out.reshape((k,) + block)
+        # The indices are in range; "clip" lets take write out unbuffered.
+        for s, phases in enumerate(outer):
+            grid.take(phases, axis=m, out=blocks[s], mode="clip")
         np.fill_diagonal(out, -1)
         return out
+
+    def grouped_cell_slots(self) -> tuple[np.ndarray, int]:
+        """Each cell's slot in the grouped product, and the slot count.
+
+        Dimension 0's ring phases are grouped by disjoint destination
+        columns and the last dimension's by disjoint source rows
+        (:func:`disjoint_phase_groups`).  A block -- one dimension-0
+        group ``G`` of size ``a``, one combination of middle phases, one
+        last-dimension group ``H`` of size ``b`` -- takes ``max(a, b)``
+        slots: slot ``t`` holds the cells ``(G[r], mid, H[c])`` with
+        ``(c - r) mod max(a, b) == t``, so no two of its cells share a
+        group member.  Slots holding no used cell are left for the
+        caller to compact.  A ring (one dimension) gets no sharing:
+        every cell is its own slot.
+        """
+        cells = self.cell_counts.size
+        if len(self.ring_tables) < 2:
+            return np.arange(cells), cells
+        dims = self.topology.dims
+        xs = disjoint_phase_groups(dims[0], "dst")
+        ys = disjoint_phase_groups(dims[-1], "src")
+        middle = cells // (self.ring_phases[0] * self.ring_phases[-1])
+        # Blocks in (last group, middle cell, first group) order: the
+        # grid's own axis order, so cells index them by broadcasting.
+        width = np.maximum(ys.sizes[:, None], xs.sizes[None, :])
+        blocks = width[:, None, :].repeat(middle, axis=1)
+        ends = blocks.cumsum()
+        start = (ends - blocks.ravel()).reshape(blocks.shape)
+        offset = (ys.position[:, None] - xs.position[None, :]) % np.take(
+            width[ys.group], xs.group, axis=1
+        )
+        slots = np.take(start[ys.group], xs.group, axis=2)
+        slots += offset[:, None, :]
+        return slots.ravel(), int(ends[-1])
 
     @property
     def phase_matrix(self) -> np.ndarray:
@@ -238,7 +352,29 @@ class ProductDecomposition:
         return self.pair_matrix(self.cell_phase)
 
 
-def _grid_product(factors: list[np.ndarray]) -> np.ndarray:
+@functools.cache
+def _ring_arrays(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Radix ``k``'s phase table and, per ring phase, its pairs, its
+    self-pairs and the hops its pairs route (the shorter way round; a
+    half ring is k/2 either way).  Cached per radix, read-only."""
+    ring = contention_free_ring_schedule(k)
+    phi = np.asarray(ring.phi, dtype=np.intp)
+    offset = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
+    ring_hops = np.minimum(offset, k - offset)
+    arrays = (
+        phi,
+        np.bincount(phi.ravel(), minlength=ring.num_phases),
+        np.bincount(phi.diagonal(), minlength=ring.num_phases),
+        np.bincount(
+            phi.ravel(), weights=ring_hops.ravel(), minlength=ring.num_phases,
+        ).astype(np.int64),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _grid_product(factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """Outer product of per-ring vectors, flattened in cell order."""
     out = np.ones(1, dtype=np.int64)
     for vector in factors:
@@ -264,24 +400,13 @@ def product_decomposition(topology: KAryNCube) -> ProductDecomposition:
             f"(topology uses {topology.tie_break.value})"
         )
     rings = [contention_free_ring_schedule(k) for k in topology.dims]
-    tables = tuple(np.asarray(r.phi, dtype=np.intp) for r in rings)
-    # Per ring phase: its pairs, its self-pairs, and the hops its pairs
-    # route (the shorter way round; a half ring is k/2 either way).
-    pairs, selfs, hops = [], [], []
-    for k, ring, phi in zip(topology.dims, rings, tables):
-        offset = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
-        ring_hops = np.minimum(offset, k - offset)
-        pairs.append(np.bincount(phi.ravel(), minlength=ring.num_phases))
-        selfs.append(np.bincount(phi.diagonal(), minlength=ring.num_phases))
-        hops.append(np.bincount(
-            phi.ravel(), weights=ring_hops.ravel(), minlength=ring.num_phases,
-        ).astype(np.int64))
+    tables, pairs, selfs, hops = zip(*(_ring_arrays(k) for k in topology.dims))
     # A cell's pairs pick one ring pair per dimension, so its counts are
     # outer products; a self-pair is a self-pair in every dimension.
     counts = _grid_product(pairs) - _grid_product(selfs)
     lengths = 2 * counts
     for d in range(len(rings)):
-        lengths += _grid_product(pairs[:d] + [hops[d]] + pairs[d + 1:])
+        lengths += _grid_product(pairs[:d] + (hops[d],) + pairs[d + 1:])
     # Compact to the cells used by non-self pairs: a tail combination
     # can be populated by self-pairs alone, and those carry no traffic.
     used = counts > 0

@@ -10,15 +10,19 @@ need the objects: all-to-all is *structured*, and the product theorem
 every pair from two tiny per-ring tables.
 
 :func:`all_to_all_fast_schedule` turns the product decomposition into a
-:class:`FastAllToAllSchedule` -- a dense ``slot_of[src, dst]`` matrix
-with phases ranked exactly like the ordered-AAPC scheduler ranks them
-(total routed link length, descending; paper Fig. 5).  The ranking
-runs on the decomposition's phase grid (one cell per combination of
-ring phases), which is expanded to node pairs once, for ``slot_of``.
-A 64x64 all-to-all "compiles" in well under 0.1 s warm;
-the 8x8 case reproduces the optimal 64-slot Latin product the generic
-path finds, which :meth:`FastAllToAllSchedule.materialize` cross-checks
-against the real :class:`ConfigurationSet` machinery at small sizes.
+:class:`FastAllToAllSchedule` -- a dense ``slot_of[src, dst]`` matrix.
+Product cells that the grouped-product theorem proves link-disjoint
+share a slot (:meth:`~repro.aapc.product.ProductDecomposition.grouped_cell_slots`),
+and the slots are ranked like the ordered-AAPC scheduler ranks its
+phases (total routed link length, descending; paper Fig. 5).  The
+ranking runs on the decomposition's phase grid (one cell per
+combination of ring phases), which is expanded to node pairs once, for
+``slot_of``.  A 64x64 all-to-all "compiles" in well under 0.1 s warm,
+in 62,039 slots against the link bound of 32,768 (the ungrouped
+product needs 276,676); the 8x8 case reproduces the optimal 64-slot
+Latin product the generic path finds, which
+:meth:`FastAllToAllSchedule.materialize` cross-checks against the real
+:class:`ConfigurationSet` machinery at small sizes.
 
 :func:`all_to_all_schedule` is the scheduler-aware dispatcher the bench
 harness drives: below a materialisation ceiling it routes the pattern
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aapc.product import product_decomposition
+from repro.aapc.product import ProductDecomposition, product_decomposition
 from repro.aapc.ring_latin import ring_link_load
 from repro.core import perf
 from repro.core.configuration import Configuration, ConfigurationSet
@@ -129,29 +133,51 @@ class FastAllToAllSchedule:
         )
 
 
+def _ranked_cell_slots(dec: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid cell's slot, ranked, and the pair count of each slot.
+
+    A slot's pair count and routed length are sums over its cells
+    (:meth:`~repro.aapc.product.ProductDecomposition.grouped_cell_slots`);
+    slots no non-self pair uses drop out.  The rest are ranked by
+    routed length, descending, ties by the smallest phase id in the
+    slot -- so where every slot is one cell, the product's phases in
+    the ordered-AAPC rank order.
+    """
+    cell_slot, num_slots = dec.grouped_cell_slots()
+    counts = np.bincount(cell_slot, weights=dec.cell_counts, minlength=num_slots)
+    lengths = np.bincount(cell_slot, weights=dec.cell_lengths, minlength=num_slots)
+    used = dec.cell_phase >= 0
+    first = np.full(num_slots, dec.num_phases, dtype=dec.cell_phase.dtype)
+    np.minimum.at(first, cell_slot[used], dec.cell_phase[used])
+    live = np.flatnonzero(counts > 0)
+    # Both rank keys in one integer: a conflict-free slot's length is at
+    # most the link count, so the product stays far inside int64.
+    key = first[live] - lengths[live].astype(np.int64) * dec.num_phases
+    ranked = live[np.argsort(key)]
+    rank = np.full(num_slots, -1, dtype=np.int32)
+    rank[ranked] = np.arange(ranked.size, dtype=np.int32)
+    return rank[cell_slot], counts[ranked].astype(np.int64)
+
+
 def all_to_all_fast_schedule(topology: KAryNCube) -> FastAllToAllSchedule:
     """Schedule complete exchange structurally (no connection objects).
 
-    Phases come from the product decomposition; slots are the phases
-    re-ranked by total routed link length, descending (ties by phase
-    id), matching the ordered-AAPC rank order so the dense groups land
-    in the early slots.
+    Phases come from the product decomposition.  Cells whose dimension-0
+    ring phases have disjoint destination columns and whose last ring
+    phases have disjoint source rows share a slot (the grouped product,
+    :mod:`repro.aapc.product`); the slots are ranked by total routed
+    link length, descending (ties by smallest phase id), matching the
+    ordered-AAPC rank order so the dense groups land in the early
+    slots.  The tag reads ``fastpath[grouped-product]`` where some slot
+    holds two cells, and the product's kind otherwise.
     """
     t0 = perf.perf_timer()
     dec = product_decomposition(topology)
     n = topology.num_nodes
-    # Rank on the phase grid: a used cell's total routed length is its
-    # phase's rank, and the used cells are in phase-id order, so a
-    # stable sort breaks ties by phase id.
-    used = dec.cell_phase >= 0
-    order = np.argsort(-dec.cell_lengths[used], kind="stable")
-    slot_index = np.empty(dec.num_phases, dtype=np.int32)
-    slot_index[order] = np.arange(dec.num_phases, dtype=np.int32)
-    cell_slot = np.full(dec.cell_phase.shape, -1, dtype=np.int32)
-    cell_slot[used] = slot_index
+    cell_slot, sizes = _ranked_cell_slots(dec)
     slot_of = dec.pair_matrix(cell_slot)
-    sizes = np.zeros(dec.num_phases, dtype=np.int64)
-    sizes[slot_index] = dec.phase_counts
+    degree = sizes.size
+    kind = dec.kind if degree == dec.num_phases else "grouped-product"
     seconds = perf.perf_timer() - t0
     perf.COUNTERS.fastpath_builds += 1
     perf.COUNTERS.fastpath_seconds += seconds
@@ -159,9 +185,9 @@ def all_to_all_fast_schedule(topology: KAryNCube) -> FastAllToAllSchedule:
         topology_signature=topology.signature,
         num_nodes=n,
         num_connections=n * (n - 1),
-        degree=dec.num_phases,
+        degree=degree,
         lower_bound=all_to_all_lower_bound(topology),
-        scheduler=f"fastpath[{dec.kind}]",
+        scheduler=f"fastpath[{kind}]",
         seconds=seconds,
         slot_of=slot_of,
         slot_sizes=sizes,

@@ -134,13 +134,17 @@ def fragmentation(schedule: Sequence[Configuration]) -> float:
     already skewed, so the engine triggers recompaction on the churn
     hole count instead (see :attr:`AmendPolicy.repack_threshold`).
     """
-    k = len(schedule)
+    sizes = [len(cfg) for cfg in schedule]
+    return _slack(sum(sizes), len(sizes), max(sizes, default=0))
+
+
+def _slack(total: int, k: int, peak: int) -> float:
+    """:func:`fragmentation` from ``total`` connections in ``k`` slots of
+    at most ``peak`` each."""
     if k == 0:
         return 0.0
-    peak = max(len(cfg) for cfg in schedule)
     if peak == 0:
         return 1.0
-    total = sum(len(cfg) for cfg in schedule)
     return 1.0 - total / (k * peak)
 
 
@@ -224,8 +228,9 @@ class DeltaScheduler:
         return [self._conn_of[i] for i in sorted(self._conn_of)]
 
     def fragmentation(self) -> float:
-        """Current :func:`fragmentation` of the live schedule."""
-        return fragmentation(self._configs)
+        """Current :func:`fragmentation` of the live schedule, in O(1):
+        the peak configuration size is kept like the peak link load."""
+        return _slack(self.num_connections, self.degree, self._size_max)
 
     @property
     def certified_gap(self) -> int:
@@ -276,6 +281,11 @@ class DeltaScheduler:
             hist[load] = hist.get(load, 0) + 1
         self._load_hist = hist
         self._load_max = max(self._loads, default=0)
+        sizes: dict[int, int] = {}
+        for cfg in configs:
+            sizes[len(cfg)] = sizes.get(len(cfg), 0) + 1
+        self._size_hist = sizes
+        self._size_max = max(sizes, default=0)
         #: K - L certified by this full placement: the scheduler's
         #: intrinsic packing gap on this pattern, which the drift guard
         #: must tolerate (only *drift beyond it* is the engine's debt).
@@ -313,6 +323,27 @@ class DeltaScheduler:
         if delta < 0:
             while self._load_max > 0 and self._load_max not in hist:
                 self._load_max -= 1
+
+    def _size_shift(self, old: int, new: int) -> None:
+        """Move one configuration from size ``old`` to size ``new`` in the
+        configuration-size histogram, keeping its peak.
+
+        Size 0 is not counted: an emptied configuration leaves the
+        histogram here, before :meth:`_drop_slot` removes it (the
+        configuration that moves into its slot keeps its size), and a
+        fresh one enters with its first connection.
+        """
+        hist = self._size_hist
+        if old:
+            hist[old] -= 1
+            if not hist[old]:
+                del hist[old]
+        if new:
+            hist[new] = hist.get(new, 0) + 1
+            if new > self._size_max:
+                self._size_max = new
+        while self._size_max > 0 and self._size_max not in hist:
+            self._size_max -= 1
 
     def _drop_slot(self, slot: int) -> None:
         """Remove an emptied slot, swapping the last slot into its place.
@@ -403,8 +434,10 @@ class DeltaScheduler:
             self._configs[slot].remove(conn)
             self._occ.remove(conn.links, slot)
             self._load_shift(conn.links, -1)
+            size = len(self._configs[slot])
+            self._size_shift(size + 1, size)
             self._holes += 1
-            if len(self._configs[slot]) == 0:
+            if size == 0:
                 self._drop_slot(slot)
 
         # Additions: first-fit into slack, opening at most max_delta_k
@@ -422,6 +455,8 @@ class DeltaScheduler:
             self._occ.place(c.links, slot)
             self._load_shift(c.links, +1)
             self._configs[slot].add(c)  # re-checks conflict-freeness
+            size = len(self._configs[slot])
+            self._size_shift(size - 1, size)
             self._slot_of[c.index] = slot
             self._conn_of[c.index] = c
 
@@ -470,7 +505,7 @@ class DeltaScheduler:
             action=action,
             delta_k=self.degree - degree_before,
             degree=self.degree,
-            fragmentation=fragmentation(self._configs),
+            fragmentation=self.fragmentation(),
             added=len(add),
             removed=len(remove),
         )

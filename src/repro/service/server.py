@@ -58,7 +58,10 @@ Robustness (:class:`repro.service.policy.ServerPolicy`):
   (``request_deadline``, tightened by a per-request ``deadline``
   field).  A blown budget answers ``error_type: "timeout"``; a hung
   *leader* additionally has its pool workers killed and the pool
-  restarted so one wedged scheduler pass cannot poison the queue;
+  restarted.  A compile that its pool broke or cancelled -- by such a
+  restart, or by a worker's death -- is resubmitted once to a fresh
+  pool within its remaining deadline, so one wedged scheduler pass or
+  one dead worker costs no other request its reply;
 * **frame limits** -- request lines past ``max_frame_bytes`` get a
   typed ``protocol`` error and the connection is closed (the stream
   cannot be resynchronized mid-frame); mid-frame disconnects and
@@ -79,7 +82,7 @@ import json
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -362,7 +365,8 @@ class CompileServer:
         self._shutdown.set()
 
     async def _restart_workers(self) -> None:
-        """Replace a pool with a hung worker (deadline enforcement).
+        """Replace a pool with a hung worker (deadline enforcement) or a
+        broken one (a worker died).
 
         Process workers are killed outright; a hung worker *thread*
         cannot be killed, so its pool is abandoned (the thread finishes
@@ -767,6 +771,44 @@ class CompileServer:
             **stream.state(),
         )
 
+    async def _run_on_pool(self, call: tuple, timeout: float | None) -> Any:
+        """Run ``call`` on the worker pool within ``timeout`` seconds.
+
+        A pool restart (another compile's deadline) breaks the calls
+        running on the old pool and cancels the ones queued there, and a
+        dead worker breaks the pool for every call after it.  Such a
+        call runs once more on a fresh pool, within the time left; the
+        pool is replaced (and counted in ``worker_restarts``) only if it
+        is still the one that failed.  A second failure is the reply.
+        """
+        t0 = perf.perf_timer()
+        pool = self._executor
+        try:
+            return await self._submit(pool, call, timeout)
+        except BrokenExecutor:
+            left = None if timeout is None else timeout - (perf.perf_timer() - t0)
+            if self._closing or (left is not None and left <= 0):
+                raise
+        if self._executor is pool:
+            await self._restart_workers()
+        return await self._submit(self._executor, call, left)
+
+    @staticmethod
+    async def _submit(pool: Any, call: tuple, timeout: float | None) -> Any:
+        """One run of ``call`` on ``pool``; a restart that cancels it
+        while queued breaks it, like one that kills its worker."""
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                loop.run_in_executor(pool, *call), timeout=timeout
+            )
+        except asyncio.CancelledError:
+            if asyncio.current_task().cancelling():
+                raise  # the request itself was cancelled
+            raise BrokenExecutor(
+                "the worker pool was restarted with this compile queued"
+            ) from None
+
     async def _lead_compile(
         self,
         digest: str,
@@ -780,7 +822,8 @@ class CompileServer:
 
         A compile that outlives ``timeout`` is declared hung: the pool
         is restarted (killing process workers) and every waiter gets a
-        :class:`ServiceTimeout`.
+        :class:`ServiceTimeout`.  A compile its pool broke or cancelled
+        runs once more (:meth:`_run_on_pool`).
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -799,9 +842,7 @@ class CompileServer:
             _worker_compile, task
         )
         try:
-            result = await asyncio.wait_for(
-                loop.run_in_executor(self._executor, *call), timeout=timeout
-            )
+            result = await self._run_on_pool(call, timeout)
             if self.workers:
                 doc, counters = result
                 perf.COUNTERS.merge(counters)

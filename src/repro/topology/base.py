@@ -175,9 +175,25 @@ class Topology(abc.ABC):
         return [self._walk(src, dst) for src, dst in pairs]
 
     def _walk(self, src: int, dst: int) -> tuple[int, ...]:
-        """One path computed from scratch (no cache)."""
+        """One path computed from scratch (no cache), made of the
+        topology's shared link-id objects (:attr:`_link_ints`)."""
         self._check_pair(src, dst)
-        return (src, *self._transit_route(src, dst), self.num_nodes + dst)
+        ids = self._link_ints
+        return (ids[src], *map(ids.__getitem__, self._transit_route(src, dst)),
+                ids[self.num_nodes + dst])
+
+    @property
+    def _link_ints(self) -> list[int]:
+        """One int object per link id, built once per instance.
+
+        Cached routes are made of these, so a cached path costs its
+        tuple of references rather than a fresh int object per link
+        (ids past 256 are not interned by the interpreter).
+        """
+        ids = self.__dict__.get("_link_ints_store")
+        if ids is None:
+            ids = self.__dict__["_link_ints_store"] = list(range(self.num_links))
+        return ids
 
     @property
     def _route_cache(self) -> OrderedDict | None:

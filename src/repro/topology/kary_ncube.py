@@ -187,7 +187,8 @@ class KAryNCube(Topology):
         except OverflowError:  # an id past int64: the walk refuses it
             return super()._route_misses(pairs)
         indptr, links = self.route_arrays(ends[:, 0], ends[:, 1])
-        flat, bounds = links.tolist(), indptr.tolist()
+        flat = list(map(self._link_ints.__getitem__, links.tolist()))
+        bounds = indptr.tolist()
         return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def route_arrays(

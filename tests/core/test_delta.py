@@ -1,5 +1,7 @@
 """Tests for delta scheduling: the incremental engine and its cost model."""
 
+import random
+
 import pytest
 
 from repro.compiler.serialize import canonical_dumps, schedule_to_dict
@@ -13,6 +15,7 @@ from repro.core.delta import (
     amend_schedule,
     fragmentation,
 )
+from repro.core.greedy import greedy_schedule
 from repro.core.packing import first_fit
 from repro.core.paths import Connection, route_requests
 from repro.core.requests import Request, RequestSet
@@ -247,3 +250,40 @@ class TestPerfCounters:
         engine.amend(remove=list(range(1, len(RING) // 2 + 1)))  # recompile
         assert perf.COUNTERS.amend_updates >= base + 2
         assert perf.COUNTERS.amend_recompiles >= 1
+
+
+class TestIncrementalFragmentation:
+    def test_matches_a_full_pass_after_every_update(self):
+        topo = Torus2D(16)
+        rng = random.Random(2029)
+        nodes = topo.num_nodes
+        pairs = set()
+        while len(pairs) < 256:
+            s, d = rng.randrange(nodes), rng.randrange(nodes)
+            if s != d:
+                pairs.add((s, d))
+        conns = route_requests(topo, RequestSet.from_pairs(sorted(pairs)))
+        engine = DeltaScheduler(greedy_schedule(conns), num_links=topo.num_links)
+        live = {c.index: c.pair for c in conns}
+        next_index = len(conns)
+        actions = set()
+        for step in range(2000):
+            # Mostly one-for-one churn; every 500th update is large
+            # enough to force a full recompile.
+            count = 70 if step % 500 == 499 else rng.randint(1, 3)
+            gone = rng.sample(sorted(live), count)
+            for idx in gone:
+                del live[idx]
+            add = []
+            while len(add) < count:
+                s, d = rng.randrange(nodes), rng.randrange(nodes)
+                if s != d and (s, d) not in live.values():
+                    add.append(Connection(next_index, Request(s, d), topo.route(s, d)))
+                    live[next_index] = (s, d)
+                    next_index += 1
+            result = engine.amend(add=add, remove=gone)
+            actions.add(result.action)
+            expected = fragmentation(engine.schedule)
+            assert engine.fragmentation() == expected
+            assert result.fragmentation == expected
+        assert actions == {"amend", "amend+repack", "recompile"}

@@ -3,9 +3,12 @@
 The digests cover every output of :func:`all_to_all_fast_schedule` and
 of :func:`product_decomposition` -- dtypes and shapes included -- on
 2-D tori, rectangles and k-ary n-cubes, so a change to how the slot
-table is computed cannot change what it contains.  The memory tests
-bound the traced peak allocation of one build against the size of the
-slot table it returns.
+table is computed cannot change what it contains.  Where the grouped
+product merges cells into shared slots (both outer radices 10 or more)
+the pins were taken only after ``tests/core/test_grouped_product.py``
+proved the shape conflict-free and complete.  The memory tests bound
+the traced peak allocation of one build against the size of the slot
+table it returns.
 """
 
 import hashlib
@@ -56,14 +59,14 @@ PINS = {
     "torus2d:7x7:tie=balanced": "25b7948e20d59017b1dcbf712b5b550592be348fc2b4ec969fd92c788bc49246",
     "torus2d:8x8:tie=balanced": "c6fd2ff9246e84c46c79587f9d1a6b4d757e33f8fcff4e2e17b8214cba5e1aaa",
     "torus2d:9x9:tie=balanced": "d55527d1e15228d523c084fdd598e0711617a3a28e7c4b957c5c5a544195270c",
-    "torus2d:10x10:tie=balanced": "31b899097e2fbfe3cd8dfc81918634b48d87ce52716a2e3eb66d28fc216ac267",
-    "torus2d:11x11:tie=balanced": "67755544cd8e699368865e47dd36e5e530e0963553a19ad520af7d2514eda063",
-    "torus2d:12x12:tie=balanced": "fc1d1066c47b76a9c9adde703f3a84a05eb71a7fa93c58c36a8f8bb5ced4bd0b",
-    "torus2d:13x13:tie=balanced": "409d537ae0b261a5e33e97dc9aee09671944788c2e5bc41598890c2c0bb643e2",
-    "torus2d:16x16:tie=balanced": "78866694f7ba02f0e16042be8d4a1c575f06610022cbaaa43f3abfa13b9e8fc2",
-    "torus2d:20x20:tie=balanced": "f335ec94b22be9c08acd149eabd628afd5dae2a54376fb168403ed95eeff41f5",
-    "torus2d:24x24:tie=balanced": "7646acd6bceafa756dc1d5141792717c5681879da27d36e3bcc84e15bf4cdf6e",
-    "torus2d:32x32:tie=balanced": "d094f376602dfb6b76d52fb0d99aaafbb6e26ba17bfebf1136ae481e42865dcc",
+    "torus2d:10x10:tie=balanced": "0724570f40c39bb12b5a7db8ed4226612357ea5e4ab175d02fa38005acad612a",
+    "torus2d:11x11:tie=balanced": "15749b86d84cbd05b3e993625c00597ec8963534e7a0ca0c7a17892b409c1683",
+    "torus2d:12x12:tie=balanced": "db81d29d753e1b8680a735768b34fc9061953917f14458006bc87a9a6d3caf95",
+    "torus2d:13x13:tie=balanced": "92e6afd19fdb31c14ea718acff4aff5bb5354fc9017de961ce3cc616a0cb8982",
+    "torus2d:16x16:tie=balanced": "8a2f850bf800f52238e886360bb6cd514417879004aca24e43bbb059d85625b1",
+    "torus2d:20x20:tie=balanced": "7496b79226bc5bc01bd8e15632838c93a592240e0ec8d7728d70d94ec18c2571",
+    "torus2d:24x24:tie=balanced": "d216121206bec54eee733a7de7a650140dcc2687b01950ae43595e211d71f4e1",
+    "torus2d:32x32:tie=balanced": "a20ffa3025cf558f6c466e44812be57bff559175ce287851523e93c8166edc54",
     "torus2d:4x3:tie=balanced": "a24a779197c0e7797dadfca60761e62045be4b100b0f2f561caed1a42490ec36",
     "torus2d:8x16:tie=balanced": "4e58e310378f1a55818cb37cbf40f568e9c9d0a18aa93b6896794967fedda789",
     "torus2d:9x4:tie=balanced": "297b61cb0fefb7364a2992266b112a4160d78d3b95e0e1b6588a0bb73e2bfa2f",
@@ -72,7 +75,7 @@ PINS = {
     "kary-ncube:3x5x4:tie=balanced": "617065f436540487f191adb9484f0a8bfe5a81bbdfc71364348776708868f635",
     "kary-ncube:8x8x8:tie=balanced": "fee14feb2600c1096f0670418329e70aa75c150d24cd76dad55d2f7eec8728b4",
     "kary-ncube:2x3x4x5:tie=balanced": "dcfc7c702ecb4e6577d8c636e9ffe2971ba98107e4ca8ff4087f4abf62c0414e",
-    "torus2d:64x64:tie=balanced": "0fe814d60873b955d13e6cfe6d1e3927e4df61eb693e274caf8c87c490801876",
+    "torus2d:64x64:tie=balanced": "473329e64ca853e772310daa932688850ddf71692b6425c34c548d32ec077758",
 }
 
 
@@ -115,7 +118,16 @@ def test_fastpath_peak_is_a_small_multiple_of_its_slot_table():
     all_to_all_fast_schedule(topo)  # warm the ring tables
     fast, peak = _traced_peak(lambda: all_to_all_fast_schedule(topo))
     assert fast.slot_of.dtype == np.int32
-    assert peak <= 3 * fast.slot_of.nbytes, peak / fast.slot_of.nbytes
+    # 1.29x measured on this shape
+    assert peak <= 1.6 * fast.slot_of.nbytes, peak / fast.slot_of.nbytes
+
+
+def test_pair_matrix_writes_straight_into_its_output():
+    dec = product_decomposition(Torus2D(32))
+    out, peak = _traced_peak(lambda: dec.pair_matrix(dec.cell_phase))
+    # One output plus grid-sized temporaries (1.13x measured): no
+    # second full-size array.
+    assert peak <= 1.3 * out.nbytes, peak / out.nbytes
 
 
 def test_product_decomposition_peak_stays_below_one_slot_table():

@@ -8,6 +8,7 @@ against a scripted flaky server.
 
 import asyncio
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -288,6 +289,96 @@ class TestDeadlines:
                     await c.compile(TORUS4, pattern=TRANSPOSE4, deadline=-1)
 
         run(with_server(go))
+
+
+class TestWorkerPoolFailures:
+    """A broken worker pool costs no other request its reply."""
+
+    def test_dead_worker_does_not_end_cold_compiles(self):
+        async def go(server, host, port):
+            async with AsyncCompileClient(host, port, retry=None) as c:
+                assert (await c.compile(TORUS4, pairs=[[0, 1]]))["cache"] == "miss"
+                pool = server._executor
+                for proc in list(pool._processes.values()):
+                    proc.kill()
+                for _ in range(1000):  # until the pool sees its worker gone
+                    if pool._broken:
+                        break
+                    await asyncio.sleep(0.01)
+                assert pool._broken
+                replies = [
+                    await c.compile(TORUS4, pairs=[[i, i + 1] for i in range(k)])
+                    for k in (2, 3, 4)
+                ]
+            assert [r["cache"] for r in replies] == ["miss"] * 3
+            assert server.worker_restarts == 1
+
+        run(with_server(go, workers=1))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the scripted compile times reach the workers by fork",
+    )
+    def test_deadline_restart_spares_the_other_compiles(self, monkeypatch):
+        real = compile_mod.build_canonical_artifact
+
+        def scripted(topology, requests, *args, **kwargs):
+            # One pair hangs past its deadline; two pairs take a second.
+            time.sleep(30 if len(requests) == 1 else 1.0)
+            return real(topology, requests, *args, **kwargs)
+
+        monkeypatch.setattr(compile_mod, "build_canonical_artifact", scripted)
+
+        async def go(server, host, port):
+            async def compile(pairs, deadline):
+                async with AsyncCompileClient(host, port, retry=None) as c:
+                    return await c.compile(TORUS4, pairs=pairs, deadline=deadline)
+
+            hung, slow = await asyncio.gather(
+                compile([[0, 1]], 0.5), compile([[0, 1], [2, 3]], 30),
+                return_exceptions=True,
+            )
+            assert isinstance(hung, ServiceTimeout)
+            assert not isinstance(slow, BaseException), slow
+            assert slow["cache"] == "miss"
+            assert server.worker_restarts == 1
+
+        run(with_server(go, workers=2))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the scripted compile times reach the workers by fork",
+    )
+    def test_compiles_queued_behind_a_hung_one_are_answered(self, monkeypatch):
+        real = compile_mod.build_canonical_artifact
+
+        def scripted(topology, requests, *args, **kwargs):
+            time.sleep(30 if len(requests) == 1 else 0.2)
+            return real(topology, requests, *args, **kwargs)
+
+        monkeypatch.setattr(compile_mod, "build_canonical_artifact", scripted)
+
+        async def go(server, host, port):
+            async def compile(pairs, deadline):
+                async with AsyncCompileClient(
+                    host, port, retry=None, timeout=20
+                ) as c:
+                    return await c.compile(TORUS4, pairs=pairs, deadline=deadline)
+
+            # One worker: the restart finds one compile running beside
+            # the hung one's slot and the rest still queued.
+            replies = await asyncio.gather(
+                compile([[0, 1]], 0.5),
+                *(compile([[i, i + 1] for i in range(k)], 30) for k in (2, 3, 4, 5)),
+                return_exceptions=True,
+            )
+            assert isinstance(replies[0], ServiceTimeout)
+            for reply in replies[1:]:
+                assert not isinstance(reply, BaseException), reply
+                assert reply["cache"] == "miss"
+            assert server.worker_restarts == 1
+
+        run(with_server(go, workers=1))
 
 
 class TestShutdownRace:

@@ -18,6 +18,18 @@ class TestRouteCache:
         assert second is first  # cached object, not a recomputation
         assert perf.COUNTERS.route_cache_hits == 1
 
+    def test_cached_routes_share_their_link_id_objects(self):
+        # Link ids past 256 would be a fresh int object per route; the
+        # topology's shared ones make a cached route cost only its tuple.
+        topo = Torus2D(16)
+        walked = [topo.route(s, 255) for s in (0, 17)]
+        bulk = topo.route_many([(s, 255) for s in range(32, 48)])  # one bulk pass
+        seen = {}
+        for path in walked + bulk:
+            for link in path:
+                assert seen.setdefault(link, link) is link
+        assert seen[topo.eject_link(255)] is walked[0][-1]
+
     def test_distinct_pairs_are_distinct_entries(self):
         topo = Torus2D(4)
         assert topo.route(1, 2) != topo.route(2, 1)
